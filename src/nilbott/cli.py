@@ -31,7 +31,9 @@ from .geometry import (
 )
 from .invariants import catalogue_report
 from .towers import (
+    ExtensionError,
     TowerSpec,
+    VerificationError,
     build_extension,
     base_pc,
     classify_tower,
@@ -148,7 +150,14 @@ def cmd_classify(args) -> int:
     except ValueError as exc:
         print(f"error: bad tower spec: {exc}", file=sys.stderr)
         return 2
-    verdict = classify_tower(spec)
+    try:
+        verdict = classify_tower(spec)
+    except (ValueError, ExtensionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"label: {verdict.label}")
     print(f"type: {verdict.type}")
     for name in sorted(verdict.witness_fwd):

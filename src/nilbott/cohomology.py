@@ -1,12 +1,16 @@
-"""Twisted second cohomology of the flat 2-dimensional base groups, cocycle
-extraction from built extensions, class orders, and the restriction and
+"""Twisted second cohomology of the flat 2-dimensional base groups, the
+2-cocycles of built extensions, class orders, and the restriction and
 transfer criteria that decide finite versus infinite type.
+
+A cocycle is read off its extension on demand: f(a, b) is the fiber
+exponent of s(a) s(b) s(ab)^-1, collected in the polycyclic presentation.
+There is no separate group law on (fiber, base) pairs; the pair (n, x)
+stands for z^n s(x) and multiplies as that element of the extension does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import gcd
 
 from .exact import smith_normal_form, IntMatrix
@@ -16,6 +20,7 @@ from .polycyclic import (
     nf_multiply,
     nf_invert,
     nf_to_word,
+    substitute,
 )
 from .words import Word, Presentation, TwistMap, fox_augmented, parse_word
 
@@ -121,34 +126,25 @@ def base_of_extension(ext: PcPresentation) -> PcPresentation:
     return PcPresentation(ext.names[:fiber], conj)
 
 
-def _box(ngens: int, window: int):
-    return product(range(-window, window + 1), repeat=ngens)
-
-
-class CocycleTable:
-    """The 2-cocycle of an extension, read off its normal-form section.
+class Cocycle:
+    """The 2-cocycle f(a, b) = fiber exponent of s(a) s(b) s(ab)^-1 of an
+    extension, for a section s of the quotient map onto the base.
 
     The section sends a base normal form to the extension normal form with
     fiber exponent zero (optionally shifted by a bounded function, which is
     how the section-independence properties are exercised).  Values are
-    precomputed on the window box and computed on demand elsewhere.
+    computed by collection in the extension when first asked for and
+    cached.
     """
 
-    def __init__(self, ext: PcPresentation, window: int = 3, section_shift=None):
-        if window < 2:
-            raise ValueError("window must be at least 2")
+    def __init__(self, ext: PcPresentation, section_shift=None):
         ext.require_consistent()
         self.ext = ext
-        self.window = window
         self.fiber = ext.ngens - 1
         self.base = base_of_extension(ext)
         self.signs = fiber_signs(ext)
         self._shift = section_shift if section_shift is not None else (lambda a: 0)
         self._cache: dict[tuple, int] = {}
-        self.table = {}
-        for a in _box(self.fiber, window):
-            for b in _box(self.fiber, window):
-                self.table[(a, b)] = self.value(a, b)
 
     def section(self, a) -> tuple:
         return tuple(a) + (self._shift(tuple(a)),)
@@ -188,65 +184,19 @@ class CocycleTable:
         )
 
 
-def seifert_multiply(phi, f: CocycleTable, a, b):
-    """Group law on (fiber exponent, base element) pairs:
-    (n, x)(m, y) = (n + phi(x) m + f(x, y), x y)."""
-    na, xa = a
-    nb, xb = b
-    _check_window(f, xa)
-    _check_window(f, xb)
-    sign = _phi_of(phi, f, xa)
-    return (na + sign * nb + f.value(xa, xb), nf_multiply(f.base, xa, xb))
-
-
-def seifert_invert(phi, f: CocycleTable, a):
-    na, xa = a
-    xinv = nf_invert(f.base, xa)
-    sign = _phi_of(phi, f, xa)
-    return (-sign * (na + f.value(xa, xinv)), xinv)
-
-
-def _phi_of(phi, f: CocycleTable, x) -> int:
-    if phi is None:
-        return f.phi(x)
-    if isinstance(phi, TwistMap):
-        signs = phi.signs
-    else:
-        signs = tuple(phi)
-    s = 1
-    for e, sg in zip(x, signs):
-        if sg == -1 and e % 2:
-            s = -s
-    return s
-
-
-def _check_window(f: CocycleTable, x):
-    if any(abs(e) > f.window for e in x):
-        raise ValueError("base element outside the cocycle table window")
-
-
-def cocycle_from_extension(ext: PcPresentation, window: int = 3) -> CocycleTable:
-    return CocycleTable(ext, window)
-
-
-def relator_pairing(f: CocycleTable, relator: Word) -> int:
-    """Fiber exponent of the relator lifted through the section.
-
-    For the defining relator of a built extension this recovers the lift
-    integer k.
+def relator_pairing(f: Cocycle, relator: Word) -> int:
+    """Fiber exponent of the relator lifted through the section: each base
+    generator g is replaced by s(g) and the word is collected in the
+    extension.  For the defining relator of a built extension this
+    recovers the lift integer k.
     """
-    acc = (0, f.base.identity())
-    for g, step in relator.letters():
-        if g >= f.fiber:
-            raise ValueError("relator references a non-base generator")
-        letter = (0, f.base._unit(g))
-        if step == -1:
-            letter = seifert_invert(None, f, letter)
-        acc = seifert_multiply(None, f, acc, letter)
-    n, x = acc
-    if any(x):
+    if relator.max_gen() >= f.fiber:
+        raise ValueError("relator references a non-base generator")
+    images = [nf_to_word(f.section(f.base._unit(g))) for g in range(f.fiber)]
+    lifted = collect(f.ext, substitute(relator, images))
+    if any(lifted[:f.fiber]):
         raise ValueError("word is not a relator of the base")
-    return n
+    return lifted[f.fiber]
 
 
 # -- type criteria -----------------------------------------------------------

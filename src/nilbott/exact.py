@@ -104,9 +104,6 @@ def _coerce(x) -> GaussRat:
     return GaussRat(x)
 
 
-GAUSS_I = GaussRat(0, 1)
-
-
 class IntMatrix:
     """Immutable rectangular integer matrix, row-major."""
 
@@ -329,22 +326,9 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix]:
 
 
 def rank(m: IntMatrix) -> int:
-    """Rank over Q by exact Gaussian elimination."""
-    a = [[Fraction(x) for x in row] for row in m.entries]
-    r = 0
-    for j in range(m.cols):
-        piv = next((i for i in range(r, m.rows) if a[i][j] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(m.rows):
-            if i != r and a[i][j] != 0:
-                f = a[i][j] / a[r][j]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m.rows:
-            break
-    return r
+    """Rank over Q: the number of nonzero invariant factors."""
+    d, _, _ = smith_normal_form(m)
+    return sum(1 for x in d if x)
 
 
 def solve_fixed_lattice(mats: list[IntMatrix]) -> int:

@@ -233,18 +233,6 @@ class HeisAffineMap:
         return HeisPoint(x, z)
 
 
-def heis_multiply(p: HeisPoint, q: HeisPoint) -> HeisPoint:
-    return p * q
-
-
-def heis_invert(p: HeisPoint) -> HeisPoint:
-    return p.inverse()
-
-
-def heis_aut_apply(aut: HeisAut, p: HeisPoint) -> HeisPoint:
-    return aut.apply(p)
-
-
 # -- representations ---------------------------------------------------------
 
 

@@ -46,11 +46,7 @@ def holonomy(rep: list):
                         raise ValueError("holonomy closure exceeded guard bound")
         frontier = nxt
     elementary = all(mul(x, x) == ident for x in closure)
-    return len(closure), elementary, sorted_closure(closure)
-
-
-def sorted_closure(closure):
-    return sorted(closure, key=repr)
+    return len(closure), elementary, sorted(closure, key=repr)
 
 
 def _orientable(rep: list) -> bool:
@@ -110,7 +106,6 @@ def _h1_free_projection(p: PcPresentation):
         rows.append(row)
     m = p.ngens
     if not rows:
-        ident = IntMatrix.identity(m)
         return (lambda v: list(v)), m
     cols = IntMatrix(rows).transpose()  # columns span the relation lattice
     d, u, _ = smith_normal_form(cols)
@@ -146,19 +141,11 @@ def homological_injectivity_check(group: PcPresentation, central: list) -> bool:
 
 
 def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    from fractions import Fraction
-
-    from .exact import solve_rational
-
-    n = m.rows
-    cols = []
-    for j in range(n):
-        e = [Fraction(1 if i == j else 0) for i in range(n)]
-        sol = solve_rational([[Fraction(x) for x in row] for row in m.entries], e)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            raise ValueError("matrix is not unimodular")
-        cols.append([int(x) for x in sol])
-    return IntMatrix(cols).transpose()
+    """Inverse of a unimodular matrix: u m v = I gives m^-1 = v u."""
+    d, u, v = smith_normal_form(m)
+    if any(x != 1 for x in d):
+        raise ValueError("matrix is not unimodular")
+    return v * u
 
 
 def halperin_carlsson_check(betti, s: int):
@@ -219,7 +206,6 @@ def catalogue_report(label: str, k: int | None = None) -> InvariantReport:
     if finite:
         hom_inj = homological_injectivity_check(group, central_words(label, k))
         hc, margins, sum_margin = halperin_carlsson_check(betti, s)
-        hc = hc and True
         margins = margins + [sum_margin]
     return InvariantReport(
         label=label,

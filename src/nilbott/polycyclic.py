@@ -373,7 +373,6 @@ def parse_pc_presentation(text: str) -> PcPresentation:
     if not segments or not segments[0].startswith("gens:"):
         raise ValueError("pc presentation must start with a 'gens:' segment")
     names = tuple(segments[0][len("gens:"):].split())
-    index = {n: i for i, n in enumerate(names)}
     conj = {}
     for seg in segments[1:]:
         if "=" not in seg:
@@ -395,7 +394,6 @@ def parse_pc_presentation(text: str) -> PcPresentation:
         if (i, j) in conj:
             raise ValueError(f"duplicate rule for ({names[i]}, {names[j]})")
         conj[(i, j)] = parse_word(rhs, names)
-    _ = index
     return PcPresentation(names, conj)
 
 

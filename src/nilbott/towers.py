@@ -1,6 +1,5 @@
-"""Building iterated circle-bundle groups as polycyclic extensions, the
-Seifert-style group law on (fiber, base) pairs, tower specifications and
-their classification against the catalogue.
+"""Building iterated circle-bundle groups as polycyclic extensions, tower
+specifications and their classification against the catalogue.
 """
 
 from __future__ import annotations
@@ -35,6 +34,10 @@ class ExtensionError(Exception):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class VerificationError(Exception):
+    """The witness maps of a classification failed to verify."""
 
 
 def _signs_of(phi, ngens: int):
@@ -140,6 +143,33 @@ class TowerSpec:
 HEADER = "nilbott-tower v1"
 
 
+def _parse_phi(val: str, dim: int) -> tuple[int, ...]:
+    """Signs of phi={name:sign,...}, resolved by name against the
+    generators of the stage below and returned in generator order."""
+    names = tower_names(dim - 1)
+    if not (val.startswith("{") and val.endswith("}")):
+        raise ValueError(f"bad phi value {val!r}")
+    signs = {}
+    for item in val[1:-1].split(","):
+        name, _, sign = item.partition(":")
+        if name not in names:
+            raise ValueError(
+                f"stage {dim}: unknown generator {name!r} in phi "
+                f"(expected {', '.join(names)})"
+            )
+        if name in signs:
+            raise ValueError(f"stage {dim}: generator {name!r} appears twice in phi")
+        if sign not in ("1", "+1", "-1"):
+            raise ValueError(
+                f"stage {dim}: sign of {name!r} must be +1 or -1, got {sign!r}"
+            )
+        signs[name] = int(sign)
+    missing = [n for n in names if n not in signs]
+    if missing:
+        raise ValueError(f"stage {dim}: phi has no sign for {', '.join(missing)}")
+    return tuple(signs[n] for n in names)
+
+
 def parse_tower_spec(text: str) -> TowerSpec:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0] != HEADER:
@@ -150,6 +180,8 @@ def parse_tower_spec(text: str) -> TowerSpec:
             raise ValueError(f"bad stage line {ln!r}")
         head, _, rest = ln[len("stage "):].partition(":")
         dim = int(head)
+        if dim != len(stages) + 1:
+            raise ValueError("stages must have dimensions 1, 2, ... in order")
         rest = rest.strip()
         if dim == 1:
             if rest != "S1":
@@ -164,36 +196,33 @@ def parse_tower_spec(text: str) -> TowerSpec:
             if key == "base":
                 base_tag = val
             elif key == "phi":
-                if not (val.startswith("{") and val.endswith("}")):
-                    raise ValueError(f"bad phi value {val!r}")
-                signs = []
-                for item in val[1:-1].split(","):
-                    _, _, s = item.partition(":")
-                    signs.append(int(s))
-                phi = tuple(signs)
+                phi = _parse_phi(val, dim)
             elif key == "k":
                 lifts = tuple(int(x) for x in val.split(","))
             else:
                 raise ValueError(f"unknown field {key!r} in tower spec")
         if phi is None:
             raise ValueError(f"stage {dim} needs phi=")
-        if dim >= 3 and not lifts:
-            raise ValueError(f"stage {dim} needs k=")
+        need = (dim - 1) * (dim - 2) // 2  # one lift per conjugation rule
+        if need == 0 and lifts:
+            raise ValueError(f"stage {dim}: takes no k= (the stage below has no relators)")
+        if len(lifts) != need:
+            raise ValueError(
+                f"stage {dim}: k= must list {need} lift integers, got {len(lifts)}"
+            )
         stages.append(Stage(dim, phi, lifts, base_tag))
     spec = TowerSpec(tuple(stages))
     _validate_dims(spec)
     return spec
 
 
-def format_tower_spec(spec: TowerSpec, stage_groups=None) -> str:
+def format_tower_spec(spec: TowerSpec) -> str:
     _validate_dims(spec)
-    if stage_groups is None:
-        stage_groups = build_tower_groups(spec)
     lines = [HEADER, "stage 1: S1"]
-    for s, stage in enumerate(spec.stages[1:], start=1):
-        prev = stage_groups[s - 1]
+    for stage in spec.stages[1:]:
         phi_text = ",".join(
-            f"{name}:{'+' if sg > 0 else '-'}1" for name, sg in zip(prev.names, stage.phi)
+            f"{name}:{'+' if sg > 0 else '-'}1"
+            for name, sg in zip(tower_names(stage.dim - 1), stage.phi)
         )
         fields = []
         if stage.base_tag:
@@ -213,18 +242,26 @@ def _validate_dims(spec: TowerSpec):
         raise ValueError("empty tower")
 
 
-_TOWER_FIBERS = {2: "h", 3: "n", 4: "m", 5: "f"}
+_TOWER_NAMES = ("g", "h", "n", "m", "f", "q")
+
+
+def tower_names(dim: int) -> tuple[str, ...]:
+    """Generator names of the stage-dim group, bottom up: g, h, n, m, f, q,
+    then z6, z7, ..."""
+    return tuple(
+        _TOWER_NAMES[i] if i < len(_TOWER_NAMES) else f"z{i}" for i in range(dim)
+    )
 
 
 def build_tower_groups(spec: TowerSpec) -> list[PcPresentation]:
-    """Fundamental group of every stage, bottom up.  Stage generators are
-    named g, h, n, m, ... in tower order."""
+    """Fundamental group of every stage, bottom up, with generators named
+    by tower_names."""
     _validate_dims(spec)
     groups = [cyclic_pc("g")]
     for stage in spec.stages[1:]:
         groups.append(
             build_extension(
-                groups[-1], stage.phi, stage.lifts, _TOWER_FIBERS.get(stage.dim)
+                groups[-1], stage.phi, stage.lifts, tower_names(stage.dim)[-1]
             )
         )
     return groups
@@ -318,7 +355,7 @@ def classify_tower(spec: TowerSpec) -> ClassificationVerdict:
     fwd = compose_maps(chain_fwd, id_fwd)
     bwd = compose_maps(id_bwd, chain_bwd)
     if not verify_isomorphism(ext, target, fwd, bwd):
-        raise ExtensionError(f"witness maps for {label} failed verification")
+        raise VerificationError(f"witness maps for {label} failed verification")
     return ClassificationVerdict(
         label=label,
         type="finite" if finite else "infinite",

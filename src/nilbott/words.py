@@ -78,10 +78,6 @@ def _reduce(syllables):
     return tuple(out)
 
 
-def free_reduce(w: Word) -> Word:
-    return Word(w.syllables)
-
-
 def gen(i: int, e: int = 1) -> Word:
     return Word(((i, e),))
 

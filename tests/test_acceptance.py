@@ -17,8 +17,8 @@ from nilbott.catalogue import (
     reduction_maps,
 )
 from nilbott.cohomology import (
+    Cocycle,
     class_order,
-    cocycle_from_extension,
     h2_one_relator,
     relator_pairing,
     restriction_nonzero,
@@ -183,7 +183,7 @@ def test_criterion_8_property_suites():
     # cocycle identity on every triple of the sampled window
     failures = 0
     for case, k in [(1, 1), (2, 3), (3, 2), (5, -2), (7, 4)]:
-        f = cocycle_from_extension(case_extension(case, k), window=2)
+        f = Cocycle(case_extension(case, k))
         box = list(product(range(-1, 2), repeat=2))
         for a in box:
             for b in box:
@@ -196,7 +196,7 @@ def test_criterion_8_property_suites():
     for case in sorted(CASE_DATA):
         pres = base_presentation(case)
         for k in range(-5, 6):
-            f = cocycle_from_extension(case_extension(case, k), window=2)
+            f = Cocycle(case_extension(case, k))
             if relator_pairing(f, pres.relators[0]) != k:
                 failures += 1
     assert failures == 0

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nilbott.cli import main, tables_data
 
 
@@ -47,6 +49,82 @@ def test_classify_command(tmp_path, capsys):
     bad.write_text("not a tower\n")
     code, _, err = run(capsys, ["classify", str(bad)])
     assert code == 2 and "bad tower spec" in err
+
+
+SPEC_HEAD = "nilbott-tower v1\nstage 1: S1\nstage 2: base=S1 phi={g:-1}\n"
+GAMMA_1 = SPEC_HEAD + "stage 3: base=K phi={g:-1,h:+1} k=1\n"
+
+MALFORMED_SPECS = [
+    pytest.param(
+        SPEC_HEAD + "stage 3: base=K phi={x:+1,h:+1} k=3\n",
+        "stage 3: unknown generator 'x' in phi (expected g, h)",
+        id="unknown-name",
+    ),
+    pytest.param(
+        SPEC_HEAD + "stage 3: base=K phi={g:-1,g:+1,h:+1} k=3\n",
+        "stage 3: generator 'g' appears twice in phi",
+        id="duplicate-name",
+    ),
+    pytest.param(
+        SPEC_HEAD + "stage 3: base=K phi={g:-1} k=3\n",
+        "stage 3: phi has no sign for h",
+        id="missing-name",
+    ),
+    pytest.param(
+        SPEC_HEAD + "stage 3: base=K phi={g:-1,h:+3} k=3\n",
+        "stage 3: sign of 'h' must be +1 or -1, got '+3'",
+        id="sign-not-unit",
+    ),
+    pytest.param(
+        "nilbott-tower v1\nstage 1: S1\nstage 2: base=S1 phi={g:-1} k=2\n",
+        "stage 2: takes no k=",
+        id="k-at-stage-2",
+    ),
+    pytest.param(
+        SPEC_HEAD + "stage 3: base=K phi={g:-1,h:+1} k=1,2\n",
+        "stage 3: k= must list 1 lift integers, got 2",
+        id="lift-count",
+    ),
+    pytest.param(
+        GAMMA_1 + "stage 4: phi={g:+1,h:+1,n:-1} k=0,0,0\n",
+        "error: phi is not a homomorphism on the base",
+        id="phi-not-homomorphism",
+    ),
+    pytest.param(
+        GAMMA_1 + "stage 4: phi={g:+1,h:-1,n:+1} k=0,0,1\n",
+        "error: lift data is not a cocycle",
+        id="lifts-not-cocycle",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_SPECS)
+def test_classify_malformed_specs(tmp_path, capsys, text, message):
+    spec = tmp_path / "tower.txt"
+    spec.write_text(text)
+    code, out, err = run(capsys, ["classify", str(spec)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_classify_reads_phi_by_name(tmp_path, capsys):
+    spec = tmp_path / "tower.txt"
+    spec.write_text(SPEC_HEAD + "stage 3: base=K phi={h:+1,g:-1} k=3\n")
+    code, out, _ = run(capsys, ["classify", str(spec)])
+    assert code == 0
+    assert "label: Gamma(3)" in out
+
+
+def test_classify_failed_witness_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("nilbott.towers.verify_isomorphism", lambda *args: False)
+    spec = tmp_path / "tower.txt"
+    spec.write_text(TOWER_TEXT)
+    code, out, err = run(capsys, ["classify", str(spec)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: witness maps for Gamma(5) failed verification\n"
 
 
 def test_tables_json_markdown_agree(capsys):

@@ -7,20 +7,17 @@ import pytest
 from conftest import CASE_DATA, base_presentation, case_extension
 
 from nilbott.cohomology import (
-    CocycleTable,
+    Cocycle,
     base_kind,
     class_order,
-    cocycle_from_extension,
     fiber_signs,
     h2_one_relator,
     relator_pairing,
     restriction_nonzero,
-    seifert_invert,
-    seifert_multiply,
     transfer_identity_check,
     untwisted_subgroup,
 )
-from nilbott.polycyclic import verify_homomorphism
+from nilbott.polycyclic import nf_invert, nf_multiply, verify_homomorphism
 from nilbott.words import (
     TwistMap,
     fox_augmented,
@@ -100,8 +97,9 @@ def test_class_order_matches_complement_search():
 
 
 def test_cocycle_split_extension_vanishes():
-    f = cocycle_from_extension(case_extension(1, 0), window=2)
-    assert all(v == 0 for v in f.table.values())
+    f = Cocycle(case_extension(1, 0))
+    box = list(product(range(-2, 3), repeat=2))
+    assert all(f.value(a, b) == 0 for a in box for b in box)
 
 
 def test_cocycle_recovers_lift_integer():
@@ -109,32 +107,32 @@ def test_cocycle_recovers_lift_integer():
         pres = base_presentation(case)
         for k in (-4, -1, 0, 2, 5):
             ext = case_extension(case, k)
-            f = cocycle_from_extension(ext, window=2)
+            f = Cocycle(ext)
             assert relator_pairing(f, pres.relators[0]) == k
 
 
 def test_cocycle_antisymmetry_on_torus():
-    f = cocycle_from_extension(case_extension(5, 2))
+    f = Cocycle(case_extension(5, 2))
     assert f.value((1, 0), (0, 1)) - f.value((0, 1), (1, 0)) == 2
 
 
 def test_relator_pairing_examples():
     klein = klein_presentation().relators[0]
     torus = torus_presentation().relators[0]
-    assert relator_pairing(cocycle_from_extension(case_extension(2, 1)), klein) == 1
-    assert relator_pairing(cocycle_from_extension(case_extension(2, 0)), klein) == 0
-    assert relator_pairing(cocycle_from_extension(case_extension(5, -3)), torus) == -3
+    assert relator_pairing(Cocycle(case_extension(2, 1)), klein) == 1
+    assert relator_pairing(Cocycle(case_extension(2, 0)), klein) == 0
+    assert relator_pairing(Cocycle(case_extension(5, -3)), torus) == -3
 
 
 def test_relator_pairing_rejects_non_relators():
-    f = cocycle_from_extension(case_extension(1, 1))
+    f = Cocycle(case_extension(1, 1))
     with pytest.raises(ValueError):
         relator_pairing(f, parse_word("g h", ("g", "h")))
 
 
 def test_cocycle_identity_all_window_triples():
     for case, k in [(2, 3), (3, 2), (5, -2)]:
-        f = cocycle_from_extension(case_extension(case, k), window=2)
+        f = Cocycle(case_extension(case, k))
         box = list(product(range(-2, 3), repeat=2))
         assert all(
             f.identity_defect(a, b, c) == 0
@@ -144,11 +142,33 @@ def test_cocycle_identity_all_window_triples():
         )
 
 
-def test_seifert_multiply_matches_collection():
-    # single-syllable factors keep every intermediate product in the window
+def test_pairing_of_conjugated_relator():
+    # g^3 r g^-3 lifts to the conjugate of z^k, i.e. z^(phi(g)^3 k)
+    for case in sorted(CASE_DATA):
+        pres = base_presentation(case)
+        r = pres.relators[0]
+        g3 = parse_word("g^3", ("g", "h"))
+        for k in (-3, 0, 2):
+            f = Cocycle(case_extension(case, k))
+            assert relator_pairing(f, g3 * r * g3.inverse()) == f.phi((1, 0)) ** 3 * k
+
+
+def _element(f, pair):
+    """The extension element z^n s(x) that the pair (n, x) stands for."""
+    n, x = pair
+    return nf_multiply(f.ext, f.ext._unit(f.fiber, n), f.section(x))
+
+
+def _pair_product(f, a, b):
+    (n, x), (m, y) = a, b
+    return (n + f.phi(x) * m + f.value(x, y), nf_multiply(f.base, x, y))
+
+
+def test_pairs_multiply_as_extension_elements():
+    # defining identity of the cocycle, checked by collection:
+    # z^n s(x) . z^m s(y) = z^(n + phi(x) m + f(x, y)) s(xy)
     rng = random.Random(1234)
-    ext = case_extension(2, 3)
-    f = cocycle_from_extension(ext)
+    f = Cocycle(case_extension(2, 3))
     for _ in range(100):
         triple = []
         for _ in range(3):
@@ -156,29 +176,32 @@ def test_seifert_multiply_matches_collection():
                 (rng.randint(-2, 2), (rng.randint(-1, 1), rng.randint(-1, 1)))
             )
         a, b, c = triple
-        left = seifert_multiply(None, f, seifert_multiply(None, f, a, b), c)
-        right = seifert_multiply(None, f, a, seifert_multiply(None, f, b, c))
-        assert left == right
-        # inverse law
-        inv = seifert_invert(None, f, a)
-        n, x = seifert_multiply(None, f, a, inv)
-        assert n == 0 and not any(x)
+        for p, q in ((a, b), (b, c), (_pair_product(f, a, b), c)):
+            assert nf_multiply(f.ext, _element(f, p), _element(f, q)) == _element(
+                f, _pair_product(f, p, q)
+            )
+        # inverse: (n, x)^-1 = (-phi(x) (n + f(x, x^-1)), x^-1)
+        n, x = a
+        xinv = nf_invert(f.base, x)
+        inv = (-f.phi(x) * (n + f.value(x, xinv)), xinv)
+        assert _element(f, inv) == nf_invert(f.ext, _element(f, a))
+
+    # split extension: the fiber part is n + phi(x) m, nothing more
+    split = Cocycle(case_extension(2, 0))
+    a, b = (3, (1, 0)), (-2, (0, 1))
+    product_ = nf_multiply(split.ext, _element(split, a), _element(split, b))
+    assert product_ == _element(split, (3 + split.phi((1, 0)) * -2, (1, 1)))
 
 
-def test_seifert_multiply_split_case():
-    ext = case_extension(2, 0)  # split: f == 0 on the relevant window
-    f = cocycle_from_extension(ext)
-    phi = f.signs
-    a = (3, (1, 0))
-    b = (-2, (0, 1))
-    n, x = seifert_multiply(phi, f, a, b)
-    assert n == 3 + f.phi((1, 0)) * -2 + f.value((1, 0), (0, 1))
-
-
-def test_seifert_window_enforced():
-    f = cocycle_from_extension(case_extension(1, 1), window=2)
-    with pytest.raises(ValueError):
-        seifert_multiply(None, f, (0, (3, 0)), (0, (0, 0)))
+def test_pairing_ignores_section_at_identity():
+    # shifting every section value by z^c moves the lifted relator by c
+    # times the coboundary image, which is zero for the torsion-free twists
+    for case in (3, 5):
+        r = base_presentation(case).relators[0]
+        for c in (-2, 1, 3):
+            f = Cocycle(case_extension(case, 4), section_shift=lambda a, c=c: c)
+            assert f.section((0, 0)) == (0, 0, c)
+            assert relator_pairing(f, r) == 4
 
 
 def test_section_change_moves_pairing_by_coboundary_image():
@@ -202,7 +225,7 @@ def test_section_change_moves_pairing_by_coboundary_image():
                     shifts[a] = rng.randint(-2, 2)
                 return shifts[a]
 
-            f2 = CocycleTable(ext, window=2, section_shift=shift)
+            f2 = Cocycle(ext, section_shift=shift)
             k2 = relator_pairing(f2, r)
             if image_gcd == 0:
                 assert k2 == k
@@ -213,7 +236,7 @@ def test_section_change_moves_pairing_by_coboundary_image():
 def test_fiber_signs_and_base():
     ext = case_extension(4, 2)
     assert fiber_signs(ext) == (-1, -1)
-    f = cocycle_from_extension(ext)
+    f = Cocycle(ext)
     assert f.base.ngens == 2
     assert base_kind(base_presentation(4)) == "klein"
 

@@ -89,6 +89,27 @@ def test_coker_rank_matches_rational_rank():
         assert sum(1 for x in d if x) == rank(m)
 
 
+def test_snf_and_rank_against_sympy():
+    # independent oracle for the Smith diagonal and for rank, which is now
+    # read off that diagonal
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(314159)
+    for _ in range(300):
+        rows = rng.randint(1, 4)
+        cols = rng.randint(1, 4)
+        entries = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.3:
+            # force a rank drop: the last row is a combination of the others
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            entries[-1] = [a * x + b * y for x, y in zip(entries[0], entries[-2])]
+        m = IntMatrix(entries)
+        expected = [abs(int(x)) for x in invariant_factors(Matrix(entries), domain=ZZ)]
+        assert snf_checked(m) == expected
+        assert rank(m) == Matrix(entries).rank()
+
+
 def test_fixed_lattice_examples():
     assert solve_fixed_lattice([IntMatrix.diagonal([1, -1, 1])]) == 2
     assert solve_fixed_lattice([IntMatrix.identity(3)]) == 3

@@ -1,11 +1,14 @@
+import random
+
 import pytest
 
 from conftest import case_extension
 
 from nilbott.catalogue import catalogue_pc, central_words
-from nilbott.exact import IntMatrix
+from nilbott.exact import IntMatrix, smith_normal_form
 from nilbott.geometry import FlatAffineMap, catalogue_representation
 from nilbott.invariants import (
+    _unimodular_inverse,
     betti_numbers,
     catalogue_report,
     center_rank,
@@ -97,6 +100,23 @@ def test_homological_injectivity():
     b1 = catalogue_pc("B1")
     bad = [b1.word("t2")]
     assert not homological_injectivity_check(b1, bad)
+
+
+def test_unimodular_inverse():
+    # the Smith transforms of small random matrices are unimodular; keep the
+    # inputs at 4 x 4 or smaller, the transforms grow fast with size
+    rng = random.Random(2718)
+    for _ in range(100):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        m = IntMatrix([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)])
+        _, u, v = smith_normal_form(m)
+        for t in (u, v):
+            inv = _unimodular_inverse(t)
+            assert inv * t == IntMatrix.identity(t.rows) == t * inv
+    with pytest.raises(ValueError):
+        _unimodular_inverse(IntMatrix([[2, 0], [0, 1]]))
+    with pytest.raises(ValueError):
+        _unimodular_inverse(IntMatrix([[1, 2], [2, 4]]))
 
 
 def test_halperin_carlsson():

@@ -20,6 +20,7 @@ from nilbott.towers import (
     format_tower_spec,
     parse_tower_spec,
     parity_label,
+    tower_names,
 )
 from nilbott.words import TwistMap, parse_word
 
@@ -73,7 +74,8 @@ def test_tower_groups_names_and_shapes():
     spec = TowerSpec.depth3("K", (-1, 1), 2)
     groups = build_tower_groups(spec)
     assert [g.ngens for g in groups] == [1, 2, 3]
-    assert groups[2].names == GHN
+    assert groups[2].names == GHN == tower_names(3)
+    assert tower_names(8) == ("g", "h", "n", "m", "f", "q", "z6", "z7")
 
 
 def test_classification_table_klein():
@@ -194,12 +196,12 @@ def test_parity_label():
 
 
 def test_round_trip_lift_through_pairing():
-    from nilbott.cohomology import cocycle_from_extension, relator_pairing
+    from nilbott.cohomology import Cocycle, relator_pairing
 
     for case in sorted(CASE_DATA):
         pres = base_presentation(case)
         for k in (-5, -2, 0, 1, 3):
-            f = cocycle_from_extension(case_extension(case, k), window=2)
+            f = Cocycle(case_extension(case, k))
             assert relator_pairing(f, pres.relators[0]) == k
 
 
@@ -217,6 +219,8 @@ def test_tower_spec_parse_format_roundtrip():
     assert spec.stages[2].lifts == (3,)
     assert format_tower_spec(spec) == text
     assert parse_tower_spec(format_tower_spec(spec)) == spec
+    # phi signs are matched by name, so their order does not matter
+    assert parse_tower_spec(text.replace("g:-1,h:+1", "h:+1,g:-1")) == spec
 
 
 def test_tower_spec_errors():
