@@ -17,10 +17,10 @@ from .exact import smith_normal_form, IntMatrix
 from .polycyclic import (
     PcPresentation,
     collect,
+    evaluate,
     nf_multiply,
     nf_invert,
     nf_to_word,
-    substitute,
 )
 from .words import Word, Presentation, TwistMap, fox_augmented, parse_word
 
@@ -186,14 +186,14 @@ class Cocycle:
 
 def relator_pairing(f: Cocycle, relator: Word) -> int:
     """Fiber exponent of the relator lifted through the section: each base
-    generator g is replaced by s(g) and the word is collected in the
+    generator g is replaced by s(g) and the word is evaluated in the
     extension.  For the defining relator of a built extension this
     recovers the lift integer k.
     """
     if relator.max_gen() >= f.fiber:
         raise ValueError("relator references a non-base generator")
-    images = [nf_to_word(f.section(f.base._unit(g))) for g in range(f.fiber)]
-    lifted = collect(f.ext, substitute(relator, images))
+    images = [f.section(f.base._unit(g)) for g in range(f.fiber)]
+    lifted = evaluate(f.ext, relator, images)
     if any(lifted[:f.fiber]):
         raise ValueError("word is not a relator of the base")
     return lifted[f.fiber]

@@ -11,7 +11,10 @@ Normal forms are exponent vectors (e_0, ..., e_{m-1}) meaning
 x_0^{e_0} ... x_{m-1}^{e_{m-1}}.  Multiplication collects from the left:
 the lowest-index letters are merged first and their conjugation action is
 pushed into the tail, which is the standard terminating strategy for
-consistent presentations.
+consistent presentations.  Conjugation by x_i^t is applied as the
+automorphisms x_i^(+-2^b) for the set bits b of |t|, whose generator
+images are computed by squaring when first needed and kept on the
+presentation, so the cost grows with the bit length of the exponents.
 
 Only the positive conjugation rules are supplied; the inverse rules are
 derived at construction by a triangular solve (the conjugation action
@@ -66,6 +69,10 @@ class PcPresentation:
         self._m = m
         self._rules: dict[tuple[int, int, int], NormalForm] = {}
         self._defects: list[tuple] = []
+        # (i, sign) -> images of x_{i+1..m-1} under x_i^(sign 2^b), b = 0, 1, ...
+        self._squares: dict[tuple[int, int], list] = {}
+        self._central = [True] * m  # x_i commutes with every later generator
+        self._abelian = [True] * m  # <x_i, ..., x_{m-1}> is abelian
 
         given: dict[tuple[int, int], Word] = {}
         for (i, j), w in (conj or {}).items():
@@ -108,6 +115,14 @@ class PcPresentation:
                 except PcError as exc:
                     self._defects.append((i, j, str(exc)))
                     self._rules[(i, j, -1)] = self._unit(j)
+            for sign in (1, -1):
+                self._squares[(i, sign)] = [
+                    [self._rules[(i, j, sign)] for j in range(i + 1, m)]
+                ]
+            self._central[i] = all(
+                self._rules[(i, j, 1)] == self._unit(j) for j in range(i + 1, m)
+            )
+            self._abelian[i] = self._central[i] and self._abelian[i + 1]
 
     def _solve_inverse(self, i, j):
         """Find z with x_i z x_i^-1 = x_j, i.e. the rule x_i^-1 x_j x_i."""
@@ -141,9 +156,12 @@ class PcPresentation:
         return (0,) * self._m
 
     def _mult(self, a, b, lvl=0) -> NormalForm:
-        m = self._m
-        if lvl >= m:
-            return (0,) * m
+        if not any(a):
+            return b
+        if not any(b):
+            return a
+        if self._abelian[lvl]:
+            return tuple(x + y for x, y in zip(a, b))
         a1, b1 = a[lvl], b[lvl]
         a_tail = _zero_at(a, lvl)
         if b1 and any(a_tail):
@@ -152,25 +170,37 @@ class PcPresentation:
         return tail[:lvl] + (a1 + b1,) + tail[lvl + 1:]
 
     def _conj(self, v, i, t) -> NormalForm:
-        """x_i^t v x_i^-t for v supported on indices > i."""
-        sign = 1 if t > 0 else -1
-        for _ in range(abs(t)):
-            out = (0,) * self._m
-            for j in range(i + 1, self._m):
-                if v[j]:
-                    key = (i, j, sign)
-                    if key not in self._rules:
-                        raise InconsistentPresentation(
-                            f"missing conjugation rule for "
-                            f"({self.names[i]}, {self.names[j]}, {sign})"
-                        )
-                    out = self._mult(out, self._power(self._rules[key], v[j], j), i + 1)
-            v = out
+        """x_i^t v x_i^-t for v supported on indices > i.
+
+        Conjugation by x_i is an automorphism of <x_{i+1}, ...>; its
+        2^b-th powers are applied for the set bits b of |t|.
+        """
+        if not t or self._central[i]:
+            return v
+        squares = self._squares[(i, 1 if t > 0 else -1)]
+        t, b = abs(t), 0
+        while t:
+            if b == len(squares):
+                squares.append([self._act(squares[-1], w, i) for w in squares[-1]])
+            if t & 1:
+                v = self._act(squares[b], v, i)
+            t >>= 1
+            b += 1
         return v
+
+    def _act(self, images, v, i) -> NormalForm:
+        """Image of v under the automorphism sending x_j to images[j-i-1]."""
+        out = (0,) * self._m
+        for j in range(i + 1, self._m):
+            if v[j]:
+                out = self._mult(out, self._power(images[j - i - 1], v[j], j), i + 1)
+        return out
 
     def _power(self, v, e, lvl) -> NormalForm:
         if e == 0:
             return (0,) * self._m
+        if self._abelian[lvl] or not any(v[lvl + 1:]):
+            return tuple(x * e for x in v)
         if e < 0:
             return self._power(self._invert(v, lvl), -e, lvl)
         half = self._power(v, e // 2, lvl)
@@ -180,9 +210,8 @@ class PcPresentation:
         return out
 
     def _invert(self, v, lvl=0) -> NormalForm:
-        m = self._m
-        if lvl >= m:
-            return (0,) * m
+        if not any(v):
+            return v
         v1 = v[lvl]
         tail_inv = self._invert(_zero_at(v, lvl), lvl + 1)
         if v1 and any(tail_inv):
@@ -270,43 +299,69 @@ def consistency_check(p: PcPresentation) -> ConsistencyResult:
         )
     m = p.ngens
     units = [p._unit(i, e) for i in range(m) for e in (1, -1)]
-    try:
-        for i in range(m):
-            for j in range(i + 1, m):
-                back = p._conj(p._conj(p._unit(j), i, 1), i, -1)
-                if back != p._unit(j):
+    for i in range(m):
+        for j in range(i + 1, m):
+            back = p._conj(p._conj(p._unit(j), i, 1), i, -1)
+            if back != p._unit(j):
+                return ConsistencyResult(
+                    False,
+                    (gen(i), gen(j), gen(i, -1)),
+                    f"inverse rule mismatch at ({p.names[i]}, {p.names[j]})",
+                )
+    pairs = {(b, c): p._mult(b, c) for b in units for c in units}
+    for a in units:
+        for b in units:
+            ab = pairs[(a, b)]
+            for c in units:
+                left = p._mult(ab, c)
+                right = p._mult(a, pairs[(b, c)])
+                if left != right:
+                    witness = tuple(nf_to_word(x) for x in (a, b, c))
                     return ConsistencyResult(
                         False,
-                        (gen(i), gen(j), gen(i, -1)),
-                        f"inverse rule mismatch at ({p.names[i]}, {p.names[j]})",
+                        witness,
+                        f"overlap collects to {p.nf_str(left)} vs "
+                        f"{p.nf_str(right)}",
                     )
-        for a in units:
-            for b in units:
-                ab = p._mult(a, b)
-                for c in units:
-                    left = p._mult(ab, c)
-                    right = p._mult(a, p._mult(b, c))
-                    if left != right:
-                        witness = tuple(nf_to_word(x) for x in (a, b, c))
-                        return ConsistencyResult(
-                            False,
-                            witness,
-                            f"overlap collects to {p.nf_str(left)} vs "
-                            f"{p.nf_str(right)}",
-                        )
-    except InconsistentPresentation as exc:
-        return ConsistencyResult(False, None, str(exc))
     return ConsistencyResult(True)
 
 
 def substitute(w: Word, images: list[Word]) -> Word:
-    """Apply the generator substitution g_i -> images[i] to w."""
-    out = Word()
-    for g, step in w.letters():
+    """Apply the generator substitution g_i -> images[i] to w.  A syllable
+    whose image is one syllable scales that syllable's exponent; any other
+    image is repeated, and the whole word is reduced once."""
+    out = []
+    for g, e in w:
         if g >= len(images):
             raise PcError(f"no image for generator index {g}")
-        out = out * (images[g] if step == 1 else images[g].inverse())
+        img = images[g].syllables
+        if len(img) == 1:
+            out.append((img[0][0], img[0][1] * e))
+        else:
+            out.extend((img if e > 0 else images[g].inverse().syllables) * abs(e))
+    return Word(out)
+
+
+def evaluate(p: PcPresentation, w: Word, images) -> NormalForm:
+    """Normal form in p of the image of the word w under g -> images[g],
+    where the images are normal forms of p: one collection per syllable."""
+    out = p.identity()
+    for g, e in w:
+        out = p._mult(out, p._power(images[g], e, 0))
     return out
+
+
+def _images_if_homomorphism(src, dst: PcPresentation, images):
+    """Normal forms of the image words in dst, or None if some relator of
+    src does not map to the identity."""
+    relators = src.relators() if isinstance(src, PcPresentation) else src.relators
+    if len(images) != src.ngens:
+        raise PcError("need one image word per source generator")
+    nfs = [collect(dst, w) for w in images]
+    for r in relators:
+        if evaluate(dst, r, nfs) != dst.identity():
+            return None
+    return nfs
 
 
 def verify_homomorphism(src, dst: PcPresentation, images) -> bool:
@@ -315,26 +370,21 @@ def verify_homomorphism(src, dst: PcPresentation, images) -> bool:
     src may be a finite Presentation (words module) or a PcPresentation;
     images are words over dst's generators, one per src generator.
     """
-    relators = src.relators() if isinstance(src, PcPresentation) else src.relators
-    ngens = src.ngens
-    if len(images) != ngens:
-        raise PcError("need one image word per source generator")
-    for r in relators:
-        if collect(dst, substitute(r, images)) != dst.identity():
-            return False
-    return True
+    return _images_if_homomorphism(src, dst, images) is not None
 
 
 def verify_isomorphism(a: PcPresentation, b: PcPresentation, fwd, bwd) -> bool:
     """Check fwd: a -> b and bwd: b -> a are mutually inverse isomorphisms."""
-    if not verify_homomorphism(a, b, fwd) or not verify_homomorphism(b, a, bwd):
+    fwd_nf = _images_if_homomorphism(a, b, fwd)
+    if fwd_nf is None:
         return False
-    for i in range(a.ngens):
-        if collect(a, substitute(fwd[i], bwd)) != a._unit(i):
-            return False
-    for i in range(b.ngens):
-        if collect(b, substitute(bwd[i], fwd)) != b._unit(i):
-            return False
+    bwd_nf = _images_if_homomorphism(b, a, bwd)
+    if bwd_nf is None:
+        return False
+    for p, there, back in ((a, fwd_nf, bwd_nf), (b, bwd_nf, fwd_nf)):
+        for i, v in enumerate(there):
+            if evaluate(p, nf_to_word(v), back) != p._unit(i):
+                return False
     return True
 
 

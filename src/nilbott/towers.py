@@ -15,8 +15,10 @@ from .catalogue import (
 from .cohomology import class_order, restriction_nonzero
 from .polycyclic import (
     PcPresentation,
+    collect,
     consistency_check,
     cyclic_pc,
+    evaluate,
     nf_to_word,
     verify_isomorphism,
 )
@@ -352,8 +354,8 @@ def classify_tower(spec: TowerSpec) -> ClassificationVerdict:
             chain_bwd = compose_maps(red_bwd, chain_bwd)
             k_eff = r
     label, target, id_fwd, id_bwd = base_identification(case, k_eff)
-    fwd = compose_maps(chain_fwd, id_fwd)
-    bwd = compose_maps(id_bwd, chain_bwd)
+    fwd = _compose_in(target, chain_fwd, id_fwd)
+    bwd = _compose_in(ext, id_bwd, chain_bwd)
     if not verify_isomorphism(ext, target, fwd, bwd):
         raise VerificationError(f"witness maps for {label} failed verification")
     return ClassificationVerdict(
@@ -369,6 +371,13 @@ def classify_tower(spec: TowerSpec) -> ClassificationVerdict:
         },
         target=label.split("(")[0],
     )
+
+
+def _compose_in(p: PcPresentation, first, then):
+    """compose_maps(first, then) with the images collected in p, the group
+    `then` maps into: each image comes out as a normal-form word."""
+    then_nf = [collect(p, w) for w in then]
+    return [nf_to_word(evaluate(p, w, then_nf)) for w in first]
 
 
 def _identity_maps(p: PcPresentation):

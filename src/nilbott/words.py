@@ -43,20 +43,10 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        out = Word()
-        for _ in range(n):
-            out = out * self
-        return out
+        return Word(self.syllables * n)
 
     def is_identity(self) -> bool:
         return not self.syllables
-
-    def letters(self):
-        """Yield single letters (gen, +1/-1) left to right."""
-        for g, e in self.syllables:
-            step = 1 if e > 0 else -1
-            for _ in range(abs(e)):
-                yield g, step
 
     def max_gen(self) -> int:
         return max((g for g, _ in self.syllables), default=-1)
@@ -199,16 +189,15 @@ def fox_augmented(r: Word, target: int, phi: TwistMap) -> int:
         raise ValueError("generator index out of range")
     total = 0
     prefix_sign = 1
-    for g, step in r.letters():
+    for g, e in r:
         s = phi.signs[g]
         if g == target:
-            if step == 1:
-                # d(x)/dx = 1 at this prefix
-                total += prefix_sign
-            else:
-                # d(x^-1)/dx = -x^-1
-                total -= prefix_sign * s
-        prefix_sign *= s
+            # d(x^e)/dx is 1 + x + ... + x^(e-1) for e > 0 and
+            # -(x^-1 + ... + x^e) for e < 0; under x -> s that sums to e
+            # when s = 1 and to e mod 2 when s = -1
+            total += prefix_sign * (e if s == 1 else e % 2)
+        if s == -1 and e % 2:
+            prefix_sign = -prefix_sign
     return total
 
 

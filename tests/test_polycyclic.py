@@ -8,6 +8,7 @@ from nilbott.catalogue import abstract_b1_presentation, catalogue_pc
 from nilbott.geometry import extension_representation, rep_evaluate
 from nilbott.polycyclic import (
     InconsistentPresentation,
+    PcError,
     PcPresentation,
     collect,
     commutator_fiber_index,
@@ -20,6 +21,7 @@ from nilbott.polycyclic import (
     nf_to_word,
     parse_pc_presentation,
     pc_abelianization,
+    substitute,
     verify_homomorphism,
     verify_isomorphism,
 )
@@ -186,3 +188,16 @@ def test_pc_text_roundtrip():
         parse_pc_presentation("g n g^-1 = n^-1")
     with pytest.raises(ValueError):
         parse_pc_presentation("gens: g n ; n g n^-1 = g")
+
+
+def test_substitute_scales_single_syllable_images():
+    images = [gen(1, 2), parse_word("g h^-1", ("g", "h"))]
+    # a one-syllable image takes the exponent, however large
+    assert substitute(gen(0, 10**30), images) == gen(1, 2 * 10**30)
+    # other images are concatenated, inverted for negative exponents
+    assert substitute(Word(((1, 2), (0, 1))), images) == Word(
+        ((0, 1), (1, -1), (0, 1), (1, 1))
+    )
+    assert substitute(gen(1, -2), images) == Word(((1, 1), (0, -1), (1, 1), (0, -1)))
+    with pytest.raises(PcError):
+        substitute(gen(2), images)

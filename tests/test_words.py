@@ -39,6 +39,10 @@ def test_word_inverse_and_power():
     assert (w * w.inverse()).is_identity()
     assert w ** 3 == w * w * w
     assert w ** -2 == (w.inverse()) * (w.inverse())
+    conj = parse_word("g h g^-1", GH)
+    assert conj ** 5 == parse_word("g h^5 g^-1", GH)
+    assert conj ** -3 == parse_word("g h^-3 g^-1", GH)
+    assert conj ** 0 == Word()
 
 
 def test_klein_fox_values():
@@ -77,6 +81,29 @@ def test_fox_product_rule_random_splits():
                 assert fox_augmented(u * v, t, phi) == fox_augmented(
                     u, t, phi
                 ) + phi(u) * fox_augmented(v, t, phi)
+
+
+def _fox_by_letters(r, target, phi):
+    """The twisted Fox derivative summed one letter at a time."""
+    total, prefix = 0, 1
+    for g, e in r:
+        s = phi.signs[g]
+        for _ in range(abs(e)):
+            if g == target:
+                total += prefix if e > 0 else -prefix * s
+            prefix *= s
+    return total
+
+
+def test_fox_syllables_match_letters():
+    p = klein_presentation()
+    rng = random.Random(17)
+    for signs in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
+        phi = TwistMap(p, signs)
+        for _ in range(100):
+            w = Word([(rng.randint(0, 1), rng.randint(-9, 9)) for _ in range(6)])
+            for t in range(2):
+                assert fox_augmented(w, t, phi) == _fox_by_letters(w, t, phi)
 
 
 def test_abelianization_examples():
