@@ -75,8 +75,8 @@ def build_extension(base: PcPresentation, phi, lifts, fiber_name=None) -> PcPres
     phi gives the conjugation sign of the fiber per base generator; lifts
     gives one fiber exponent per base conjugation rule, in positive_rules
     order, so that each base relator r becomes r = fiber^{k_r}.  The result
-    is consistency-checked; invalid cocycle data raises ExtensionError with
-    the offending overlap.
+    is consistency-checked; invalid cocycle data raises ExtensionError
+    naming a generator whose conjugation does not respect a rule above it.
     """
     base.require_consistent()
     signs = _signs_of(phi, base.ngens)

@@ -109,6 +109,17 @@ def test_classify_malformed_specs(tmp_path, capsys, text, message):
     assert message in err
 
 
+def test_classify_non_cocycle_names_the_rule(tmp_path, capsys):
+    spec = tmp_path / "tower.txt"
+    spec.write_text(GAMMA_1 + "stage 4: phi={g:+1,h:-1,n:+1} k=0,0,1\n")
+    code, out, err = run(capsys, ["classify", str(spec)])
+    assert code == 2 and out == ""
+    assert err == (
+        "error: lift data is not a cocycle: conjugation by g does not respect "
+        "h n h^-1 = n m: n^-1 m^-1 vs n^-1 m\n"
+    )
+
+
 def test_classify_reads_phi_by_name(tmp_path, capsys):
     spec = tmp_path / "tower.txt"
     spec.write_text(SPEC_HEAD + "stage 3: base=K phi={h:+1,g:-1} k=3\n")

@@ -68,7 +68,8 @@ def test_consistency_examples():
 
 
 def test_consistency_overlap_witness():
-    # incompatible conjugation family over a nil tail: the overlap fails
+    # incompatible conjugation family over a nil tail: conjugation by g
+    # does not respect h n h^-1 = n f
     names = ("g", "h", "n", "f")
     p = PcPresentation(
         names,
