@@ -401,6 +401,12 @@ def cmd_verify(args) -> int:
     if not args.suite:
         print("error: empty suite name", file=sys.stderr)
         return 2
+    if args.maxlen < 1:
+        print(f"error: --maxlen must be at least 1, got {args.maxlen}", file=sys.stderr)
+        return 2
+    if args.kmax < 0:
+        print(f"error: --kmax must be at least 0, got {args.kmax}", file=sys.stderr)
+        return 2
     if args.suite == "paper":
         certs = _suite_paper(args.kmax)
     elif args.suite == "freeness":

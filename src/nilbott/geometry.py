@@ -13,7 +13,6 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .catalogue import catalogue_pc
 from .exact import GaussRat, IntMatrix, solve_rational
@@ -394,16 +393,29 @@ def extension_representation(case: int, k: int) -> list:
     raise ValueError(f"unknown case {case}")
 
 
+def _power(m, e: int):
+    """m^e for e != 0 by repeated squaring: O(log |e|) products."""
+    base = m if e > 0 else m.inverse()
+    e = abs(e)
+    out = None
+    while True:
+        if e & 1:
+            out = base if out is None else out * base
+        e >>= 1
+        if not e:
+            return out
+        base = base * base
+
+
 def rep_evaluate(rep: list, w: Word):
-    """Evaluate a word (or normal-form vector) in the representation."""
+    """Evaluate a word (or normal-form vector) in the representation,
+    raising each syllable by repeated squaring."""
     if not isinstance(w, Word):
         w = nf_to_word(w)
     out = None
     for g, e in w:
-        m = rep[g]
-        step = m if e > 0 else m.inverse()
-        for _ in range(abs(e)):
-            out = step if out is None else out * step
+        step = _power(rep[g], e)
+        out = step if out is None else out * step
     if out is None:
         ident = rep[0] * rep[0].inverse()
         return ident
@@ -442,16 +454,54 @@ class FreenessReport:
         return not self.fixed_points
 
 
+def _power_table(m, bound: int) -> dict:
+    """{e: m^e for 1 <= |e| <= bound}, by one inverse and 2(bound-1)
+    products."""
+    table = {}
+    for sign, step in ((1, m), (-1, m.inverse())):
+        acc = table[sign] = step
+        for e in range(2, bound + 1):
+            acc = table[sign * e] = acc * step
+    return table
+
+
+def _l1_ball(powers: list, budget: int, prefix=None, head=()):
+    """Yield (vec, m_0^e_0 ... m_{n-1}^e_{n-1}) for the nonzero vectors
+    extending head with l1 norm at most budget beyond it, in lexicographic
+    order; prefix is the product for head (None while head is all zero)."""
+    i = len(head)
+    if i == len(powers):
+        if prefix is not None:
+            yield head, prefix
+        return
+    for e in range(-budget, budget + 1):
+        if e:
+            step = powers[i][e]
+            yield from _l1_ball(
+                powers, budget - abs(e),
+                step if prefix is None else prefix * step, head + (e,),
+            )
+        else:
+            yield from _l1_ball(powers, budget, prefix, head + (0,))
+
+
 def freeness_sample(p: PcPresentation, rep: list, max_word_len: int) -> FreenessReport:
+    """Exact fixed-point status of every nonidentity normal form
+    x_0^e_0 ... x_{n-1}^e_{n-1} with sum |e_i| <= max_word_len.
+
+    The vectors are visited in lexicographic order of (e_0, ..., e_{n-1}),
+    each e_i ascending from its most negative value; fixed points are
+    reported in that order.  Each generator's powers are tabulated once
+    and the walk carries the prefix product m_0^e_0 ... m_i^e_i, so each
+    normal form costs at most one map product plus its fixed-point solve.
+    """
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
+    powers = [_power_table(rep[i], max_word_len) for i in range(p.ngens)]
     checked = 0
     fixed = []
-    for vec in product(range(-max_word_len, max_word_len + 1), repeat=p.ngens):
-        if sum(abs(e) for e in vec) > max_word_len or not any(vec):
-            continue
+    for vec, m in _l1_ball(powers, max_word_len):
         checked += 1
-        m = rep_evaluate(rep, nf_to_word(vec))
         pt = m.fixed_point()
         if pt is not None:
             fixed.append((vec, pt))

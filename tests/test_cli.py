@@ -172,6 +172,20 @@ def test_verify_usage_errors(capsys):
     assert code == 2 and "unknown suite" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--suite", "freeness", "--maxlen", "0"], "error: --maxlen must be at least 1, got 0\n"),
+        (["--suite", "all", "--maxlen", "-3"], "error: --maxlen must be at least 1, got -3\n"),
+        (["--suite", "paper", "--kmax", "-1"], "error: --kmax must be at least 0, got -1\n"),
+    ],
+)
+def test_verify_rejects_out_of_range_bounds(capsys, argv, message):
+    # rejected before any suite runs: no traceback, no vacuous pass line
+    code, out, err = run(capsys, ["verify"] + argv)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_verify_paper_small(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "paper", "--kmax", "1"])
     assert code == 0
