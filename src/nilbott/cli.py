@@ -37,6 +37,7 @@ from .towers import (
     build_extension,
     base_pc,
     classify_tower,
+    parse_signs,
     parse_tower_spec,
 )
 from .words import TwistMap, klein_presentation, torus_presentation
@@ -94,19 +95,6 @@ _BASES = {
 }
 
 
-def _parse_phi(text: str, names) -> tuple[int, ...]:
-    signs = dict.fromkeys(names)
-    for item in text.split(","):
-        name, _, val = item.partition("=")
-        name = name.strip()
-        if name not in signs:
-            raise ValueError(f"unknown generator {name!r}")
-        signs[name] = int(val)
-    if any(v is None for v in signs.values()):
-        raise ValueError("phi must assign every generator")
-    return tuple(signs[n] for n in names)
-
-
 def cmd_cohomology(args) -> int:
     if args.base not in _BASES:
         print(f"error: unknown base {args.base!r} (use klein or torus)", file=sys.stderr)
@@ -114,7 +102,11 @@ def cmd_cohomology(args) -> int:
     make, names = _BASES[args.base]
     pres = make()
     try:
-        signs = _parse_phi(args.phi, names)
+        items = [
+            tuple(t.strip() for t in item.partition("=")[::2])
+            for item in args.phi.split(",")
+        ]
+        signs = parse_signs(items, names)
         phi = TwistMap(pres, signs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,21 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    # Maintain x*a + y*b == g while running Euclid on (g, next_g).
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
-
-
 class GaussRat:
     """Gaussian rational re + im*i with exact Fraction components."""
 
@@ -347,35 +332,3 @@ def solve_fixed_lattice(mats: list[IntMatrix]) -> int:
         for i in range(n):
             stacked.append([a.entries[i][j] - (1 if i == j else 0) for j in range(n)])
     return n - rank(IntMatrix(stacked))
-
-
-def solve_rational(a: list[list[Fraction]], b: list[Fraction]):
-    """One exact solution of a x = b over Q, or None if inconsistent.
-
-    Free variables are set to 0.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots = []
-    r = 0
-    for j in range(n):
-        piv = next((i for i in range(r, m) if aug[i][j] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        f = aug[r][j]
-        aug[r] = [x / f for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][j] != 0:
-                g = aug[i][j]
-                aug[i] = [x - g * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(j)
-        r += 1
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, j in enumerate(pivots):
-        x[j] = aug[i][n]
-    return x

@@ -1,8 +1,9 @@
-"""Exact geometric models: affine isometries of flat n-space with sign
-holonomy, and affine maps of the 3-dimensional nil geometry (the product
-R x C with twisted multiplication), plus the catalogue representations,
-relation verification, bounded freeness certificates, Euler numbers and
-the quotient-action check for the nil lattices.
+"""Exact geometric models: affine isometries of flat n-space whose linear
+parts are signed permutations, and affine maps of the 3-dimensional nil
+geometry (the product R x C with twisted multiplication), plus the
+catalogue representations, relation verification, bounded freeness
+certificates, Euler numbers and the quotient-action check for the nil
+lattices.
 
 All arithmetic is exact (Fraction / Gaussian rational); nothing is ever
 rounded.
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalogue import catalogue_pc
-from .exact import GaussRat, IntMatrix, solve_rational
+from .exact import GaussRat, IntMatrix
 from .polycyclic import PcPresentation, nf_to_word
 from .words import Word
 
@@ -24,26 +25,47 @@ from .words import Word
 
 
 class FlatAffineMap:
-    """x -> A x + b with A an orthogonal sign matrix and b exact rational."""
+    """x -> A x + b with A a signed permutation matrix and b exact rational.
 
-    __slots__ = ("lin", "trans")
+    A is stored as (perm, signs) with (A x)_i = signs[i] * x[perm[i]]: the
+    orthogonal integer matrices are exactly these.  Only the constructor
+    checks its input; products and inverses of checked maps are built
+    directly, with O(n) work.
+    """
+
+    __slots__ = ("perm", "signs", "trans")
 
     def __init__(self, lin: IntMatrix, trans):
         if lin.rows != lin.cols:
             raise ValueError("linear part must be square")
         if any(x not in (-1, 0, 1) for row in lin.entries for x in row):
             raise ValueError("linear part entries must be -1, 0 or 1")
-        if not (lin * lin.transpose()).is_identity():
+        cols = [[j for j, x in enumerate(row) if x] for row in lin.entries]
+        if any(len(c) != 1 for c in cols) or len({c[0] for c in cols}) != len(cols):
             raise ValueError("linear part must be orthogonal")
         trans = tuple(Fraction(t) for t in trans)
         if len(trans) != lin.rows:
             raise ValueError("translation length mismatch")
-        self.lin = lin
+        self.perm = tuple(c[0] for c in cols)
+        self.signs = tuple(row[j] for row, j in zip(lin.entries, self.perm))
         self.trans = trans
+
+    @classmethod
+    def _make(cls, perm, signs, trans) -> "FlatAffineMap":
+        m = object.__new__(cls)
+        m.perm, m.signs, m.trans = perm, signs, trans
+        return m
 
     @property
     def dim(self) -> int:
-        return self.lin.rows
+        return len(self.perm)
+
+    @property
+    def lin(self) -> IntMatrix:
+        return IntMatrix(
+            [[s if j == p else 0 for j in range(self.dim)]
+             for p, s in zip(self.perm, self.signs)]
+        )
 
     @classmethod
     def translation(cls, vec) -> "FlatAffineMap":
@@ -52,41 +74,76 @@ class FlatAffineMap:
     def __eq__(self, other):
         return (
             isinstance(other, FlatAffineMap)
-            and self.lin == other.lin
+            and self.perm == other.perm
+            and self.signs == other.signs
             and self.trans == other.trans
         )
 
     def __hash__(self):
-        return hash((self.lin, self.trans))
+        return hash((self.perm, self.signs, self.trans))
 
     def __repr__(self):
         return f"FlatAffineMap({self.lin!r}, {self.trans})"
 
     def __mul__(self, other: "FlatAffineMap") -> "FlatAffineMap":
-        lin = self.lin * other.lin
-        trans = tuple(
-            a + b for a, b in zip(self.lin.apply(other.trans), self.trans)
+        if len(other.perm) != len(self.perm):
+            raise ValueError("dimension mismatch")
+        return FlatAffineMap._make(
+            tuple(other.perm[p] for p in self.perm),
+            tuple(s * other.signs[p] for p, s in zip(self.perm, self.signs)),
+            tuple(s * other.trans[p] + b
+                  for p, s, b in zip(self.perm, self.signs, self.trans)),
         )
-        return FlatAffineMap(lin, trans)
 
     def inverse(self) -> "FlatAffineMap":
-        inv = self.lin.transpose()
-        return FlatAffineMap(inv, tuple(-t for t in inv.apply(self.trans)))
+        n = self.dim
+        perm, signs, trans = [0] * n, [0] * n, [0] * n
+        for i, (p, s, b) in enumerate(zip(self.perm, self.signs, self.trans)):
+            perm[p], signs[p], trans[p] = i, s, -s * b
+        return FlatAffineMap._make(tuple(perm), tuple(signs), tuple(trans))
 
     def apply(self, point):
-        return tuple(a + b for a, b in zip(self.lin.apply(point), self.trans))
+        return tuple(
+            s * point[p] + b for p, s, b in zip(self.perm, self.signs, self.trans)
+        )
 
     def is_identity(self) -> bool:
-        return self.lin.is_identity() and all(t == 0 for t in self.trans)
+        return (
+            self.perm == tuple(range(self.dim))
+            and all(s == 1 for s in self.signs)
+            and all(t == 0 for t in self.trans)
+        )
 
     def fixed_point(self):
-        """Exact solution of (A - I) x = -b, or None."""
-        n = self.dim
-        a = [
-            [Fraction(self.lin.entries[i][j] - (1 if i == j else 0)) for j in range(n)]
-            for i in range(n)
-        ]
-        return solve_rational(a, [-t for t in self.trans])
+        """Exact solution of A x + b = x, or None.
+
+        Each cycle of perm is solved on its own: x_i = s_i x_perm(i) + b_i
+        followed once round the cycle closes to x_top = S x_top + c at
+        the cycle's largest index top, with S = +-1.  S = -1 gives
+        x_top = c/2; S = 1 has no solution unless c = 0, and then the free
+        coordinate x_top is set to 0.
+        """
+        perm, signs, trans = self.perm, self.signs, self.trans
+        x = [None] * self.dim
+        for top in reversed(range(self.dim)):
+            if x[top] is not None:
+                continue
+            # x_top = coef * x_j + const, walking j once round the cycle
+            cycle, coef, const, j = [], 1, Fraction(0), top
+            while True:
+                cycle.append(j)
+                coef, const, j = coef * signs[j], const + coef * trans[j], perm[j]
+                if j == top:
+                    break
+            if coef == 1:
+                if const:
+                    return None
+                x[top] = Fraction(0)
+            else:
+                x[top] = const / 2
+            for i in reversed(cycle[1:]):
+                x[i] = signs[i] * x[perm[i]] + trans[i]
+        return x
 
 
 # -- nil geometry ------------------------------------------------------------
@@ -219,15 +276,14 @@ class HeisAffineMap:
             if (c.conj() * (u * z)).im != a:
                 return None
             return HeisPoint(0, z)
-        # conjugating case: solve z = c + u * conj(z) componentwise
-        u1, u2 = u.re, u.im
-        rows = [[1 - u1, -u2], [-u2, 1 + u1]]
-        sol = solve_rational(
-            [[Fraction(x) for x in row] for row in rows], [c.re, c.im]
-        )
-        if sol is None:
+        # conjugating case: z = c + u conj(z) is a real 2x2 system of rank 1
+        # (|u| = 1); take the solution with im z = 0, or re z = 0 if u = 1
+        if u.re != 1:
+            z = GaussRat(c.re / (1 - u.re))
+        else:
+            z = GaussRat(0, c.im / 2)
+        if z != c + u * z.conj():
             return None
-        z = GaussRat(sol[0], sol[1])
         x = (a - (c.conj() * self.aut.apply(HeisPoint(0, z)).z).im) / 2
         return HeisPoint(x, z)
 
@@ -528,54 +584,30 @@ def euler_number(k: int) -> int:
 # -- quotient action of the index-2 nil lattice -------------------------------
 
 
-@dataclass
-class PlaneMap:
-    """Induced isometry of C: w -> t + u w (or t + u conj(w))."""
-
-    t: GaussRat
-    u: GaussRat
-    conj: bool
-
-    def apply(self, w: GaussRat) -> GaussRat:
-        return self.t + self.u * (w.conj() if self.conj else w)
-
-    def compose(self, other: "PlaneMap") -> "PlaneMap":
-        t2 = other.t.conj() if self.conj else other.t
-        u2 = other.u.conj() if self.conj else other.u
-        return PlaneMap(self.t + self.u * t2, self.u * u2, self.conj != other.conj)
-
-
-def project_to_plane(m: HeisAffineMap) -> PlaneMap:
-    """Quotient by the central fiber: keep the C-part."""
-    return PlaneMap(m.g.z, m.aut.u, m.aut.conj)
-
-
 def check_quotient_action(n: HeisAffineMap, a: HeisAffineMap, b: HeisAffineMap) -> bool:
-    """Verify the induced action on the plane: the fiber projects to the
-    identity, a^2 and b span the translation lattice, and the class of a
-    acts by conjugation on the second lattice direction and a half-period
-    shift on the first (the Klein-type quotient action)."""
-    pn = project_to_plane(n)
-    if not (pn.t.is_zero() and pn.u == GaussRat(1) and not pn.conj):
+    """Verify the induced action on the plane C (the quotient by the
+    central fiber, read off the z-parts of the maps): the fiber projects
+    to the identity, a^2 and b span the translation lattice, and the class
+    of a acts by conjugation on the second lattice direction and a
+    half-period shift on the first (the Klein-type quotient action)."""
+    if not (n.g.z.is_zero() and n.aut.is_identity()):
         return False
-    pa = project_to_plane(a)
-    pb = project_to_plane(b)
-    if pa.u != GaussRat(1) or not pa.conj:
+    if a.aut != TAU:
         return False
-    if pb.conj or pb.u != GaussRat(1):
+    if not b.aut.is_identity():
         return False
-    t1 = pa.compose(pa).t
-    t2 = pb.t
+    t1 = (a * a).g.z
+    t2 = b.g.z
     # the images of a^2 and b must span a genuine plane lattice
     if t1.re * t2.im - t1.im * t2.re == 0:
         return False
     # a is a half-period shift along t1
-    if pa.t + pa.t != t1:
+    if a.g.z + a.g.z != t1:
         return False
     # induced action on the lattice: t1 fixed, t2 inverted
-    if pa.u * t1.conj() != t1:
+    if t1.conj() != t1:
         return False
-    if pa.u * t2.conj() != -t2:
+    if t2.conj() != -t2:
         return False
     return True
 

@@ -145,30 +145,28 @@ class TowerSpec:
 HEADER = "nilbott-tower v1"
 
 
-def _parse_phi(val: str, dim: int) -> tuple[int, ...]:
-    """Signs of phi={name:sign,...}, resolved by name against the
-    generators of the stage below and returned in generator order."""
-    names = tower_names(dim - 1)
-    if not (val.startswith("{") and val.endswith("}")):
-        raise ValueError(f"bad phi value {val!r}")
+def parse_signs(items, names, where: str = "") -> tuple[int, ...]:
+    """Twist signs from (name, sign) text pairs, resolved by name against
+    names and returned in that order.  An unknown, repeated or missing
+    name, or a sign other than 1, +1 or -1, raises ValueError; where
+    prefixes the message."""
     signs = {}
-    for item in val[1:-1].split(","):
-        name, _, sign = item.partition(":")
+    for name, sign in items:
         if name not in names:
             raise ValueError(
-                f"stage {dim}: unknown generator {name!r} in phi "
+                f"{where}unknown generator {name!r} in phi "
                 f"(expected {', '.join(names)})"
             )
         if name in signs:
-            raise ValueError(f"stage {dim}: generator {name!r} appears twice in phi")
+            raise ValueError(f"{where}generator {name!r} appears twice in phi")
         if sign not in ("1", "+1", "-1"):
             raise ValueError(
-                f"stage {dim}: sign of {name!r} must be +1 or -1, got {sign!r}"
+                f"{where}sign of {name!r} must be +1 or -1, got {sign!r}"
             )
         signs[name] = int(sign)
     missing = [n for n in names if n not in signs]
     if missing:
-        raise ValueError(f"stage {dim}: phi has no sign for {', '.join(missing)}")
+        raise ValueError(f"{where}phi has no sign for {', '.join(missing)}")
     return tuple(signs[n] for n in names)
 
 
@@ -181,7 +179,10 @@ def parse_tower_spec(text: str) -> TowerSpec:
         if not ln.startswith("stage "):
             raise ValueError(f"bad stage line {ln!r}")
         head, _, rest = ln[len("stage "):].partition(":")
-        dim = int(head)
+        try:
+            dim = int(head)
+        except ValueError:
+            raise ValueError(f"stage number must be an integer, got {head!r}") from None
         if dim != len(stages) + 1:
             raise ValueError("stages must have dimensions 1, 2, ... in order")
         rest = rest.strip()
@@ -193,16 +194,28 @@ def parse_tower_spec(text: str) -> TowerSpec:
         phi = None
         lifts = ()
         base_tag = None
+        seen = set()
         for token in rest.split():
             key, _, val = token.partition("=")
+            if key in seen:
+                raise ValueError(f"stage {dim}: field {key!r} given twice")
+            seen.add(key)
             if key == "base":
                 base_tag = val
             elif key == "phi":
-                phi = _parse_phi(val, dim)
+                if not (val.startswith("{") and val.endswith("}")):
+                    raise ValueError(f"stage {dim}: bad phi value {val!r}")
+                items = [item.partition(":")[::2] for item in val[1:-1].split(",")]
+                phi = parse_signs(items, tower_names(dim - 1), f"stage {dim}: ")
             elif key == "k":
-                lifts = tuple(int(x) for x in val.split(","))
+                try:
+                    lifts = tuple(int(x) for x in val.split(","))
+                except ValueError:
+                    raise ValueError(
+                        f"stage {dim}: k= must be integers, got {val!r}"
+                    ) from None
             else:
-                raise ValueError(f"unknown field {key!r} in tower spec")
+                raise ValueError(f"stage {dim}: unknown field {key!r}")
         if phi is None:
             raise ValueError(f"stage {dim} needs phi=")
         need = (dim - 1) * (dim - 2) // 2  # one lift per conjugation rule
@@ -299,14 +312,6 @@ class ClassificationVerdict:
             "witness_bwd": dict(sorted(self.witness_bwd.items())),
             "target": self.target,
         }
-
-
-def parity_label(phi_case: int, k: int) -> str:
-    """Catalogue label of a Klein-base extension in the two cases whose
-    twisted H^2 is the order-2 group: even lifts split, odd lifts do not."""
-    if phi_case not in (2, 4):
-        raise ValueError("parity labels apply to cases 2 and 4 only")
-    return "B3" if k % 2 == 0 else "B4"
 
 
 def _base_presentation(kind: str) -> Presentation:

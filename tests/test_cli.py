@@ -32,8 +32,17 @@ def test_cohomology_command(capsys):
 def test_cohomology_input_errors(capsys):
     code, _, err = run(capsys, ["cohomology", "--base", "sphere", "--phi", "g=1,h=1"])
     assert code == 2 and "unknown base" in err
-    code, _, err = run(capsys, ["cohomology", "--base", "klein", "--phi", "x=1"])
-    assert code == 2
+    # --phi shares the tower spec's sign parser: nothing is read last-wins
+    for phi, message in [
+        ("x=1", "unknown generator 'x' in phi (expected g, h)"),
+        ("g=1,h=1,g=-1", "generator 'g' appears twice in phi"),
+        ("g=-1", "phi has no sign for h"),
+        ("g=2,h=1", "sign of 'g' must be +1 or -1, got '2'"),
+        ("g=abc,h=1", "sign of 'g' must be +1 or -1, got 'abc'"),
+        ("g,h=1", "sign of 'g' must be +1 or -1, got ''"),
+    ]:
+        result = run(capsys, ["cohomology", "--base", "klein", "--phi", phi])
+        assert result == (2, "", f"error: {message}\n"), phi
 
 
 def test_classify_command(tmp_path, capsys):
@@ -84,6 +93,41 @@ MALFORMED_SPECS = [
         SPEC_HEAD + "stage 3: base=K phi={g:-1,h:+1} k=1,2\n",
         "stage 3: k= must list 1 lift integers, got 2",
         id="lift-count",
+    ),
+    pytest.param(
+        SPEC_HEAD + "stage 3: phi={g:-1,h:+1} k=3 k=0\n",
+        "error: bad tower spec: stage 3: field 'k' given twice",
+        id="repeated-k",
+    ),
+    pytest.param(
+        "nilbott-tower v1\nstage 1: S1\nstage 2: phi={g:-1} phi={g:1}\n",
+        "error: bad tower spec: stage 2: field 'phi' given twice",
+        id="repeated-phi",
+    ),
+    pytest.param(
+        SPEC_HEAD + "stage 3: base=K phi={g:-1,h:+1} base=T2 k=3\n",
+        "error: bad tower spec: stage 3: field 'base' given twice",
+        id="repeated-base",
+    ),
+    pytest.param(
+        SPEC_HEAD + "stage 3: base=K phi=g:-1,h:+1 k=3\n",
+        "error: bad tower spec: stage 3: bad phi value 'g:-1,h:+1'",
+        id="phi-without-braces",
+    ),
+    pytest.param(
+        SPEC_HEAD + "stage 3: base=K phi={g:-1,h:+1} k=3 lift=3\n",
+        "error: bad tower spec: stage 3: unknown field 'lift'",
+        id="unknown-field",
+    ),
+    pytest.param(
+        SPEC_HEAD + "stage 3: base=K phi={g:-1,h:+1} k=abc\n",
+        "error: bad tower spec: stage 3: k= must be integers, got 'abc'",
+        id="k-not-integer",
+    ),
+    pytest.param(
+        "nilbott-tower v1\nstage x: S1\n",
+        "error: bad tower spec: stage number must be an integer, got 'x'",
+        id="stage-not-integer",
     ),
     pytest.param(
         GAMMA_1 + "stage 4: phi={g:+1,h:+1,n:-1} k=0,0,0\n",

@@ -12,8 +12,6 @@ from nilbott.exact import (
     rank,
     smith_normal_form,
     solve_fixed_lattice,
-    solve_rational,
-    xgcd,
 )
 
 
@@ -139,16 +137,3 @@ def test_gaussrat_antisymmetry():
         w = GaussRat(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
                      Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
         assert (z.conj() * w).im == -(w.conj() * z).im
-
-
-def test_xgcd():
-    for a, b in [(12, 18), (-5, 7), (0, 0), (0, -4), (35, 21)]:
-        x, y, g = xgcd(a, b)
-        assert x * a + y * b == g
-        assert g == gcd(a, b)
-
-
-def test_solve_rational():
-    a = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(0)]]
-    assert solve_rational(a, [Fraction(3), Fraction(0)]) == [Fraction(3, 2), 0]
-    assert solve_rational(a, [Fraction(3), Fraction(1)]) is None

@@ -1,5 +1,6 @@
-"""The l1-ball walk of freeness_sample against the letter-by-letter oracle,
-its cost in map products, and rep_evaluate at huge twisting integers."""
+"""The l1-ball walk of freeness_sample against the letter-by-letter oracle
+(and, on the non-free representations, the Fraction-matrix kernel), its
+cost in map products, and rep_evaluate at huge twisting integers."""
 
 import random
 import time
@@ -8,6 +9,7 @@ from math import comb
 
 import pytest
 
+from fraction_fixed_points import MatrixMap
 from letterwise_freeness import evaluate as letterwise_evaluate
 from letterwise_freeness import freeness_sample as letterwise_sample
 
@@ -84,6 +86,8 @@ def test_non_free_reports_match_oracle(make, max_word_len):
     assert verify_relations_in_rep(p, rep) == (True, None)
     report = assert_matches_oracle(p, rep, max_word_len)
     assert len(report.fixed_points) >= 3
+    # matrix products and Fraction eliminations give the same exact points
+    assert report == letterwise_sample(p, [MatrixMap(m) for m in rep], max_word_len)
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from nilbott.towers import (
     classify_tower,
     format_tower_spec,
     parse_tower_spec,
-    parity_label,
     tower_names,
 )
 from nilbott.words import TwistMap, parse_word
@@ -184,15 +183,6 @@ def test_type_decisions_agree():
             by_restriction = restriction_nonzero(case_extension(case, k))
             assert by_order == by_restriction
             assert by_order == (case in (3, 5) and k != 0)
-
-
-def test_parity_label():
-    assert parity_label(2, 0) == "B3"
-    assert parity_label(2, 1) == "B4"
-    assert parity_label(4, -7) == "B4"
-    assert parity_label(4, 4) == "B3"
-    with pytest.raises(ValueError):
-        parity_label(3, 1)
 
 
 def test_round_trip_lift_through_pairing():
