@@ -10,7 +10,7 @@ builder, so the identification checks have content.
 from __future__ import annotations
 
 from .polycyclic import PcPresentation, substitute
-from .words import Word, Presentation, parse_word
+from .words import Word, parse_word
 
 
 FLAT_LABELS = ("T3", "G2", "B1", "B2", "B3", "B4")
@@ -59,22 +59,6 @@ def catalogue_pc(label: str, k: int | None = None) -> PcPresentation:
             raise ValueError("Gamma needs a nonzero twisting integer k")
         return _pc(("a", "b", "n"), {(0, 1): f"n^{k} b^-1", (0, 2): "n^-1", (1, 2): "n"})
     raise ValueError(f"unknown catalogue label {label!r}")
-
-
-def abstract_b1_presentation() -> Presentation:
-    """Four-generator form of the B1 group: ep^2 = t1 central, ep inverts t2,
-    fixes t3, lattice abelian."""
-    names = ("ep", "t1", "t2", "t3")
-    rels = [
-        "ep^2 t1^-1",
-        "ep t1 ep^-1 t1^-1",
-        "ep t2 ep^-1 t2",
-        "ep t3 ep^-1 t3^-1",
-        "t1 t2 t1^-1 t2^-1",
-        "t1 t3 t1^-1 t3^-1",
-        "t2 t3 t2^-1 t3^-1",
-    ]
-    return Presentation(names, [parse_word(r, names) for r in rels])
 
 
 def compose_maps(first: list[Word], then: list[Word]) -> list[Word]:

@@ -23,10 +23,12 @@ from .cohomology import (
     transfer_identity_check,
 )
 from .geometry import (
+    FREENESS_LIMIT,
     catalogue_representation,
     euler_number,
     freeness_sample,
     klein_quotient_check,
+    l1_ball_size,
     verify_relations_in_rep,
 )
 from .invariants import catalogue_report
@@ -368,12 +370,14 @@ def _suite_paper(kmax: int) -> list[Certificate]:
     return certs
 
 
+FREENESS_ENTRIES = (("B1", None), ("B2", None), ("B3", None), ("B4", None),
+                    ("Delta", 2), ("G2", None), ("Gamma", 2), ("K", None),
+                    ("T2", None), ("T3", None))
+
+
 def _suite_freeness(maxlen: int) -> list[Certificate]:
     certs = []
-    entries = [("B1", None), ("B2", None), ("B3", None), ("B4", None),
-               ("Delta", 2), ("G2", None), ("Gamma", 2), ("K", None),
-               ("T2", None), ("T3", None)]
-    for label, k in entries:
+    for label, k in FREENESS_ENTRIES:
         group = catalogue_pc(label, k)
         rep = catalogue_representation(label, k)
         report = freeness_sample(group, rep, maxlen)
@@ -399,6 +403,14 @@ def cmd_verify(args) -> int:
     if args.kmax < 0:
         print(f"error: --kmax must be at least 0, got {args.kmax}", file=sys.stderr)
         return 2
+    if args.suite in ("freeness", "all"):
+        # the ball size in closed form, before any power table is built
+        ngens = max(catalogue_pc(label, k).ngens for label, k in FREENESS_ENTRIES)
+        forms = l1_ball_size(ngens, args.maxlen)
+        if forms > FREENESS_LIMIT:
+            print(f"error: --maxlen {args.maxlen} gives up to {forms} normal forms "
+                  f"per entry, above the limit of {FREENESS_LIMIT}", file=sys.stderr)
+            return 2
     if args.suite == "paper":
         certs = _suite_paper(args.kmax)
     elif args.suite == "freeness":

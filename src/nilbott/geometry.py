@@ -5,8 +5,11 @@ catalogue representations, relation verification, bounded freeness
 certificates, Euler numbers and the quotient-action check for the nil
 lattices.
 
-All arithmetic is exact (Fraction / Gaussian rational); nothing is ever
-rounded.
+All arithmetic is exact and nothing is ever rounded.  A map holds Python
+integers over one positive denominator (the nil rotation over its own), so
+products, inverses and most fixed-point solves use integer arithmetic only;
+Fraction and Gaussian rational values are built for the public views
+(`trans`, `g`, `aut`) and for the fixed points that are returned.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, gcd, lcm
 
 from .catalogue import catalogue_pc
 from .exact import GaussRat, IntMatrix
@@ -24,16 +28,28 @@ from .words import Word
 # -- flat affine maps --------------------------------------------------------
 
 
+def _over_common_den(values) -> tuple[tuple[int, ...], int]:
+    """(numerators, d): values[i] = numerators[i] / d over the least positive
+    common denominator d of the rationals in values."""
+    values = [Fraction(v) for v in values]
+    d = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (d // v.denominator) for v in values), d
+
+
 class FlatAffineMap:
     """x -> A x + b with A a signed permutation matrix and b exact rational.
 
     A is stored as (perm, signs) with (A x)_i = signs[i] * x[perm[i]]: the
-    orthogonal integer matrices are exactly these.  Only the constructor
-    checks its input; products and inverses of checked maps are built
-    directly, with O(n) work.
+    orthogonal integer matrices are exactly these.  b is stored as integer
+    numerators over one positive denominator, b_i = num[i] / den; a product
+    keeps den when both factors share it and uses the lcm otherwise, so den
+    never grows beyond the lcm of the factors' denominators.  Only the
+    constructor checks its input; products and inverses of checked maps are
+    built directly, with O(n) integer operations.  `trans` gives b as a tuple
+    of Fraction.
     """
 
-    __slots__ = ("perm", "signs", "trans")
+    __slots__ = ("perm", "signs", "num", "den")
 
     def __init__(self, lin: IntMatrix, trans):
         if lin.rows != lin.cols:
@@ -43,17 +59,17 @@ class FlatAffineMap:
         cols = [[j for j, x in enumerate(row) if x] for row in lin.entries]
         if any(len(c) != 1 for c in cols) or len({c[0] for c in cols}) != len(cols):
             raise ValueError("linear part must be orthogonal")
-        trans = tuple(Fraction(t) for t in trans)
-        if len(trans) != lin.rows:
+        num, den = _over_common_den(trans)
+        if len(num) != lin.rows:
             raise ValueError("translation length mismatch")
         self.perm = tuple(c[0] for c in cols)
         self.signs = tuple(row[j] for row, j in zip(lin.entries, self.perm))
-        self.trans = trans
+        self.num, self.den = num, den
 
     @classmethod
-    def _make(cls, perm, signs, trans) -> "FlatAffineMap":
+    def _make(cls, perm, signs, num, den) -> "FlatAffineMap":
         m = object.__new__(cls)
-        m.perm, m.signs, m.trans = perm, signs, trans
+        m.perm, m.signs, m.num, m.den = perm, signs, num, den
         return m
 
     @property
@@ -67,17 +83,25 @@ class FlatAffineMap:
              for p, s in zip(self.perm, self.signs)]
         )
 
+    @property
+    def trans(self) -> tuple:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
+
     @classmethod
     def translation(cls, vec) -> "FlatAffineMap":
         return cls(IntMatrix.identity(len(vec)), vec)
 
     def __eq__(self, other):
-        return (
+        if not (
             isinstance(other, FlatAffineMap)
             and self.perm == other.perm
             and self.signs == other.signs
-            and self.trans == other.trans
-        )
+        ):
+            return False
+        if self.den == other.den:
+            return self.num == other.num
+        return all(a * other.den == b * self.den for a, b in zip(self.num, other.num))
 
     def __hash__(self):
         return hash((self.perm, self.signs, self.trans))
@@ -86,21 +110,30 @@ class FlatAffineMap:
         return f"FlatAffineMap({self.lin!r}, {self.trans})"
 
     def __mul__(self, other: "FlatAffineMap") -> "FlatAffineMap":
-        if len(other.perm) != len(self.perm):
+        perm, signs, a = self.perm, self.signs, self.num
+        operm, osigns, b = other.perm, other.signs, other.num
+        if len(operm) != len(perm):
             raise ValueError("dimension mismatch")
-        return FlatAffineMap._make(
-            tuple(other.perm[p] for p in self.perm),
-            tuple(s * other.signs[p] for p, s in zip(self.perm, self.signs)),
-            tuple(s * other.trans[p] + b
-                  for p, s, b in zip(self.perm, self.signs, self.trans)),
-        )
+        den = self.den
+        if other.den != den:
+            den = lcm(den, other.den)
+            fa, fb = den // self.den, den // other.den
+            a = [n * fa for n in a]
+            b = [n * fb for n in b]
+        # one loop for all three parts: cheaper than three comprehensions
+        out_perm, out_signs, out_num = [], [], []
+        for p, s, t in zip(perm, signs, a):
+            out_perm.append(operm[p])
+            out_signs.append(s * osigns[p])
+            out_num.append(s * b[p] + t)
+        return FlatAffineMap._make(tuple(out_perm), tuple(out_signs), tuple(out_num), den)
 
     def inverse(self) -> "FlatAffineMap":
         n = self.dim
-        perm, signs, trans = [0] * n, [0] * n, [0] * n
-        for i, (p, s, b) in enumerate(zip(self.perm, self.signs, self.trans)):
-            perm[p], signs[p], trans[p] = i, s, -s * b
-        return FlatAffineMap._make(tuple(perm), tuple(signs), tuple(trans))
+        perm, signs, num = [0] * n, [0] * n, [0] * n
+        for i, (p, s, b) in enumerate(zip(self.perm, self.signs, self.num)):
+            perm[p], signs[p], num[p] = i, s, -s * b
+        return FlatAffineMap._make(tuple(perm), tuple(signs), tuple(num), self.den)
 
     def apply(self, point):
         return tuple(
@@ -111,39 +144,41 @@ class FlatAffineMap:
         return (
             self.perm == tuple(range(self.dim))
             and all(s == 1 for s in self.signs)
-            and all(t == 0 for t in self.trans)
+            and not any(self.num)
         )
 
     def fixed_point(self):
-        """Exact solution of A x + b = x, or None.
+        """Exact solution of A x + b = x as a list of Fraction, or None.
 
         Each cycle of perm is solved on its own: x_i = s_i x_perm(i) + b_i
         followed once round the cycle closes to x_top = S x_top + c at
         the cycle's largest index top, with S = +-1.  S = -1 gives
         x_top = c/2; S = 1 has no solution unless c = 0, and then the free
-        coordinate x_top is set to 0.
+        coordinate x_top is set to 0.  The walk runs on the integers
+        y_i = 2 den x_i, so no Fraction is built unless a point is returned.
         """
-        perm, signs, trans = self.perm, self.signs, self.trans
-        x = [None] * self.dim
-        for top in reversed(range(self.dim)):
-            if x[top] is not None:
+        perm, signs, num = self.perm, self.signs, self.num
+        y = [None] * len(perm)
+        for top in reversed(range(len(perm))):
+            if y[top] is not None:
                 continue
-            # x_top = coef * x_j + const, walking j once round the cycle
-            cycle, coef, const, j = [], 1, Fraction(0), top
+            # den x_top = coef * den x_j + const, walking j once round the cycle
+            cycle, coef, const, j = [], 1, 0, top
             while True:
                 cycle.append(j)
-                coef, const, j = coef * signs[j], const + coef * trans[j], perm[j]
+                coef, const, j = coef * signs[j], const + coef * num[j], perm[j]
                 if j == top:
                     break
             if coef == 1:
                 if const:
                     return None
-                x[top] = Fraction(0)
+                y[top] = 0
             else:
-                x[top] = const / 2
+                y[top] = const
             for i in reversed(cycle[1:]):
-                x[i] = signs[i] * x[perm[i]] + trans[i]
-        return x
+                y[i] = signs[i] * y[perm[i]] + 2 * num[i]
+        den2 = 2 * self.den
+        return [Fraction(v, den2) for v in y]
 
 
 # -- nil geometry ------------------------------------------------------------
@@ -225,20 +260,41 @@ TAU = HeisAut(GaussRat(1), conj=True)
 
 
 class HeisAffineMap:
-    """p -> g * aut(p): the isometry-like maps of the nil geometry."""
+    """p -> g * aut(p): the isometry-like maps of the nil geometry.
 
-    __slots__ = ("g", "aut")
+    g = (x, z) is stored as integers over one positive denominator,
+    x = gx/gd and z = (gr + gi i)/gd, and the rotation u of aut as a
+    Gaussian integer over its own denominator, u = (ur + ui i)/ud, plus the
+    conj flag.  Both are kept reduced (gcd(gd, gx, gr, gi) = 1 and
+    gcd(ud, ur, ui) = 1), so equal maps have equal integers.  `g` and `aut`
+    give the HeisPoint and HeisAut values.
+    """
+
+    __slots__ = ("gx", "gr", "gi", "gd", "ur", "ui", "ud", "conj")
 
     def __init__(self, g: HeisPoint, aut: HeisAut = None):
-        self.g = g
-        self.aut = aut if aut is not None else HeisAut()
+        aut = aut if aut is not None else HeisAut()
+        (self.gx, self.gr, self.gi), self.gd = _over_common_den((g.x, g.z.re, g.z.im))
+        (self.ur, self.ui), self.ud = _over_common_den((aut.u.re, aut.u.im))
+        self.conj = aut.conj
+
+    @property
+    def g(self) -> HeisPoint:
+        d = self.gd
+        return HeisPoint(
+            Fraction(self.gx, d), GaussRat(Fraction(self.gr, d), Fraction(self.gi, d))
+        )
+
+    @property
+    def aut(self) -> HeisAut:
+        d = self.ud
+        return HeisAut(GaussRat(Fraction(self.ur, d), Fraction(self.ui, d)), self.conj)
+
+    def _key(self) -> tuple:
+        return (self.gx, self.gr, self.gi, self.gd, self.ur, self.ui, self.ud, self.conj)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, HeisAffineMap)
-            and self.g == other.g
-            and self.aut == other.aut
-        )
+        return isinstance(other, HeisAffineMap) and self._key() == other._key()
 
     def __hash__(self):
         return hash((self.g, self.aut))
@@ -247,45 +303,88 @@ class HeisAffineMap:
         return f"HeisAffineMap({self.g!r}, {self.aut!r})"
 
     def __mul__(self, other: "HeisAffineMap") -> "HeisAffineMap":
-        return HeisAffineMap(self.g * self.aut.apply(other.g), self.aut * other.aut)
+        ur, ui, ud, conj = self.ur, self.ui, self.ud, self.conj
+        x2, r2, i2 = other.gx, other.gr, other.gi
+        # w = aut(other.g) over e
+        if conj:
+            wx, wr, wi = -x2 * ud, ur * r2 + ui * i2, ui * r2 - ur * i2
+        else:
+            wx, wr, wi = x2 * ud, ur * r2 - ui * i2, ur * i2 + ui * r2
+        e = ud * other.gd
+        # g * w over d1 e; the x part gains -Im(conj(z) w)
+        x1, r1, i1, d1 = self.gx, self.gr, self.gi, self.gd
+        vr, vi = other.ur, -other.ui if conj else other.ui
+        return _reduced_heis(
+            x1 * e + wx * d1 - (r1 * wi - i1 * wr), r1 * e + wr * d1, i1 * e + wi * d1,
+            d1 * e, ur * vr - ui * vi, ur * vi + ui * vr, ud * other.ud, conj != other.conj,
+        )
 
     def inverse(self) -> "HeisAffineMap":
-        inv = self.aut.inverse()
-        return HeisAffineMap(inv.apply(self.g).inverse(), inv)
+        # aut^-1 is (u, conj) for a conjugation and (conj(u), no conj)
+        # otherwise; the inverse map is (-aut^-1(g), aut^-1)
+        x, r, i, ur, ui, ud = self.gx, self.gr, self.gi, self.ur, self.ui, self.ud
+        if self.conj:
+            return _reduced_heis(
+                x * ud, -(ur * r + ui * i), ur * i - ui * r, self.gd * ud, ur, ui, ud, True
+            )
+        return _reduced_heis(
+            -x * ud, -(ur * r + ui * i), ui * r - ur * i, self.gd * ud, ur, -ui, ud, False
+        )
 
     def apply(self, p: HeisPoint) -> HeisPoint:
         return self.g * self.aut.apply(p)
 
     def is_identity(self) -> bool:
-        return self.g.is_identity() and self.aut.is_identity()
+        return not (self.gx or self.gr or self.gi or self.conj) and self.ur == self.ud
 
     def fixed_point(self):
         """Exact fixed point (x, z), or None.
 
-        The z-component satisfies a singular 2x2 rational system; the
-        x-component is then determined (conj case) or free (rotations).
+        With u = 1 the integers settle it: a translation fixes a point only
+        if it is the identity, and z -> c + conj(z) needs re c = 0, then
+        fixes (x, z) = (a/2, i im(c)/2).  Otherwise the z-component
+        satisfies a singular 2x2 rational system; the x-component is then
+        determined (conj case) or free (rotations).
         """
-        a, c = self.g.x, self.g.z
-        u = self.aut.u
-        if not self.aut.conj:
-            if u == GaussRat(1):
-                if c.is_zero() and a == 0:
-                    return HeisPoint(0, GaussRat(0))
+        if self.ur == self.ud:  # u = 1, as |u| = 1 and u is reduced
+            if not self.conj:
+                if self.gx or self.gr or self.gi:
+                    return None
+                return HeisPoint(0, GaussRat(0))
+            if self.gr:
                 return None
+            d2 = 2 * self.gd
+            return HeisPoint(Fraction(self.gx, d2), GaussRat(0, Fraction(self.gi, d2)))
+        g, aut = self.g, self.aut
+        a, c, u = g.x, g.z, aut.u
+        if not self.conj:
             z = c / (GaussRat(1) - u)
             if (c.conj() * (u * z)).im != a:
                 return None
             return HeisPoint(0, z)
         # conjugating case: z = c + u conj(z) is a real 2x2 system of rank 1
-        # (|u| = 1); take the solution with im z = 0, or re z = 0 if u = 1
-        if u.re != 1:
-            z = GaussRat(c.re / (1 - u.re))
-        else:
-            z = GaussRat(0, c.im / 2)
+        # (|u| = 1, u != 1); take the solution with im z = 0
+        z = GaussRat(c.re / (1 - u.re))
         if z != c + u * z.conj():
             return None
-        x = (a - (c.conj() * self.aut.apply(HeisPoint(0, z)).z).im) / 2
+        x = (a - (c.conj() * aut.apply(HeisPoint(0, z)).z).im) / 2
         return HeisPoint(x, z)
+
+
+def _reduced_heis(x, r, i, d, ur, ui, ud, conj) -> HeisAffineMap:
+    """The nil map with g = (x, (r + i i)/d) and u = (ur + ui i)/ud, with one
+    gcd per denominator to reduce them."""
+    if d != 1:
+        f = gcd(d, x, r, i)
+        if f != 1:
+            x, r, i, d = x // f, r // f, i // f, d // f
+    if ud != 1:
+        f = gcd(ud, ur, ui)
+        if f != 1:
+            ur, ui, ud = ur // f, ui // f, ud // f
+    m = object.__new__(HeisAffineMap)
+    m.gx, m.gr, m.gi, m.gd, m.ur, m.ui, m.ud, m.conj = x, r, i, d, ur, ui, ud, conj
+    return m
 
 
 # -- representations ---------------------------------------------------------
@@ -541,6 +640,16 @@ def _l1_ball(powers: list, budget: int, prefix=None, head=()):
             yield from _l1_ball(powers, budget, prefix, head + (0,))
 
 
+#: most normal forms one freeness_sample call walks
+FREENESS_LIMIT = 10**6
+
+
+def l1_ball_size(ngens: int, radius: int) -> int:
+    """Number of nonzero integer vectors of length ngens with l1 norm at most
+    radius: the sum over i of 2^i C(ngens, i) C(radius, i)."""
+    return sum(2**i * comb(ngens, i) * comb(radius, i) for i in range(1, ngens + 1))
+
+
 def freeness_sample(p: PcPresentation, rep: list, max_word_len: int) -> FreenessReport:
     """Exact fixed-point status of every nonidentity normal form
     x_0^e_0 ... x_{n-1}^e_{n-1} with sum |e_i| <= max_word_len.
@@ -550,9 +659,19 @@ def freeness_sample(p: PcPresentation, rep: list, max_word_len: int) -> Freeness
     reported in that order.  Each generator's powers are tabulated once
     and the walk carries the prefix product m_0^e_0 ... m_i^e_i, so each
     normal form costs at most one map product plus its fixed-point solve.
+    A ball of more than FREENESS_LIMIT normal forms is rejected before any
+    map product is taken.
     """
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
+    if len(rep) != p.ngens:
+        raise ValueError("need one map per generator")
+    forms = l1_ball_size(p.ngens, max_word_len)
+    if forms > FREENESS_LIMIT:
+        raise ValueError(
+            f"{forms} normal forms up to length {max_word_len}, "
+            f"above the limit of {FREENESS_LIMIT}"
+        )
     powers = [_power_table(rep[i], max_word_len) for i in range(p.ngens)]
     checked = 0
     fixed = []

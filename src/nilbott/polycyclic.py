@@ -390,16 +390,6 @@ def verify_isomorphism(a: PcPresentation, b: PcPresentation, fwd, bwd) -> bool:
     return True
 
 
-def commutator_fiber_index(p: PcPresentation) -> str:
-    """'trivial' if the last generator is centralized by every generator,
-    'index-2' if some generator inverts it."""
-    fiber = p.ngens - 1
-    for i in range(fiber):
-        if p.rule(i, fiber) != p._unit(fiber):
-            return "index-2"
-    return "trivial"
-
-
 def pc_abelianization(p: PcPresentation) -> tuple[int, list[int]]:
     """(free rank, invariant factors > 1) of p's abelianization."""
     rows = []

@@ -119,16 +119,6 @@ class Presentation:
         return f"Presentation(<{' '.join(self.names)} | {rels}>)"
 
 
-def parse_presentation(text: str) -> Presentation:
-    """First line 'gens: a b ...', then one line per relator."""
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("gens:"):
-        raise ValueError("presentation text must start with a 'gens:' line")
-    names = lines[0][len("gens:"):].split()
-    relators = [parse_word(ln, names) for ln in lines[1:]]
-    return Presentation(names, relators)
-
-
 def klein_presentation() -> Presentation:
     # g h g^-1 h, i.e. g h g^-1 = h^-1
     return Presentation(("g", "h"), [Word(((0, 1), (1, 1), (0, -1), (1, 1)))])

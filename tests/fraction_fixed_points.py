@@ -1,16 +1,19 @@
-"""The earlier matrix form of the geometry kernel, kept only as a test oracle.
+"""The earlier value form of the geometry kernel, kept only as a test oracle.
 
-The engine stores a flat map's linear part as a signed permutation, reads
-fixed points off its cycles and solves the nil conjugating case in closed
-form.  Here a flat map is composed by integer matrix products, and every
-fixed point comes from Gaussian elimination over the rationals on the
-Fraction matrix of the fixed-point system, as the engine did before.
+The engine stores a flat map's linear part as a signed permutation and its
+translation as integers over one denominator, reads fixed points off the
+permutation's cycles, and keeps a nil map as integers over one denominator.
+Here a flat map is composed by integer matrix products of its Fraction
+translation, a nil map by the HeisPoint / HeisAut group laws on Fraction
+and Gaussian rational values, and every fixed point comes from Gaussian
+elimination over the rationals on the Fraction matrix of the fixed-point
+system, as the engine did before.
 """
 
 from fractions import Fraction
 
 from nilbott.exact import GaussRat
-from nilbott.geometry import FlatAffineMap, HeisPoint
+from nilbott.geometry import FlatAffineMap, HeisAffineMap, HeisPoint
 
 
 def solve_rational(a, b):
@@ -80,9 +83,20 @@ def heis_fixed_point(m):
     return HeisPoint(x, z)
 
 
+def heis_product(a, b):
+    """a * b: p -> a.g * a.aut(b.g * b.aut(p)), on the value types."""
+    return HeisAffineMap(a.g * a.aut.apply(b.g), a.aut * b.aut)
+
+
+def heis_inverse(a):
+    inv = a.aut.inverse()
+    return HeisAffineMap(inv.apply(a.g).inverse(), inv)
+
+
 class MatrixMap:
     """A flat or nil map whose flat products and inverses go through
-    integer matrices and whose fixed points come from solve_rational."""
+    integer matrices, whose nil ones go through the value types, and whose
+    fixed points come from solve_rational."""
 
     def __init__(self, m):
         self.m = m
@@ -92,14 +106,14 @@ class MatrixMap:
         if isinstance(a, FlatAffineMap):
             trans = tuple(x + y for x, y in zip(a.lin.apply(b.trans), a.trans))
             return MatrixMap(FlatAffineMap(a.lin * b.lin, trans))
-        return MatrixMap(a * b)
+        return MatrixMap(heis_product(a, b))
 
     def inverse(self):
         a = self.m
         if isinstance(a, FlatAffineMap):
             inv = a.lin.transpose()
             return MatrixMap(FlatAffineMap(inv, tuple(-t for t in inv.apply(a.trans))))
-        return MatrixMap(a.inverse())
+        return MatrixMap(heis_inverse(a))
 
     def fixed_point(self):
         if isinstance(self.m, FlatAffineMap):

@@ -222,6 +222,13 @@ def test_verify_usage_errors(capsys):
         (["--suite", "freeness", "--maxlen", "0"], "error: --maxlen must be at least 1, got 0\n"),
         (["--suite", "all", "--maxlen", "-3"], "error: --maxlen must be at least 1, got -3\n"),
         (["--suite", "paper", "--kmax", "-1"], "error: --kmax must be at least 0, got -1\n"),
+        # 2^i C(3, i) C(N, i) summed over i: about 1.3e36 forms for N = 10^12
+        (["--suite", "freeness", "--maxlen", str(10**12)],
+         f"error: --maxlen {10**12} gives up to 1333333333335333333333336000000000000 "
+         "normal forms per entry, above the limit of 1000000\n"),
+        (["--suite", "all", "--maxlen", "91"],
+         "error: --maxlen 91 gives up to 1021566 normal forms per entry, "
+         "above the limit of 1000000\n"),
     ],
 )
 def test_verify_rejects_out_of_range_bounds(capsys, argv, message):

@@ -1,5 +1,6 @@
-"""The signed-permutation flat maps and the closed-form fixed points against
-the Fraction-matrix oracle, and the checks of the validating constructor."""
+"""The integer flat and nil maps and their fixed points against the
+Fraction-matrix and value-type oracle, equality across denominators, and the
+checks of the validating constructor."""
 
 import random
 from collections import Counter
@@ -7,7 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from fraction_fixed_points import MatrixMap, flat_fixed_point, heis_fixed_point, solve_rational
+from fraction_fixed_points import (
+    MatrixMap,
+    flat_fixed_point,
+    heis_fixed_point,
+    heis_inverse,
+    heis_product,
+    solve_rational,
+)
 
 from nilbott.exact import GaussRat, IntMatrix
 from nilbott.geometry import FlatAffineMap, HeisAffineMap, HeisAut, HeisPoint
@@ -104,6 +112,90 @@ def test_flat_products_match_matrix_products():
         assert (a * inv).is_identity() and (inv * a).is_identity()
         point = tuple(rand_rat(rng) for _ in range(n))
         assert (a * b).apply(point) == a.apply(b.apply(point))
+
+
+def assert_point_types(pt, m):
+    if isinstance(m, FlatAffineMap):
+        assert type(pt) is list and [type(x) for x in pt] == [Fraction] * m.dim
+    else:
+        assert type(pt) is HeisPoint and type(pt.x) is Fraction and type(pt.z) is GaussRat
+
+
+@pytest.mark.parametrize("kind", ["flat", "nil"])
+def test_mixed_denominator_chains_match_oracle(kind):
+    # three factors with translation denominators 1, 2 and 3 in one product
+    # (and rotations over 5 for the nil maps): products, inverses and fixed
+    # points equal the oracle's, fixed points in value and type
+    rng = random.Random(271828 if kind == "flat" else 161803)
+    outcomes = Counter()
+    for _ in range(500):
+        if kind == "flat":
+            n = rng.randint(1, 4)
+            factors = [
+                FlatAffineMap(random_signed_permutation(rng, n),
+                              [Fraction(rng.randint(-5, 5), den) for _ in range(n)])
+                for den in (1, 2, 3)
+            ]
+            rng.shuffle(factors)
+        else:
+            # a b a^-1 has a fixed point when b does
+            a, b = random_heis(rng), random_heis(rng)
+            factors = [a, b, a.inverse() if rng.random() < 0.5 else random_heis(rng)]
+        a, b, c = factors
+        m = a * b * c
+        oracle = MatrixMap(a) * MatrixMap(b) * MatrixMap(c)
+        assert m == oracle.m and hash(m) == hash(oracle.m) and repr(m) == repr(oracle.m)
+        assert m.inverse() == oracle.inverse().m
+        pt = m.fixed_point()
+        assert pt == oracle.fixed_point(), m
+        outcomes[pt is None] += 1
+        if pt is not None:
+            assert_point_types(pt, m)
+            assert m.apply(pt) == (tuple(pt) if kind == "flat" else pt)
+    assert len(outcomes) == 2 and min(outcomes.values()) >= 20, outcomes
+
+
+def test_nil_products_and_inverses_match_value_oracle():
+    rng = random.Random(4242)
+    for _ in range(600):
+        a, b = random_heis(rng), random_heis(rng)
+        ab = a * b
+        assert ab == heis_product(a, b)
+        assert a.inverse() == heis_inverse(a)
+        assert (ab * ab.inverse()).is_identity() and (ab.inverse() * ab).is_identity()
+        assert type(ab.g) is HeisPoint and type(ab.g.x) is Fraction
+        assert type(ab.g.z) is GaussRat and type(ab.aut) is HeisAut
+        point = HeisPoint(rand_rat(rng), GaussRat(rand_rat(rng), rand_rat(rng)))
+        assert ab.apply(point) == a.apply(b.apply(point))
+
+
+def test_equal_maps_through_different_denominators():
+    half = FlatAffineMap.translation((Fraction(1, 2), 0, 0))
+    whole = FlatAffineMap.translation((1, 0, 0))
+    assert half * half == whole and whole == half * half
+    assert hash(half * half) == hash(whole) and repr(half * half) == repr(whole)
+    assert (half * half).trans == (1, 0, 0)
+    assert all(type(t) is Fraction for t in (half * half).trans)
+    assert {half * half} == {whole}
+    # denominators 3 and 6 give 1/2 over 6
+    third = FlatAffineMap.translation((Fraction(1, 3), 0, 0))
+    sixth = FlatAffineMap.translation((Fraction(1, 6), 0, 0))
+    assert third * sixth == half and hash(third * sixth) == hash(half)
+    assert third * sixth != whole and third != sixth
+
+    step = HeisAffineMap(HeisPoint(Fraction(1, 2), GaussRat(Fraction(1, 2))))
+    nil_whole = HeisAffineMap(HeisPoint(1, GaussRat(1)))
+    assert step * step == nil_whole and hash(step * step) == hash(nil_whole)
+    assert repr(step * step) == repr(nil_whole)
+    # a rotation by (3 + 4i)/5 composed with its inverse has u over 25 before
+    # reduction; the product is the identity map
+    rot = HeisAffineMap(
+        HeisPoint(Fraction(1, 3), GaussRat(1, Fraction(2, 3))),
+        HeisAut(GaussRat(Fraction(3, 5), Fraction(4, 5))),
+    )
+    ident = HeisAffineMap(HeisPoint.identity())
+    assert rot * rot.inverse() == ident and hash(rot * rot.inverse()) == hash(ident)
+    assert (rot * rot).aut == HeisAut(GaussRat(Fraction(-7, 25), Fraction(24, 25)))
 
 
 @pytest.mark.parametrize(

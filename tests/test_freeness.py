@@ -5,6 +5,7 @@ cost in map products, and rep_evaluate at huge twisting integers."""
 import random
 import time
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -23,6 +24,7 @@ from nilbott.geometry import (
     HeisPoint,
     catalogue_representation,
     freeness_sample,
+    l1_ball_size,
     rep_evaluate,
     verify_relations_in_rep,
 )
@@ -108,6 +110,28 @@ def test_cyclic_controls_match_oracle(rep, max_word_len, n_fixed):
     report = assert_matches_oracle(cyclic_pc("r"), rep, max_word_len)
     assert len(report.fixed_points) == n_fixed
     assert [vec for vec, _ in report.fixed_points] == sorted(vec for vec, _ in report.fixed_points)
+
+
+def test_freeness_needs_one_map_per_generator():
+    p = catalogue_pc("B1")
+    rep = catalogue_representation("B1")
+    for bad in (rep + rep, rep[:2], []):
+        with pytest.raises(ValueError, match="need one map per generator"):
+            freeness_sample(p, bad, 2)
+
+
+def test_freeness_rejects_huge_balls_up_front():
+    # the ball size is computed in closed form before any power table is
+    # built, so this allocates nothing
+    p = catalogue_pc("B1")
+    rep = catalogue_representation("B1")
+    with pytest.raises(ValueError, match="above the limit of 1000000"):
+        freeness_sample(p, rep, 10**12)
+    assert [l1_ball_size(3, n) for n in (90, 91)] == [988440, 1021566]
+    for n in (1, 2, 3):
+        for r in (1, 4):
+            ball = [v for v in product(range(-r, r + 1), repeat=n) if 0 < sum(map(abs, v)) <= r]
+            assert l1_ball_size(n, r) == len(ball)
 
 
 class CountedMap:

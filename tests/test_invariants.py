@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import case_extension
+from conftest import case_extension, commutator_fiber_index
 
 from nilbott.catalogue import catalogue_pc, central_words
 from nilbott.exact import IntMatrix, smith_normal_form
@@ -17,7 +17,7 @@ from nilbott.invariants import (
     homological_injectivity_check,
     torus_rank,
 )
-from nilbott.polycyclic import collect, commutator_fiber_index, nf_multiply, pc_abelianization
+from nilbott.polycyclic import collect, nf_multiply, pc_abelianization
 from nilbott.towers import TowerSpec, classify_tower
 
 

@@ -2,16 +2,15 @@ import random
 
 import pytest
 
-from conftest import CASE_DATA, case_extension
+from conftest import CASE_DATA, abstract_b1_presentation, case_extension, commutator_fiber_index
 
-from nilbott.catalogue import abstract_b1_presentation, catalogue_pc
+from nilbott.catalogue import catalogue_pc
 from nilbott.geometry import extension_representation, rep_evaluate
 from nilbott.polycyclic import (
     InconsistentPresentation,
     PcError,
     PcPresentation,
     collect,
-    commutator_fiber_index,
     consistency_check,
     cyclic_pc,
     format_pc_presentation,

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from conftest import parse_presentation
+
 from nilbott.words import (
     Presentation,
     TwistMap,
@@ -9,7 +11,6 @@ from nilbott.words import (
     abelianization,
     fox_augmented,
     klein_presentation,
-    parse_presentation,
     parse_word,
     torus_presentation,
     word_str,
