@@ -99,16 +99,10 @@ def reduction_maps(case: int, k: int, r: int):
 def case_swap_maps(case: int):
     """Maps between a case-4 (resp. 7) extension and the case-2 (resp. 6)
     extension with the same lift integer."""
-    if case == 4:
-        # fwd: case-4 generators inside the case-2 group; bwd the reverse
-        fwd = _w(EXT, "g h^-1", "h", "n")
-        bwd = _w(EXT, "g h", "h", "n")
-    elif case == 7:
-        fwd = _w(EXT, "g h^-1", "h", "n")
-        bwd = _w(EXT, "g h", "h", "n")
-    else:
+    if case not in (4, 7):
         raise ValueError(f"no swap maps for case {case}")
-    return fwd, bwd
+    # fwd: case-4 (7) generators inside the case-2 (6) group; bwd the reverse
+    return _w(EXT, "g h^-1", "h", "n"), _w(EXT, "g h", "h", "n")
 
 
 def base_identification(case: int, k: int):

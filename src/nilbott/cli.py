@@ -1,5 +1,9 @@
 """Command-line surface: cohomology values, tower classification, the
-catalogue tables, and aggregated verification certificates.
+realization tables, and aggregated verification certificates.
+
+The tables and the paper suite walk the seven cases of towers.CASES; each
+table cell is computed by h2_one_relator and classify_tower.  `verify`
+takes --kmax up to KMAX_LIMIT, since the paper suite is linear in it.
 
 Exit codes: 0 all good, 1 verification failure, 2 input error.  Output is
 deterministic: identical invocations produce identical bytes.  Set
@@ -33,6 +37,7 @@ from .geometry import (
 )
 from .invariants import catalogue_report
 from .towers import (
+    CASES,
     ExtensionError,
     TowerSpec,
     VerificationError,
@@ -91,9 +96,10 @@ def _write_out(filename: str, text: str):
 # -- cohomology command -------------------------------------------------------
 
 
+#: base kind -> (presentation, generator names, tower spec base tag)
 _BASES = {
-    "klein": (klein_presentation, ("g", "h")),
-    "torus": (torus_presentation, ("a", "b")),
+    "klein": (klein_presentation, ("g", "h"), "K"),
+    "torus": (torus_presentation, ("a", "b"), "T2"),
 }
 
 
@@ -101,7 +107,7 @@ def cmd_cohomology(args) -> int:
     if args.base not in _BASES:
         print(f"error: unknown base {args.base!r} (use klein or torus)", file=sys.stderr)
         return 2
-    make, names = _BASES[args.base]
+    make, names, _ = _BASES[args.base]
     pres = make()
     try:
         items = [
@@ -173,31 +179,25 @@ def cmd_classify(args) -> int:
 
 
 def tables_data():
-    """Both realization tables, keyed by twist signs."""
-    klein_cols = [
-        {"phi": {"g": 1, "h": 1}, "case": 1, "h2": "Z_2",
-         "class_zero": "B1", "nonzero_torsion": "B2", "torsionfree": None},
-        {"phi": {"g": 1, "h": -1}, "case": 2, "h2": "Z_2",
-         "class_zero": "B3", "nonzero_torsion": "B4", "torsionfree": None},
-        {"phi": {"g": -1, "h": 1}, "case": 3, "h2": "Z",
-         "class_zero": "G2", "nonzero_torsion": None, "torsionfree": "Gamma(k)"},
-        {"phi": {"g": -1, "h": -1}, "case": 4, "h2": "Z_2",
-         "class_zero": "B3", "nonzero_torsion": "B4", "torsionfree": None},
-    ]
-    torus_cols = [
-        {"phi": {"a": 1, "b": 1}, "case": 5, "h2": "Z",
-         "class_zero": "T3", "nonzero_torsion": None, "torsionfree": "Delta(k)"},
-        {"phi": {"a": 1, "b": -1}, "case": 6, "h2": "Z_2",
-         "class_zero": "B1", "nonzero_torsion": "B2", "torsionfree": None},
-        {"phi": {"a": -1, "b": -1}, "case": 7, "h2": "Z_2",
-         "class_zero": "B1", "nonzero_torsion": "B2", "torsionfree": None},
-    ]
+    """Both realization tables, keyed by twist signs: H^2 from
+    h2_one_relator, the labels from classify_tower at k = 0 and k = 1."""
+    tables = {}
+    for case, (kind, signs) in sorted(CASES.items()):
+        make, names, base = _BASES[kind]
+        pres = make()
+        h2 = h2_one_relator(pres, TwistMap(pres, signs))
+        nonzero = classify_tower(TowerSpec.depth3(base, signs, 1))
+        tables.setdefault(base, []).append({
+            "phi": dict(zip(names, signs)),
+            "case": case,
+            "h2": str(h2),
+            "class_zero": classify_tower(TowerSpec.depth3(base, signs, 0)).label,
+            "nonzero_torsion": nonzero.label if h2.torsion else None,
+            "torsionfree": None if h2.torsion else f"{nonzero.target}(k)",
+        })
     return {
         "schema_version": SCHEMA_VERSION,
-        "tables": [
-            {"base": "K", "columns": klein_cols},
-            {"base": "T2", "columns": torus_cols},
-        ],
+        "tables": [{"base": base, "columns": cols} for base, cols in tables.items()],
     }
 
 
@@ -239,87 +239,51 @@ def cmd_tables(args) -> int:
 # -- verify command -----------------------------------------------------------
 
 
-_CASES = {
-    1: ("klein", (1, 1)),
-    2: ("klein", (1, -1)),
-    3: ("klein", (-1, 1)),
-    4: ("klein", (-1, -1)),
-    5: ("torus", (1, 1)),
-    6: ("torus", (1, -1)),
-    7: ("torus", (-1, -1)),
-}
+#: the paper suite is linear in kmax: about 2 s at the limit
+KMAX_LIMIT = 100
 
 _H2_EXPECTED = {1: "Z_2", 2: "Z_2", 3: "Z", 4: "Z_2", 5: "Z", 6: "Z_2", 7: "Z_2"}
 
 
 def _suite_paper(kmax: int) -> list[Certificate]:
+    ks = range(-kmax, kmax + 1)
     certs = []
-    for case in sorted(_CASES):
-        kind, signs = _CASES[case]
-        make, names = _BASES[kind]
+    for case, (kind, signs) in sorted(CASES.items()):
+        make, _, base = _BASES[kind]
         pres = make()
         phi = TwistMap(pres, signs)
-        h2 = h2_one_relator(pres, phi)
+        h2 = str(h2_one_relator(pres, phi))
         certs.append(
             Certificate(
                 claim=f"h2/{kind}/case{case}",
                 inputs={"phi": list(signs)},
-                verdict="pass" if str(h2) == _H2_EXPECTED[case] else "fail",
-                witness={"computed": str(h2), "expected": _H2_EXPECTED[case]},
+                verdict="pass" if h2 == _H2_EXPECTED[case] else "fail",
+                witness={"computed": h2, "expected": _H2_EXPECTED[case]},
             )
         )
-    # catalogue identifications via the classifier (witnesses re-verified)
-    for case in sorted(_CASES):
-        kind, signs = _CASES[case]
-        base = "K" if kind == "klein" else "T2"
-        for k in range(-kmax, kmax + 1):
-            spec = TowerSpec.depth3(base, signs, k)
+        # catalogue identifications via the classifier (witnesses re-verified)
+        for k in ks:
             try:
-                verdict = classify_tower(spec)
-                certs.append(
-                    Certificate(
-                        claim=f"identification/case{case}/k={k}",
-                        inputs={"base": base, "phi": list(signs), "k": k},
-                        verdict="pass",
-                        witness={"label": verdict.label, "type": verdict.type},
-                    )
-                )
+                verdict = classify_tower(TowerSpec.depth3(base, signs, k))
+                outcome = "pass"
+                witness = {"label": verdict.label, "type": verdict.type}
             except Exception as exc:  # classification must never throw here
-                certs.append(
-                    Certificate(
-                        claim=f"identification/case{case}/k={k}",
-                        inputs={"base": base, "phi": list(signs), "k": k},
-                        verdict="fail",
-                        witness={"error": str(exc)},
-                    )
+                outcome = "fail"
+                witness = {"error": str(exc)}
+            certs.append(
+                Certificate(
+                    claim=f"identification/case{case}/k={k}",
+                    inputs={"base": base, "phi": list(signs), "k": k},
+                    verdict=outcome,
+                    witness=witness,
                 )
-    # nil-geometry relations, euler numbers, quotient action
-    for k in range(-kmax, kmax + 1):
-        ok = abs(euler_number(k)) == abs(k)
-        if k != 0:
-            gam = catalogue_pc("Gamma", k)
-            ok = ok and verify_relations_in_rep(gam, catalogue_representation("Gamma", k))[0]
-            delta = catalogue_pc("Delta", k)
-            ok = ok and verify_relations_in_rep(delta, catalogue_representation("Delta", k))[0]
-            ok = ok and klein_quotient_check(k)
-        certs.append(
-            Certificate(
-                claim=f"nil-relations/k={k}",
-                inputs={"k": k},
-                verdict="pass" if ok else "fail",
-                witness={"euler_magnitude": abs(euler_number(k))},
             )
-        )
-    # type dichotomy: class order vs lattice restriction
-    for case in sorted(_CASES):
-        kind, signs = _CASES[case]
-        make, _ = _BASES[kind]
-        pres = make()
-        phi = TwistMap(pres, signs)
+        # type dichotomy: class order vs lattice restriction
         agree = True
         expected = True
-        for k in range(-kmax, kmax + 1):
-            ext = build_extension(base_pc(pres), signs, [k])
+        base_group = base_pc(pres)
+        for k in ks:
+            ext = build_extension(base_group, signs, [k])
             infinite_restriction = restriction_nonzero(ext)
             infinite_order = not class_order(pres, phi, k).is_finite
             agree = agree and (infinite_restriction == infinite_order)
@@ -334,20 +298,32 @@ def _suite_paper(kmax: int) -> list[Certificate]:
                 witness={"criteria_agree": agree, "matches_table": expected},
             )
         )
-    # transfer identity on the twisted cases
-    for case in sorted(_CASES):
-        kind, signs = _CASES[case]
-        if all(s == 1 for s in signs):
-            continue
-        make, _ = _BASES[kind]
-        pres = make()
-        phi = TwistMap(pres, signs)
-        ok = all(transfer_identity_check(pres, phi, k) for k in range(-kmax, kmax + 1))
+        # transfer identity on the twisted cases
+        if -1 in signs:
+            ok = all(transfer_identity_check(pres, phi, k) for k in ks)
+            certs.append(
+                Certificate(
+                    claim=f"transfer/case{case}",
+                    inputs={"k_range": [-kmax, kmax]},
+                    verdict="pass" if ok else "fail",
+                )
+            )
+    # nil-geometry relations, euler numbers, quotient action
+    for k in ks:
+        euler = abs(euler_number(k))
+        ok = euler == abs(k)
+        if k != 0:
+            gam = catalogue_pc("Gamma", k)
+            ok = ok and verify_relations_in_rep(gam, catalogue_representation("Gamma", k))[0]
+            delta = catalogue_pc("Delta", k)
+            ok = ok and verify_relations_in_rep(delta, catalogue_representation("Delta", k))[0]
+            ok = ok and klein_quotient_check(k)
         certs.append(
             Certificate(
-                claim=f"transfer/case{case}",
-                inputs={"k_range": [-kmax, kmax]},
+                claim=f"nil-relations/k={k}",
+                inputs={"k": k},
                 verdict="pass" if ok else "fail",
+                witness={"euler_magnitude": euler},
             )
         )
     # invariants of the finite-type catalogue
@@ -402,6 +378,10 @@ def cmd_verify(args) -> int:
         return 2
     if args.kmax < 0:
         print(f"error: --kmax must be at least 0, got {args.kmax}", file=sys.stderr)
+        return 2
+    if args.kmax > KMAX_LIMIT:
+        print(f"error: --kmax {args.kmax} is above the limit of {KMAX_LIMIT}",
+              file=sys.stderr)
         return 2
     if args.suite in ("freeness", "all"):
         # the ball size in closed form, before any power table is built

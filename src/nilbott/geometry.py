@@ -490,8 +490,7 @@ def catalogue_representation(label: str, k: int | None = None) -> list:
     if label == "Gamma":
         if k is None:
             raise ValueError("Gamma needs k")
-        a, b, n = gamma_generators(k)
-        return [a, b, n]
+        return gamma_generators(k)
     data = _flat_data()
     if label not in data:
         raise ValueError(f"unknown catalogue label {label!r}")
@@ -520,8 +519,7 @@ def extension_representation(case: int, k: int) -> list:
         ]
     if case == 3:
         if k == 0:
-            g2 = catalogue_representation("G2")
-            return list(g2)
+            return catalogue_representation("G2")
         return gamma_generators(k)
     if case == 4:
         return [

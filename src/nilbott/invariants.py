@@ -10,7 +10,13 @@ from math import comb
 from .catalogue import catalogue_pc, central_words, FLAT_LABELS
 from .exact import IntMatrix, smith_normal_form, solve_fixed_lattice, rank
 from .geometry import FlatAffineMap, HeisAffineMap, catalogue_representation
-from .polycyclic import PcPresentation, collect, nf_multiply, pc_abelianization
+from .polycyclic import (
+    PcPresentation,
+    collect,
+    nf_multiply,
+    pc_abelianization,
+    relation_rows,
+)
 
 
 HOLONOMY_GUARD = 64
@@ -25,11 +31,9 @@ def holonomy(rep: list):
     if all(isinstance(m, FlatAffineMap) for m in rep):
         gens = [m.lin for m in rep]
         ident = IntMatrix.identity(rep[0].dim)
-        mul = lambda a, b: a * b
     elif all(isinstance(m, HeisAffineMap) for m in rep):
         gens = [m.aut for m in rep]
         ident = rep[0].aut * rep[0].aut.inverse()
-        mul = lambda a, b: a * b
     else:
         raise ValueError("mixed or unknown representation kind")
     closure = {ident}
@@ -38,14 +42,14 @@ def holonomy(rep: list):
         nxt = []
         for x in frontier:
             for g in gens:
-                y = mul(x, g)
+                y = x * g
                 if y not in closure:
                     closure.add(y)
                     nxt.append(y)
                     if len(closure) > HOLONOMY_GUARD:
                         raise ValueError("holonomy closure exceeded guard bound")
         frontier = nxt
-    elementary = all(mul(x, x) == ident for x in closure)
+    elementary = all(x * x == ident for x in closure)
     return len(closure), elementary, sorted(closure, key=repr)
 
 
@@ -98,12 +102,7 @@ def torus_rank(group: PcPresentation, rep: list) -> int:
 def _h1_free_projection(p: PcPresentation):
     """Map from exponent vectors onto free coordinates of the
     abelianization: returns (project, free_rank)."""
-    rows = []
-    for (_, j), w in p.positive_rules():
-        row = list(p._unit(j))
-        for t, e in enumerate(w):
-            row[t] -= e
-        rows.append(row)
+    rows = relation_rows(p)
     m = p.ngens
     if not rows:
         return (lambda v: list(v)), m

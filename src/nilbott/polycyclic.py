@@ -390,14 +390,20 @@ def verify_isomorphism(a: PcPresentation, b: PcPresentation, fwd, bwd) -> bool:
     return True
 
 
+def relation_rows(p: PcPresentation) -> list[list[int]]:
+    """The relators of p in the abelianization, one integer row per
+    positive rule x_i x_j x_i^-1 = w: the unit vector of x_j minus w."""
+    rows = []
+    for (_, j), w in p.positive_rules():
+        row = [-e for e in w]
+        row[j] += 1
+        rows.append(row)
+    return rows
+
+
 def pc_abelianization(p: PcPresentation) -> tuple[int, list[int]]:
     """(free rank, invariant factors > 1) of p's abelianization."""
-    rows = []
-    for (i, j), w in p.positive_rules():
-        row = list(p._unit(j))
-        for t, e in enumerate(w):
-            row[t] -= e
-        rows.append(row)
+    rows = relation_rows(p)
     if not rows:
         return p.ngens, []
     d, _, _ = smith_normal_form(IntMatrix(rows))

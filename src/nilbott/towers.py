@@ -285,8 +285,20 @@ def build_tower_groups(spec: TowerSpec) -> list[PcPresentation]:
 # -- classification ----------------------------------------------------------
 
 
-_KLEIN_CASES = {(1, 1): 1, (1, -1): 2, (-1, 1): 3, (-1, -1): 4}
-_TORUS_CASES = {(1, 1): 5, (1, -1): 6, (-1, -1): 7}
+#: the seven tabulated depth-3 cases: number -> (base kind, twist signs);
+#: the torus twist (-1, +1) is case 6 after swapping the base generators
+CASES = {
+    1: ("klein", (1, 1)),
+    2: ("klein", (1, -1)),
+    3: ("klein", (-1, 1)),
+    4: ("klein", (-1, -1)),
+    5: ("torus", (1, 1)),
+    6: ("torus", (1, -1)),
+    7: ("torus", (-1, -1)),
+}
+_CASE_OF = {pattern: case for case, pattern in CASES.items()}
+#: case_swap_maps carry cases 4 and 7 onto these cases
+_SWAPPED_CASE = {4: 2, 7: 6}
 
 #: finite-order H^2 cases reduce k mod 2; the torsion-free cases keep it
 TORSION_CASES = (1, 2, 4, 6, 7)
@@ -350,7 +362,7 @@ def classify_tower(spec: TowerSpec) -> ClassificationVerdict:
         )
 
     ext = groups[2]
-    case, k_eff, chain_fwd, chain_bwd = _normalize_case(base_kind_, signs, k, ext)
+    case, k_eff, chain_fwd, chain_bwd = _normalize_case(base_kind_, signs, k)
     if case in TORSION_CASES:
         r = k_eff % 2
         if r != k_eff:
@@ -385,30 +397,20 @@ def _compose_in(p: PcPresentation, first, then):
     return [nf_to_word(evaluate(p, w, then_nf)) for w in first]
 
 
-def _identity_maps(p: PcPresentation):
-    return [gen(i) for i in range(p.ngens)]
+def _normalize_case(kind: str, signs, k: int):
+    """Map the built extension into one of the five cases that
+    base_identification and reduction_maps cover.
 
-
-def _normalize_case(kind: str, signs, k: int, ext: PcPresentation):
-    """Map the built extension into one of the seven tabulated cases.
-
-    Returns (case, k, fwd_chain, bwd_chain) where the chains carry the
-    generator maps accumulated so far (identity when no renaming applies).
+    Returns (case, k, fwd, bwd) where fwd and bwd carry the generators
+    into the normalized extension and back (identity when no renaming
+    applies).
     """
-    fwd = _identity_maps(ext)
-    bwd = _identity_maps(ext)
-    if kind == "klein":
-        case = _KLEIN_CASES[signs]
-        if case == 4:
-            sw_fwd, sw_bwd = case_swap_maps(4)
-            return 2, k, compose_maps(fwd, sw_fwd), compose_maps(sw_bwd, bwd)
-        return case, k, fwd, bwd
-    if signs == (-1, 1):
+    if (kind, signs) == ("torus", (-1, 1)):
         # generator swap turns this into case 6 with the lift negated
         swap = [gen(1), gen(0), gen(2)]
-        return 6, -k, compose_maps(fwd, swap), compose_maps(swap, bwd)
-    case = _TORUS_CASES[signs]
-    if case == 7:
-        sw_fwd, sw_bwd = case_swap_maps(7)
-        return 6, k, compose_maps(fwd, sw_fwd), compose_maps(sw_bwd, bwd)
-    return case, k, fwd, bwd
+        return 6, -k, swap, swap
+    case = _CASE_OF[kind, signs]
+    if case in _SWAPPED_CASE:
+        return (_SWAPPED_CASE[case], k) + case_swap_maps(case)
+    identity = [gen(i) for i in range(3)]
+    return case, k, identity, identity

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -229,12 +230,24 @@ def test_verify_usage_errors(capsys):
         (["--suite", "all", "--maxlen", "91"],
          "error: --maxlen 91 gives up to 1021566 normal forms per entry, "
          "above the limit of 1000000\n"),
+        # the paper suite is linear in kmax; 100 is the largest accepted
+        (["--suite", "paper", "--kmax", "101"],
+         "error: --kmax 101 is above the limit of 100\n"),
+        (["--suite", "all", "--kmax", str(10**12)],
+         f"error: --kmax {10**12} is above the limit of 100\n"),
     ],
 )
 def test_verify_rejects_out_of_range_bounds(capsys, argv, message):
     # rejected before any suite runs: no traceback, no vacuous pass line
     code, out, err = run(capsys, ["verify"] + argv)
     assert (code, out, err) == (2, "", message)
+
+
+def test_verify_paper_at_kmax_limit(capsys):
+    code, out, err = run(capsys, ["verify", "--suite", "paper", "--kmax", "100"])
+    assert (code, err) == (0, "")
+    assert "FAIL" not in out
+    assert out.endswith("1633/1633 certificates passed\n")
 
 
 def test_verify_paper_small(capsys):
@@ -277,3 +290,30 @@ def test_tables_data_structure():
             assert set(col) == {
                 "phi", "case", "h2", "class_zero", "nonzero_torsion", "torsionfree"
             }
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, stdout_file, written",
+    [
+        (["tables", "--format", "both"], "tables_both.stdout",
+         {"tables.json": "tables.json", "tables.md": "tables.md"}),
+        (["verify", "--suite", "all", "--kmax", "1", "--maxlen", "2"],
+         "verify_all_kmax1_maxlen2.stdout",
+         {"verify_all.json": "verify_all_kmax1_maxlen2.json"}),
+    ],
+    ids=["tables", "verify-all"],
+)
+def test_output_matches_golden_bytes(tmp_path, capsys, monkeypatch, argv,
+                                     stdout_file, written):
+    # the tables are computed by the engine; these bytes were typed in by
+    # hand before, so any drift in a label, an H^2 value or a claim shows
+    monkeypatch.setenv("NILBOTT_OUTPUT_DIR", str(tmp_path))
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / stdout_file).read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written)
+    for name, golden in written.items():
+        assert (tmp_path / name).read_bytes() == (GOLDEN / golden).read_bytes(), name
