@@ -9,8 +9,10 @@ builder, so the identification checks have content.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .polycyclic import PcPresentation, substitute
-from .words import Word, parse_word
+from .words import Word, gen, parse_word
 
 
 FLAT_LABELS = ("T3", "G2", "B1", "B2", "B3", "B4")
@@ -26,7 +28,25 @@ def _pc(names, rules_text):
 
 
 def catalogue_pc(label: str, k: int | None = None) -> PcPresentation:
-    """Canonical polycyclic presentation of a catalogue group."""
+    """Canonical polycyclic presentation of a catalogue group.
+
+    The groups that do not depend on k are built on first use and shared;
+    Delta(k) and Gamma(k) are built on every call.
+    """
+    if label == "Delta":
+        if k is None:
+            raise ValueError("Delta needs the twisting integer k")
+        # [a, b] = c^-k with c central
+        return _pc(("a", "b", "c"), {(0, 1): f"b c^{-k}", (0, 2): "c", (1, 2): "c"})
+    if label == "Gamma":
+        if k is None or k == 0:
+            raise ValueError("Gamma needs a nonzero twisting integer k")
+        return _pc(("a", "b", "n"), {(0, 1): f"n^{k} b^-1", (0, 2): "n^-1", (1, 2): "n"})
+    return _fixed_pc(label)
+
+
+@cache
+def _fixed_pc(label: str) -> PcPresentation:
     if label == "S1":
         return _pc(("t",), {})
     if label == "T2":
@@ -49,15 +69,6 @@ def catalogue_pc(label: str, k: int | None = None) -> PcPresentation:
         return _pc(("a", "e", "t"), {(0, 1): "e^-1", (0, 2): "t^-1", (1, 2): "t^-1"})
     if label == "B4":
         return _pc(("a", "e", "t"), {(0, 1): "e^-1 t", (0, 2): "t^-1", (1, 2): "t^-1"})
-    if label == "Delta":
-        if k is None:
-            raise ValueError("Delta needs the twisting integer k")
-        # [a, b] = c^-k with c central
-        return _pc(("a", "b", "c"), {(0, 1): f"b c^{-k}", (0, 2): "c", (1, 2): "c"})
-    if label == "Gamma":
-        if k is None or k == 0:
-            raise ValueError("Gamma needs a nonzero twisting integer k")
-        return _pc(("a", "b", "n"), {(0, 1): f"n^{k} b^-1", (0, 2): "n^-1", (1, 2): "n"})
     raise ValueError(f"unknown catalogue label {label!r}")
 
 
@@ -67,7 +78,13 @@ def compose_maps(first: list[Word], then: list[Word]) -> list[Word]:
 
 
 def _w(names, *texts):
-    return [parse_word(t, names) for t in texts]
+    return list(_parsed(tuple(names), texts))
+
+
+@cache
+def _parsed(names, texts):
+    """Witness words, parsed once: every caller passes literal texts."""
+    return tuple(parse_word(t, names) for t in texts)
 
 
 #: extension generator names used by every built depth-3 group
@@ -86,14 +103,12 @@ def reduction_maps(case: int, k: int, r: int):
         raise ValueError("lift integers differ by an odd number")
     m = (k - r) // 2
     if case == 1:
-        fwd = _w(EXT, "g", f"n^{m} h", "n")
-        bwd = _w(EXT, "g", f"n^{-m} h", "n")
-    elif case in (2, 6):
-        fwd = _w(EXT, f"n^{m} g", "h", "n")
-        bwd = _w(EXT, f"n^{-m} g", "h", "n")
-    else:
-        raise ValueError(f"no reduction maps for case {case}")
-    return fwd, bwd
+        # h -> n^m h
+        return [gen(0), gen(2, m) * gen(1), gen(2)], [gen(0), gen(2, -m) * gen(1), gen(2)]
+    if case in (2, 6):
+        # g -> n^m g
+        return [gen(2, m) * gen(0), gen(1), gen(2)], [gen(2, -m) * gen(0), gen(1), gen(2)]
+    raise ValueError(f"no reduction maps for case {case}")
 
 
 def case_swap_maps(case: int):

@@ -198,6 +198,8 @@ class PcPresentation:
         return out
 
     def _power(self, v, e, lvl) -> NormalForm:
+        if e == 1:
+            return v
         if e == 0:
             return (0,) * self._m
         if self._abelian[lvl] or not any(v[lvl + 1:]):
@@ -252,14 +254,6 @@ class PcPresentation:
         for i in range(self._m):
             for j in range(i + 1, self._m):
                 yield (i, j), self._rules[(i, j, 1)]
-
-    def relators(self) -> list[Word]:
-        """Defining relators x_i x_j x_i^-1 w^-1, one per positive rule."""
-        rels = []
-        for (i, j), w in self.positive_rules():
-            lhs = gen(i) * gen(j) * gen(i, -1)
-            rels.append(lhs * nf_to_word(w).inverse())
-        return rels
 
 
 def _zero_at(v, lvl):
@@ -344,30 +338,50 @@ def substitute(w: Word, images: list[Word]) -> Word:
     return Word(out)
 
 
-def evaluate(p: PcPresentation, w: Word, images) -> NormalForm:
-    """Normal form in p of the image of the word w under g -> images[g],
-    where the images are normal forms of p: one collection per syllable."""
+def evaluate(p: PcPresentation, w, images) -> NormalForm:
+    """Normal form in p of the image of w under g -> images[g], where the
+    images are normal forms of p and w is a Word or any sequence of
+    (generator, exponent) syllables: one collection per syllable."""
     out = p.identity()
     for g, e in w:
         out = p._mult(out, p._power(images[g], e, 0))
     return out
 
 
+def _syllables(v: NormalForm):
+    """The syllables of the word x_0^{v_0} ... x_{m-1}^{v_{m-1}}."""
+    return [(g, e) for g, e in enumerate(v) if e]
+
+
 def _images_if_homomorphism(src, dst: PcPresentation, images):
-    """Normal forms of the image words in dst, or None if some relator of
-    src does not map to the identity."""
-    relators = src.relators() if isinstance(src, PcPresentation) else src.relators
+    """Normal forms of the image words in dst, or None if the map does not
+    respect some defining relation of src (von Dyck).
+
+    A PcPresentation source is checked rule by rule on normal forms: with
+    a_g the collected images, the rule x_i x_j x_i^-1 = w holds under the
+    map iff a_i a_j = W a_i, where W is the product of the a_g^(w_g) in
+    generator order.  A finite Presentation source is checked relator by
+    relator.
+    """
     if len(images) != src.ngens:
         raise PcError("need one image word per source generator")
     nfs = [collect(dst, w) for w in images]
-    for r in relators:
+    if isinstance(src, PcPresentation):
+        for (i, j), w in src.positive_rules():
+            a_i = nfs[i]
+            rhs = evaluate(dst, _syllables(w), nfs)
+            if dst._mult(a_i, nfs[j]) != dst._mult(rhs, a_i):
+                return None
+        return nfs
+    for r in src.relators:
         if evaluate(dst, r, nfs) != dst.identity():
             return None
     return nfs
 
 
 def verify_homomorphism(src, dst: PcPresentation, images) -> bool:
-    """True iff every relator of src collects to the identity in dst.
+    """True iff the generator map src -> dst respects every defining
+    relation of src.
 
     src may be a finite Presentation (words module) or a PcPresentation;
     images are words over dst's generators, one per src generator.
@@ -385,7 +399,7 @@ def verify_isomorphism(a: PcPresentation, b: PcPresentation, fwd, bwd) -> bool:
         return False
     for p, there, back in ((a, fwd_nf, bwd_nf), (b, bwd_nf, fwd_nf)):
         for i, v in enumerate(there):
-            if evaluate(p, nf_to_word(v), back) != p._unit(i):
+            if evaluate(p, _syllables(v), back) != p._unit(i):
                 return False
     return True
 

@@ -4,7 +4,9 @@ specifications and their classification against the catalogue.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import cache
 
 from .catalogue import (
     base_identification,
@@ -170,6 +172,24 @@ def parse_signs(items, names, where: str = "") -> tuple[int, ...]:
     return tuple(signs[n] for n in names)
 
 
+#: an integer as the spec format writes it: ASCII digits with an optional sign
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _check_base_tag(dim: int, tag: str, stages):
+    """A base= tag must name the group the stage is built over: S1 at
+    stage 2, and at stage 3 the Klein bottle or torus that stage 2's
+    twist gives.  Deeper stages take no tag."""
+    if dim == 2:
+        expected = "S1"
+    elif dim == 3:
+        expected = "K" if stages[1].phi == (-1,) else "T2"
+    else:
+        raise ValueError(f"stage {dim}: takes no base= (only stages 2 and 3 do)")
+    if tag != expected:
+        raise ValueError(f"stage {dim}: base= must be {expected}, got {tag!r}")
+
+
 def parse_tower_spec(text: str) -> TowerSpec:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0] != HEADER:
@@ -179,10 +199,9 @@ def parse_tower_spec(text: str) -> TowerSpec:
         if not ln.startswith("stage "):
             raise ValueError(f"bad stage line {ln!r}")
         head, _, rest = ln[len("stage "):].partition(":")
-        try:
-            dim = int(head)
-        except ValueError:
-            raise ValueError(f"stage number must be an integer, got {head!r}") from None
+        if not _DECIMAL.fullmatch(head.strip()):
+            raise ValueError(f"stage number must be an integer, got {head!r}")
+        dim = int(head)
         if dim != len(stages) + 1:
             raise ValueError("stages must have dimensions 1, 2, ... in order")
         rest = rest.strip()
@@ -208,14 +227,14 @@ def parse_tower_spec(text: str) -> TowerSpec:
                 items = [item.partition(":")[::2] for item in val[1:-1].split(",")]
                 phi = parse_signs(items, tower_names(dim - 1), f"stage {dim}: ")
             elif key == "k":
-                try:
-                    lifts = tuple(int(x) for x in val.split(","))
-                except ValueError:
-                    raise ValueError(
-                        f"stage {dim}: k= must be integers, got {val!r}"
-                    ) from None
+                texts = val.split(",")
+                if not all(_DECIMAL.fullmatch(x) for x in texts):
+                    raise ValueError(f"stage {dim}: k= must be integers, got {val!r}")
+                lifts = tuple(int(x) for x in texts)
             else:
                 raise ValueError(f"stage {dim}: unknown field {key!r}")
+        if base_tag is not None:
+            _check_base_tag(dim, base_tag, stages)
         if phi is None:
             raise ValueError(f"stage {dim} needs phi=")
         need = (dim - 1) * (dim - 2) // 2  # one lift per conjugation rule
@@ -272,14 +291,27 @@ def build_tower_groups(spec: TowerSpec) -> list[PcPresentation]:
     """Fundamental group of every stage, bottom up, with generators named
     by tower_names."""
     _validate_dims(spec)
-    groups = [cyclic_pc("g")]
-    for stage in spec.stages[1:]:
+    stages = spec.stages[1:]
+    if stages and not stages[0].lifts:
+        groups = list(_low_stages(tuple(stages[0].phi)))
+        stages = stages[1:]
+    else:
+        groups = [cyclic_pc("g")]
+    for stage in stages:
         groups.append(
             build_extension(
                 groups[-1], stage.phi, stage.lifts, tower_names(stage.dim)[-1]
             )
         )
     return groups
+
+
+@cache
+def _low_stages(phi) -> tuple[PcPresentation, PcPresentation]:
+    """The stage-1 and stage-2 groups, built once per stage-2 twist (the
+    Klein bottle or the torus) and shared."""
+    circle = cyclic_pc("g")
+    return circle, build_extension(circle, phi, (), tower_names(2)[-1])
 
 
 # -- classification ----------------------------------------------------------
@@ -326,6 +358,7 @@ class ClassificationVerdict:
         }
 
 
+@cache
 def _base_presentation(kind: str) -> Presentation:
     return klein_presentation() if kind == "klein" else torus_presentation()
 

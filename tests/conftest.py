@@ -3,8 +3,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from nilbott.polycyclic import PcPresentation, collect, evaluate, nf_to_word
 from nilbott.towers import base_pc, build_extension
-from nilbott.words import Presentation, klein_presentation, parse_word, torus_presentation
+from nilbott.words import Presentation, gen, klein_presentation, parse_word, torus_presentation
 
 CASE_DATA = {
     1: ("klein", (1, 1)),
@@ -15,6 +16,24 @@ CASE_DATA = {
     6: ("torus", (1, -1)),
     7: ("torus", (-1, -1)),
 }
+
+#: the eight (base, signs) patterns of a depth-3 tower
+PATTERNS = [(base, (s, t)) for base in ("K", "T2") for s in (1, -1) for t in (1, -1)]
+
+DEPTH4 = """nilbott-tower v1
+stage 1: S1
+stage 2: phi={g:-1}
+stage 3: phi={g:-1,h:-1} k=3
+stage 4: phi={g:-1,h:-1,n:+1} k=1,0,0
+"""
+
+# g is central and <h, n, m> is a Heisenberg group
+CENTRAL4 = """nilbott-tower v1
+stage 1: S1
+stage 2: phi={g:+1}
+stage 3: phi={g:+1,h:+1} k=0
+stage 4: phi={g:+1,h:+1,n:+1} k=0,0,1
+"""
 
 
 def base_presentation(case):
@@ -62,3 +81,38 @@ def commutator_fiber_index(p):
         if p.rule(i, fiber) != p._unit(fiber):
             return "index-2"
     return "trivial"
+
+
+def relators(p):
+    """Defining relators x_i x_j x_i^-1 w^-1 of a pc presentation, one per
+    positive rule."""
+    rels = []
+    for (i, j), w in p.positive_rules():
+        lhs = gen(i) * gen(j) * gen(i, -1)
+        rels.append(lhs * nf_to_word(w).inverse())
+    return rels
+
+
+def relator_images_if_homomorphism(src, dst, images):
+    """The relator-word homomorphism check: collected images, or None if
+    some relator of src does not map to the identity of dst."""
+    rels = relators(src) if isinstance(src, PcPresentation) else src.relators
+    nfs = [collect(dst, w) for w in images]
+    for r in rels:
+        if evaluate(dst, r, nfs) != dst.identity():
+            return None
+    return nfs
+
+
+def relator_verify_isomorphism(a, b, fwd, bwd):
+    """Both maps homomorphisms by relator words, and both round trips the
+    identity on generators, through nf_to_word."""
+    fwd_nf = relator_images_if_homomorphism(a, b, fwd)
+    bwd_nf = relator_images_if_homomorphism(b, a, bwd)
+    if fwd_nf is None or bwd_nf is None:
+        return False
+    for p, there, back in ((a, fwd_nf, bwd_nf), (b, bwd_nf, fwd_nf)):
+        for i, v in enumerate(there):
+            if evaluate(p, nf_to_word(v), back) != p._unit(i):
+                return False
+    return True

@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from nilbott.catalogue import catalogue_pc
 from nilbott.cli import main, tables_data
+from nilbott.polycyclic import nf_multiply
+from nilbott.towers import TowerSpec, classify_tower
 
 
 TOWER_TEXT = (
@@ -129,6 +132,53 @@ MALFORMED_SPECS = [
         "nilbott-tower v1\nstage x: S1\n",
         "error: bad tower spec: stage number must be an integer, got 'x'",
         id="stage-not-integer",
+    ),
+    pytest.param(
+        "nilbott-tower v1\nstage 1: S1\nstage 2: base=K phi={g:-1}\n"
+        "stage 3: base=T2 phi={g:-1,h:+1} k=3\n",
+        "error: bad tower spec: stage 2: base= must be S1, got 'K'",
+        id="base-at-stage-2",
+    ),
+    pytest.param(
+        SPEC_HEAD + "stage 3: base=T2 phi={g:-1,h:+1} k=3\n",
+        "error: bad tower spec: stage 3: base= must be K, got 'T2'",
+        id="base-torus-over-klein",
+    ),
+    pytest.param(
+        "nilbott-tower v1\nstage 1: S1\nstage 2: base=S1 phi={g:+1}\n"
+        "stage 3: base=K phi={g:+1,h:+1} k=0\n",
+        "error: bad tower spec: stage 3: base= must be T2, got 'K'",
+        id="base-klein-over-torus",
+    ),
+    pytest.param(
+        SPEC_HEAD + "stage 3: base= phi={g:-1,h:+1} k=3\n",
+        "error: bad tower spec: stage 3: base= must be K, got ''",
+        id="base-empty",
+    ),
+    pytest.param(
+        GAMMA_1 + "stage 4: base=G phi={g:+1,h:+1,n:+1} k=0,0,0\n",
+        "error: bad tower spec: stage 4: takes no base= (only stages 2 and 3 do)",
+        id="base-at-stage-4",
+    ),
+    pytest.param(
+        SPEC_HEAD + "stage 3: base=K phi={g:-1,h:+1} k=1_000\n",
+        "error: bad tower spec: stage 3: k= must be integers, got '1_000'",
+        id="k-underscore",
+    ),
+    pytest.param(
+        SPEC_HEAD + "stage 3: base=K phi={g:-1,h:+1} k=\u0661\n",
+        "error: bad tower spec: stage 3: k= must be integers, got '\u0661'",
+        id="k-non-ascii-digit",
+    ),
+    pytest.param(
+        "nilbott-tower v1\nstage \u0661: S1\n",
+        "error: bad tower spec: stage number must be an integer, got '\u0661'",
+        id="stage-non-ascii-digit",
+    ),
+    pytest.param(
+        "nilbott-tower v1\nstage 0_1: S1\n",
+        "error: bad tower spec: stage number must be an integer, got '0_1'",
+        id="stage-underscore",
     ),
     pytest.param(
         GAMMA_1 + "stage 4: phi={g:+1,h:+1,n:-1} k=0,0,0\n",
@@ -295,25 +345,51 @@ def test_tables_data_structure():
 GOLDEN = Path(__file__).parent / "golden"
 
 
+GOLDEN_RUNS = [
+    (["tables", "--format", "both"], "tables_both.stdout",
+     {"tables.json": "tables.json", "tables.md": "tables.md"}),
+    (["verify", "--suite", "all", "--kmax", "1", "--maxlen", "2"],
+     "verify_all_kmax1_maxlen2.stdout",
+     {"verify_all.json": "verify_all_kmax1_maxlen2.json"}),
+]
+
+
+def _assert_golden(outdir, capsys, monkeypatch, argv, stdout_file, written):
+    monkeypatch.setenv("NILBOTT_OUTPUT_DIR", str(outdir))
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / stdout_file).read_text()
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(written)
+    for name, golden in written.items():
+        assert (outdir / name).read_bytes() == (GOLDEN / golden).read_bytes(), name
+
+
 @pytest.mark.parametrize(
-    "argv, stdout_file, written",
-    [
-        (["tables", "--format", "both"], "tables_both.stdout",
-         {"tables.json": "tables.json", "tables.md": "tables.md"}),
-        (["verify", "--suite", "all", "--kmax", "1", "--maxlen", "2"],
-         "verify_all_kmax1_maxlen2.stdout",
-         {"verify_all.json": "verify_all_kmax1_maxlen2.json"}),
-    ],
-    ids=["tables", "verify-all"],
+    "argv, stdout_file, written", GOLDEN_RUNS, ids=["tables", "verify-all"]
 )
 def test_output_matches_golden_bytes(tmp_path, capsys, monkeypatch, argv,
                                      stdout_file, written):
     # the tables are computed by the engine; these bytes were typed in by
     # hand before, so any drift in a label, an H^2 value or a claim shows
-    monkeypatch.setenv("NILBOTT_OUTPUT_DIR", str(tmp_path))
-    code, out, err = run(capsys, argv)
-    assert (code, err) == (0, "")
-    assert out == (GOLDEN / stdout_file).read_text()
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written)
-    for name, golden in written.items():
-        assert (tmp_path / name).read_bytes() == (GOLDEN / golden).read_bytes(), name
+    _assert_golden(tmp_path, capsys, monkeypatch, argv, stdout_file, written)
+
+
+def test_shared_groups_carry_no_state(tmp_path, capsys, monkeypatch):
+    # the k-free catalogue groups are built once and shared; work at huge
+    # exponents fills their caches of squared conjugation actions, which
+    # must not change any later answer
+    assert catalogue_pc("B1") is catalogue_pc("B1")
+    for base in ("K", "T2"):
+        for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            for k in (10**30, -(10**30)):
+                classify_tower(TowerSpec.depth3(base, signs, k))
+    huge = 10**30
+    for label in ("K", "G2", "B1", "B2", "B3", "B4"):
+        p = catalogue_pc(label)
+        for sign in (1, -1):
+            nf_multiply(p, (huge,) * p.ngens, (sign * huge,) * p.ngens)
+        assert len(p._squares[(0, 1)]) > 90 and len(p._squares[(0, -1)]) > 90
+    for n, (argv, stdout_file, written) in enumerate(GOLDEN_RUNS):
+        outdir = tmp_path / str(n)
+        outdir.mkdir()
+        _assert_golden(outdir, capsys, monkeypatch, argv, stdout_file, written)

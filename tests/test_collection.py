@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linear_collector as oracle
+from conftest import CENTRAL4, DEPTH4, PATTERNS
 from nilbott.catalogue import catalogue_pc
 from nilbott.polycyclic import (
     PcPresentation,
@@ -22,27 +23,12 @@ from nilbott.towers import TowerSpec, build_tower_groups, classify_tower, parse_
 from nilbott.words import parse_word
 
 
-DEPTH4 = """nilbott-tower v1
-stage 1: S1
-stage 2: phi={g:-1}
-stage 3: phi={g:-1,h:-1} k=3
-stage 4: phi={g:-1,h:-1,n:+1} k=1,0,0
-"""
-
 DEPTH5 = """nilbott-tower v1
 stage 1: S1
 stage 2: phi={g:-1}
 stage 3: phi={g:-1,h:-1} k=0
 stage 4: phi={g:-1,h:+1,n:-1} k=0,1,2
 stage 5: phi={g:-1,h:+1,n:-1,m:+1} k=2,2,2,2,0,0
-"""
-
-# g is central and <h, n, m> is a Heisenberg group
-CENTRAL4 = """nilbott-tower v1
-stage 1: S1
-stage 2: phi={g:+1}
-stage 3: phi={g:+1,h:+1} k=0
-stage 4: phi={g:+1,h:+1,n:+1} k=0,0,1
 """
 
 
@@ -135,7 +121,6 @@ def _expected(base, signs, k):
     return f"Delta({-k})", "infinite"
 
 
-PATTERNS = [(base, (s, t)) for base in ("K", "T2") for s in (1, -1) for t in (1, -1)]
 HUGE = 10**30
 
 

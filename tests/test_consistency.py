@@ -3,6 +3,7 @@
 import random
 
 import signed_triples as oracle
+from conftest import PATTERNS
 from nilbott.polycyclic import PcPresentation, consistency_check
 from nilbott.towers import ExtensionError, Stage, TowerSpec, build_tower_groups
 from nilbott.words import Word, gen
@@ -34,7 +35,6 @@ def test_verdicts_match_oracle_on_random_presentations():
     assert 40 < sum(verdicts) < 160
 
 
-PATTERNS = [(base, (s, t)) for base in ("K", "T2") for s in (1, -1) for t in (1, -1)]
 
 
 def _deep_tower(rng, depth):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import case_extension, commutator_fiber_index
+from conftest import case_extension, commutator_fiber_index, relators
 
 from nilbott.catalogue import catalogue_pc, central_words
 from nilbott.exact import IntMatrix, smith_normal_form
@@ -183,7 +183,7 @@ def test_gamma_h1_two_routes():
     for k in (-4, -1, 1, 2, 5):
         p = catalogue_pc("Gamma", k)
         via_rules = pc_abelianization(p)
-        via_words = word_abelianization(Presentation(p.names, p.relators()))
+        via_words = word_abelianization(Presentation(p.names, relators(p)))
         assert via_rules == (via_words[0], via_words[1])
         assert via_rules[0] == 1
 
