@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .polycyclic import PcPresentation, substitute
+from .polycyclic import PcPresentation
 from .words import Word, gen, parse_word
 
 
@@ -70,11 +70,6 @@ def _fixed_pc(label: str) -> PcPresentation:
     if label == "B4":
         return _pc(("a", "e", "t"), {(0, 1): "e^-1 t", (0, 2): "t^-1", (1, 2): "t^-1"})
     raise ValueError(f"unknown catalogue label {label!r}")
-
-
-def compose_maps(first: list[Word], then: list[Word]) -> list[Word]:
-    """Generator images of the composite map: apply `first`, then `then`."""
-    return [substitute(w, then) for w in first]
 
 
 def _w(names, *texts):

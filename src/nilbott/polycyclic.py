@@ -182,25 +182,31 @@ class PcPresentation:
         t, b = abs(t), 0
         while t:
             if b == len(squares):
-                squares.append([self._act(squares[-1], w, i) for w in squares[-1]])
+                squares.append([self._act(squares[-1], w, i + 1) for w in squares[-1]])
             if t & 1:
-                v = self._act(squares[b], v, i)
+                v = self._act(squares[b], v, i + 1)
             t >>= 1
             b += 1
         return v
 
-    def _act(self, images, v, i) -> NormalForm:
-        """Image of v under the automorphism sending x_j to images[j-i-1]."""
+    def _act(self, images, v, lvl) -> NormalForm:
+        """The product of the images[j - lvl]^(v_j), j = lvl, lvl + 1, ...,
+        collected at level lvl: the image of v under the map sending x_j to
+        images[j - lvl].  v may be a normal form of another group."""
         out = (0,) * self._m
-        for j in range(i + 1, self._m):
+        for j in range(lvl, len(v)):
             if v[j]:
-                out = self._mult(out, self._power(images[j - i - 1], v[j], j), i + 1)
+                out = self._mult(out, self._power(images[j - lvl], v[j], lvl), lvl)
         return out
 
-    def _power(self, v, e, lvl) -> NormalForm:
+    def _power(self, v, e, lvl=0) -> NormalForm:
+        """v^e for v supported on indices >= lvl, collected from the first
+        nonzero entry of v."""
         if e == 1:
             return v
-        if e == 0:
+        while lvl < self._m and not v[lvl]:
+            lvl += 1
+        if e == 0 or lvl == self._m:
             return (0,) * self._m
         if self._abelian[lvl] or not any(v[lvl + 1:]):
             return tuple(x * e for x in v)
@@ -269,19 +275,28 @@ def collect(p: PcPresentation, w: Word) -> NormalForm:
     return p._collect_from(w, 0)
 
 
+def _normal_form(p: PcPresentation, v) -> NormalForm:
+    """v as a normal form of p: ValueError unless it is p.ngens ints."""
+    if len(v) != p.ngens or not all(type(x) is int for x in v):
+        raise ValueError(f"a normal form of {p!r} is {p.ngens} integers, got {v!r}")
+    return tuple(v)
+
+
 def nf_multiply(p: PcPresentation, a: NormalForm, b: NormalForm) -> NormalForm:
     p.require_consistent()
-    return p._mult(a, b)
+    return p._mult(_normal_form(p, a), _normal_form(p, b))
 
 
 def nf_invert(p: PcPresentation, a: NormalForm) -> NormalForm:
     p.require_consistent()
-    return p._invert(a)
+    return p._invert(_normal_form(p, a))
 
 
 def nf_power(p: PcPresentation, a: NormalForm, e: int) -> NormalForm:
     p.require_consistent()
-    return p._power(a, e, 0)
+    if type(e) is not int:
+        raise ValueError(f"exponent must be an integer, got {e!r}")
+    return p._power(_normal_form(p, a), e)
 
 
 def consistency_check(p: PcPresentation) -> ConsistencyResult:
@@ -296,112 +311,86 @@ def consistency_check(p: PcPresentation) -> ConsistencyResult:
     so it suffices that phi_i respects each rule x_j x_k x_j^-1 = w_jk of
     H_i (an onto endomorphism of a polycyclic group is an automorphism);
     the derived inverse rules are then its inverse and need no check.
-    Levels are checked from the top, each in arithmetic already sound.
+    Levels are checked from the top, each in arithmetic already sound, by
+    the rule loop that also checks generator maps; a broken rule is
+    reported as phi_i(x_j x_k x_j^-1) vs phi_i(w_jk).
     """
     if p._defects:
         i, j, msg = p._defects[0]
         return ConsistencyResult(False, (gen(i), gen(j), gen(i, -1)), msg)
-    m = p.ngens
-    for i in range(m - 2, -1, -1):
+    for i in range(p.ngens - 2, -1, -1):
         if p._central[i]:
             continue
         images = p._squares[(i, 1)][0]
-        for j in range(i + 1, m):
+        broken = _broken_rule(p, p, images, i + 1)
+        if broken is not None:
+            j, k = broken
             a = images[j - i - 1]
-            a_inv = p._invert(a, i + 1)
-            for k in range(j + 1, m):
-                lhs = p._mult(p._mult(a, images[k - i - 1], i + 1), a_inv, i + 1)
-                rhs = p._act(images, p.rule(j, k), i)
-                if lhs != rhs:
-                    return ConsistencyResult(
-                        False,
-                        (gen(i), gen(j), gen(k)),
-                        f"conjugation by {p.names[i]} does not respect "
-                        f"{p.rule_str(j, k)}: {p.nf_str(lhs)} vs {p.nf_str(rhs)}",
-                    )
+            lhs = p._mult(p._mult(a, images[k - i - 1], i + 1), p._invert(a, i + 1), i + 1)
+            rhs = p._act(images, p.rule(j, k), i + 1)
+            return ConsistencyResult(
+                False,
+                (gen(i), gen(j), gen(k)),
+                f"conjugation by {p.names[i]} does not respect "
+                f"{p.rule_str(j, k)}: {p.nf_str(lhs)} vs {p.nf_str(rhs)}",
+            )
     return ConsistencyResult(True)
 
 
-def substitute(w: Word, images: list[Word]) -> Word:
-    """Apply the generator substitution g_i -> images[i] to w.  A syllable
-    whose image is one syllable scales that syllable's exponent; any other
-    image is repeated, and the whole word is reduced once."""
-    out = []
-    for g, e in w:
-        if g >= len(images):
-            raise PcError(f"no image for generator index {g}")
-        img = images[g].syllables
-        if len(img) == 1:
-            out.append((img[0][0], img[0][1] * e))
-        else:
-            out.extend((img if e > 0 else images[g].inverse().syllables) * abs(e))
-    return Word(out)
+def _broken_rule(src: PcPresentation, dst: PcPresentation, images, lvl):
+    """The first rule x_j x_k x_j^-1 = w of src with lvl <= j < k that the
+    generator map x_j -> a_j = images[j - lvl] into dst does not respect,
+    as (j, k), or None (von Dyck).  The rule holds iff a_j a_k = W a_j,
+    where W is the product of the a_g^(w_g) in generator order; every
+    product is collected at level lvl of dst.
+    """
+    for j in range(lvl, src.ngens):
+        a = images[j - lvl]
+        for k in range(j + 1, src.ngens):
+            lhs = dst._mult(a, images[k - lvl], lvl)
+            if lhs != dst._mult(dst._act(images, src.rule(j, k), lvl), a, lvl):
+                return j, k
+    return None
 
 
-def evaluate(p: PcPresentation, w, images) -> NormalForm:
-    """Normal form in p of the image of w under g -> images[g], where the
-    images are normal forms of p and w is a Word or any sequence of
-    (generator, exponent) syllables: one collection per syllable."""
+def evaluate(p: PcPresentation, w: Word, images) -> NormalForm:
+    """Normal form in p of the image of the word w under g -> images[g],
+    where the images are normal forms of p: one collected power per
+    syllable."""
     out = p.identity()
     for g, e in w:
-        out = p._mult(out, p._power(images[g], e, 0))
+        out = p._mult(out, p._power(images[g], e))
     return out
 
 
-def _syllables(v: NormalForm):
-    """The syllables of the word x_0^{v_0} ... x_{m-1}^{v_{m-1}}."""
-    return [(g, e) for g, e in enumerate(v) if e]
-
-
-def _images_if_homomorphism(src, dst: PcPresentation, images):
-    """Normal forms of the image words in dst, or None if the map does not
-    respect some defining relation of src (von Dyck).
-
-    A PcPresentation source is checked rule by rule on normal forms: with
-    a_g the collected images, the rule x_i x_j x_i^-1 = w holds under the
-    map iff a_i a_j = W a_i, where W is the product of the a_g^(w_g) in
-    generator order.  A finite Presentation source is checked relator by
-    relator.
-    """
+def _pc_map(src, dst: PcPresentation, images) -> list[NormalForm]:
+    """The images of a generator map src -> dst, checked to be one normal
+    form of dst per generator of the pc group src."""
+    if not isinstance(src, PcPresentation):
+        raise TypeError(f"the source of a generator map must be a PcPresentation, got {src!r}")
     if len(images) != src.ngens:
-        raise PcError("need one image word per source generator")
-    nfs = [collect(dst, w) for w in images]
-    if isinstance(src, PcPresentation):
-        for (i, j), w in src.positive_rules():
-            a_i = nfs[i]
-            rhs = evaluate(dst, _syllables(w), nfs)
-            if dst._mult(a_i, nfs[j]) != dst._mult(rhs, a_i):
-                return None
-        return nfs
-    for r in src.relators:
-        if evaluate(dst, r, nfs) != dst.identity():
-            return None
-    return nfs
+        raise ValueError(f"need one image per generator of {src!r}, got {len(images)}")
+    dst.require_consistent()
+    return [_normal_form(dst, v) for v in images]
 
 
-def verify_homomorphism(src, dst: PcPresentation, images) -> bool:
-    """True iff the generator map src -> dst respects every defining
-    relation of src.
-
-    src may be a finite Presentation (words module) or a PcPresentation;
-    images are words over dst's generators, one per src generator.
-    """
-    return _images_if_homomorphism(src, dst, images) is not None
+def verify_homomorphism(src: PcPresentation, dst: PcPresentation, images) -> bool:
+    """True iff the generator map src -> dst respects every defining rule
+    of src; images are normal forms of dst, one per src generator."""
+    return _broken_rule(src, dst, _pc_map(src, dst, images), 0) is None
 
 
 def verify_isomorphism(a: PcPresentation, b: PcPresentation, fwd, bwd) -> bool:
-    """Check fwd: a -> b and bwd: b -> a are mutually inverse isomorphisms."""
-    fwd_nf = _images_if_homomorphism(a, b, fwd)
-    if fwd_nf is None:
+    """Check fwd: a -> b and bwd: b -> a, given as normal forms of the
+    generator images, are mutually inverse isomorphisms."""
+    fwd, bwd = _pc_map(a, b, fwd), _pc_map(b, a, bwd)
+    if _broken_rule(a, b, fwd, 0) is not None or _broken_rule(b, a, bwd, 0) is not None:
         return False
-    bwd_nf = _images_if_homomorphism(b, a, bwd)
-    if bwd_nf is None:
-        return False
-    for p, there, back in ((a, fwd_nf, bwd_nf), (b, bwd_nf, fwd_nf)):
-        for i, v in enumerate(there):
-            if evaluate(p, _syllables(v), back) != p._unit(i):
-                return False
-    return True
+    return all(
+        p._act(back, v, 0) == p._unit(i)
+        for p, there, back in ((a, fwd, bwd), (b, bwd, fwd))
+        for i, v in enumerate(there)
+    )
 
 
 def relation_rows(p: PcPresentation) -> list[list[int]]:

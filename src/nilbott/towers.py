@@ -8,12 +8,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cache
 
-from .catalogue import (
-    base_identification,
-    case_swap_maps,
-    compose_maps,
-    reduction_maps,
-)
+from .catalogue import base_identification, case_swap_maps, reduction_maps
 from .cohomology import class_order, restriction_nonzero
 from .polycyclic import (
     PcPresentation,
@@ -30,7 +25,6 @@ from .words import (
     gen,
     klein_presentation,
     torus_presentation,
-    word_str,
 )
 
 
@@ -396,16 +390,13 @@ def classify_tower(spec: TowerSpec) -> ClassificationVerdict:
 
     ext = groups[2]
     case, k_eff, chain_fwd, chain_bwd = _normalize_case(base_kind_, signs, k)
-    if case in TORSION_CASES:
-        r = k_eff % 2
-        if r != k_eff:
-            red_fwd, red_bwd = reduction_maps(case, k_eff, r)
-            chain_fwd = compose_maps(chain_fwd, red_fwd)
-            chain_bwd = compose_maps(red_bwd, chain_bwd)
-            k_eff = r
+    if case in TORSION_CASES and k_eff % 2 != k_eff:
+        red_fwd, red_bwd = reduction_maps(case, k_eff, k_eff % 2)
+        chain_fwd, chain_bwd = chain_fwd + [red_fwd], [red_bwd] + chain_bwd
+        k_eff %= 2
     label, target, id_fwd, id_bwd = base_identification(case, k_eff)
-    fwd = _compose_in(target, chain_fwd, id_fwd)
-    bwd = _compose_in(ext, id_bwd, chain_bwd)
+    fwd = _fold(target, chain_fwd + [id_fwd])
+    bwd = _fold(ext, [id_bwd] + chain_bwd)
     if not verify_isomorphism(ext, target, fwd, bwd):
         raise VerificationError(f"witness maps for {label} failed verification")
     return ClassificationVerdict(
@@ -413,37 +404,37 @@ def classify_tower(spec: TowerSpec) -> ClassificationVerdict:
         type="finite" if finite else "infinite",
         case=case,
         k=k,
-        witness_fwd={
-            name: word_str(w, target.names) for name, w in zip(ext.names, fwd)
-        },
-        witness_bwd={
-            name: word_str(w, ext.names) for name, w in zip(target.names, bwd)
-        },
+        witness_fwd={name: target.nf_str(v) for name, v in zip(ext.names, fwd)},
+        witness_bwd={name: ext.nf_str(v) for name, v in zip(target.names, bwd)},
         target=label.split("(")[0],
     )
 
 
-def _compose_in(p: PcPresentation, first, then):
-    """compose_maps(first, then) with the images collected in p, the group
-    `then` maps into: each image comes out as a normal-form word."""
-    then_nf = [collect(p, w) for w in then]
-    return [nf_to_word(evaluate(p, w, then_nf)) for w in first]
+def _fold(p: PcPresentation, maps):
+    """Normal forms in p of the generator images of the composite of maps,
+    applied first to last; each map is a list of words, one per generator,
+    and the last map's words are over p's generators."""
+    *earlier, last = maps
+    images = [collect(p, w) for w in last]
+    for step in reversed(earlier):
+        images = [evaluate(p, w, images) for w in step]
+    return images
 
 
 def _normalize_case(kind: str, signs, k: int):
     """Map the built extension into one of the five cases that
     base_identification and reduction_maps cover.
 
-    Returns (case, k, fwd, bwd) where fwd and bwd carry the generators
-    into the normalized extension and back (identity when no renaming
-    applies).
+    Returns (case, k, fwd, bwd) where fwd and bwd are the chains of
+    generator maps that carry the generators into the normalized extension
+    and back: one map, or none when no renaming applies.
     """
     if (kind, signs) == ("torus", (-1, 1)):
         # generator swap turns this into case 6 with the lift negated
         swap = [gen(1), gen(0), gen(2)]
-        return 6, -k, swap, swap
+        return 6, -k, [swap], [swap]
     case = _CASE_OF[kind, signs]
     if case in _SWAPPED_CASE:
-        return (_SWAPPED_CASE[case], k) + case_swap_maps(case)
-    identity = [gen(i) for i in range(3)]
-    return case, k, identity, identity
+        fwd, bwd = case_swap_maps(case)
+        return _SWAPPED_CASE[case], k, [fwd], [bwd]
+    return case, k, [], []

@@ -1,11 +1,19 @@
+import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from nilbott.polycyclic import PcPresentation, collect, evaluate, nf_to_word
-from nilbott.towers import base_pc, build_extension
-from nilbott.words import Presentation, gen, klein_presentation, parse_word, torus_presentation
+from nilbott.polycyclic import PcError, PcPresentation, collect, evaluate, nf_to_word
+from nilbott.towers import (
+    ExtensionError,
+    TowerSpec,
+    base_pc,
+    build_extension,
+    classify_tower,
+    parse_tower_spec,
+)
+from nilbott.words import Presentation, Word, gen, klein_presentation, parse_word, torus_presentation
 
 CASE_DATA = {
     1: ("klein", (1, 1)),
@@ -34,6 +42,71 @@ stage 2: phi={g:+1}
 stage 3: phi={g:+1,h:+1} k=0
 stage 4: phi={g:+1,h:+1,n:+1} k=0,0,1
 """
+
+#: twisting integers of the pinned classify certificates
+GOLDEN_KS = (0, 1, -1, 11, -11, 2**64 + 1, -(2**64 + 1), 10**30, -(10**30))
+
+#: deep towers whose lifts are not a cocycle, rejected at different levels
+REJECTED_SPECS = (
+    """nilbott-tower v1
+stage 1: S1
+stage 2: phi={g:+1}
+stage 3: phi={g:+1,h:-1} k=-1
+stage 4: phi={g:+1,h:+1,n:+1} k=-1,-1,-1
+""",
+    """nilbott-tower v1
+stage 1: S1
+stage 2: phi={g:-1}
+stage 3: phi={g:+1,h:+1} k=0
+stage 4: phi={g:+1,h:-1,n:-1} k=1,2,100000000000000000001
+""",
+    """nilbott-tower v1
+stage 1: S1
+stage 2: phi={g:-1}
+stage 3: phi={g:+1,h:-1} k=-1
+stage 4: phi={g:+1,h:+1,n:+1} k=0,1,-1
+stage 5: phi={g:-1,h:+1,n:+1,m:+1} k=3,-1,1,0,-1,1
+""",
+    """nilbott-tower v1
+stage 1: S1
+stage 2: phi={g:-1}
+stage 3: phi={g:-1,h:+1} k=3
+stage 4: phi={g:+1,h:+1,n:+1} k=3,-2,2
+stage 5: phi={g:+1,h:+1,n:-1,m:-1} k=3,0,-1,1,0,0
+""",
+    """nilbott-tower v1
+stage 1: S1
+stage 2: phi={g:-1}
+stage 3: phi={g:-1,h:-1} k=100000000000000000001
+stage 4: phi={g:-1,h:-1,n:+1} k=100000000000000000001,1,0
+stage 5: phi={g:+1,h:-1,n:+1,m:+1} k=2,2,1,100000000000000000001,100000000000000000001,-2
+""",
+)
+
+
+def classify_witnesses_text():
+    """The JSON text pinned in golden/classify_witnesses.json: the
+    classify_tower certificate of every sign pattern at each of GOLDEN_KS,
+    and the ExtensionError message of each of REJECTED_SPECS."""
+    verdicts = [
+        {
+            "base": base,
+            "signs": list(signs),
+            "k": k,
+            "verdict": classify_tower(TowerSpec.depth3(base, signs, k)).to_dict(),
+        }
+        for base, signs in PATTERNS
+        for k in GOLDEN_KS
+    ]
+    rejected = []
+    for text in REJECTED_SPECS:
+        try:
+            classify_tower(parse_tower_spec(text))
+        except ExtensionError as exc:
+            rejected.append({"spec": text, "error": str(exc)})
+        else:
+            raise AssertionError(f"not rejected:\n{text}")
+    return json.dumps({"classify": verdicts, "rejected": rejected}, indent=1) + "\n"
 
 
 def base_presentation(case):
@@ -93,6 +166,12 @@ def relators(p):
     return rels
 
 
+def collected(p, words):
+    """The normal forms in p of a list of words: a generator map's images
+    as verify_homomorphism and verify_isomorphism take them."""
+    return [collect(p, w) for w in words]
+
+
 def relator_images_if_homomorphism(src, dst, images):
     """The relator-word homomorphism check: collected images, or None if
     some relator of src does not map to the identity of dst."""
@@ -116,3 +195,25 @@ def relator_verify_isomorphism(a, b, fwd, bwd):
             if evaluate(p, nf_to_word(v), back) != p._unit(i):
                 return False
     return True
+
+
+def substitute(w, images):
+    """Apply the generator substitution g_i -> images[i] to the word w.  A
+    syllable whose image is one syllable scales that syllable's exponent;
+    any other image is repeated, and the whole word is reduced once."""
+    out = []
+    for g, e in w:
+        if g >= len(images):
+            raise PcError(f"no image for generator index {g}")
+        img = images[g].syllables
+        if len(img) == 1:
+            out.append((img[0][0], img[0][1] * e))
+        else:
+            out.extend((img if e > 0 else images[g].inverse().syllables) * abs(e))
+    return Word(out)
+
+
+def compose_maps(first, then):
+    """Generator images of the composite map, as words: apply `first`, then
+    `then`, by word substitution."""
+    return [substitute(w, then) for w in first]

@@ -4,7 +4,12 @@ from math import gcd
 
 import pytest
 
-from conftest import CASE_DATA, base_presentation, case_extension
+from conftest import (
+    CASE_DATA,
+    base_presentation,
+    case_extension,
+    relator_images_if_homomorphism,
+)
 
 from nilbott.cohomology import (
     Cocycle,
@@ -17,7 +22,7 @@ from nilbott.cohomology import (
     transfer_identity_check,
     untwisted_subgroup,
 )
-from nilbott.polycyclic import nf_invert, nf_multiply, verify_homomorphism
+from nilbott.polycyclic import nf_invert, nf_multiply
 from nilbott.words import (
     TwistMap,
     fox_augmented,
@@ -89,7 +94,7 @@ def test_class_order_matches_complement_search():
             found = False
             for c1, c2 in product(range(-2, 3), repeat=2):
                 images = [gen(0) * gen(2, c1), gen(1) * gen(2, c2)]
-                if verify_homomorphism(pres, ext, images):
+                if relator_images_if_homomorphism(pres, ext, images) is not None:
                     found = True
                     break
             co = class_order(pres, phi, k)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linear_collector as oracle
-from conftest import CENTRAL4, DEPTH4, PATTERNS
+from conftest import CENTRAL4, DEPTH4, PATTERNS, collected
 from nilbott.catalogue import catalogue_pc
 from nilbott.polycyclic import (
     PcPresentation,
@@ -142,7 +142,7 @@ def test_classify_huge_twisting_integer(base, signs):
         # normal forms: at most one syllable per generator
         assert all(len(w.syllables) <= target.ngens for w in fwd)
         assert all(len(w.syllables) <= ext.ngens for w in bwd)
-        assert verify_isomorphism(ext, target, fwd, bwd)
+        assert verify_isomorphism(ext, target, collected(target, fwd), collected(ext, bwd))
 
 
 @pytest.mark.parametrize("label,k", [("Delta", 3), ("Gamma", 3), ("B2", None), ("B4", None)])
@@ -163,3 +163,19 @@ def test_klein_pp_witness_is_normal_form():
     assert v.label == "B2"
     assert v.witness_fwd == {"g": "e", "h": "u^11 v^5", "n": "u^2 v"}
     assert v.witness_bwd == {"e": "g", "u": "h n^-5", "v": "h^-2 n^11"}
+
+
+def test_power_of_a_fiber_normal_form_makes_no_products():
+    # x^e for x in the abelian top of the chain is one scaling, whatever
+    # level the caller starts from
+    p = catalogue_pc("Delta", 3)  # built per call, so the counter stays local
+    mult, calls = p._mult, []
+
+    def counted(*args):
+        calls.append(args)
+        return mult(*args)
+
+    p._mult = counted
+    assert nf_power(p, (0, 0, 1), 10**30) == (0, 0, 10**30)
+    assert nf_power(p, (0, 1, 1), -(10**30)) == (0, -(10**30), -(10**30))
+    assert len(calls) == 0

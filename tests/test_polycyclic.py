@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from conftest import CASE_DATA, abstract_b1_presentation, case_extension, commutator_fiber_index
+from conftest import (
+    CASE_DATA,
+    abstract_b1_presentation,
+    case_extension,
+    collected,
+    commutator_fiber_index,
+    relator_images_if_homomorphism,
+    substitute,
+)
 
 from nilbott.catalogue import catalogue_pc
 from nilbott.geometry import extension_representation, rep_evaluate
@@ -20,7 +28,6 @@ from nilbott.polycyclic import (
     nf_to_word,
     parse_pc_presentation,
     pc_abelianization,
-    substitute,
     verify_homomorphism,
     verify_isomorphism,
 )
@@ -104,12 +111,21 @@ def test_verify_homomorphism_examples():
     b1 = abstract_b1_presentation()
     target = case_extension(1, 0)
     images = [parse_word(t, GHN) for t in ("g", "g^2", "h", "n")]
-    assert verify_homomorphism(b1, target, images)
+    # a finite presentation source is checked relator by relator, in the
+    # test oracle only
+    assert relator_images_if_homomorphism(b1, target, images) is not None
+    with pytest.raises(TypeError):
+        verify_homomorphism(b1, target, collected(target, images))
     # swapping the lattice images breaks the inverting relation
     bad = [parse_word(t, GHN) for t in ("g", "g^2", "n", "h")]
-    assert not verify_homomorphism(b1, case_extension(1, 1), bad)
+    assert relator_images_if_homomorphism(b1, case_extension(1, 1), bad) is None
     p = case_extension(3, 2)
-    assert verify_homomorphism(p, p, [gen(0), gen(1), gen(2)])
+    assert verify_homomorphism(p, p, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    # the images are normal forms of the target, one per source generator
+    with pytest.raises(ValueError):
+        verify_homomorphism(p, p, [gen(0), gen(1), gen(2)])
+    with pytest.raises(ValueError):
+        verify_homomorphism(p, p, [(1, 0, 0), (0, 1, 0)])
 
 
 def test_verify_isomorphism_examples():
@@ -117,17 +133,19 @@ def test_verify_isomorphism_examples():
     for k in (-3, 0, 1, 4):
         a = case_extension(4, k)
         b = case_extension(2, k)
-        fwd = [parse_word(t, GHN) for t in ("g h^-1", "h", "n")]
-        bwd = [parse_word(t, GHN) for t in ("g h", "h", "n")]
+        fwd = collected(b, [parse_word(t, GHN) for t in ("g h^-1", "h", "n")])
+        bwd = collected(a, [parse_word(t, GHN) for t in ("g h", "h", "n")])
         assert verify_isomorphism(a, b, fwd, bwd)
         assert verify_isomorphism(b, a, bwd, fwd)  # symmetric in (a, b)
     p = case_extension(3, 2)
-    ident = [gen(0), gen(1), gen(2)]
+    ident = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert verify_isomorphism(p, p, ident, ident)
     # naive generator-to-generator map between different cases fails
     assert not verify_isomorphism(
         case_extension(3, 0), case_extension(1, 0), ident, ident
     )
+    with pytest.raises(ValueError):
+        verify_isomorphism(p, p, ident, [(1, 0, 0), (0, 1, 0), (0, 0, 1.0)])
 
 
 def test_commutator_fiber_index():
@@ -201,3 +219,21 @@ def test_substitute_scales_single_syllable_images():
     assert substitute(gen(1, -2), images) == Word(((1, 1), (0, -1), (1, 1), (0, -1)))
     with pytest.raises(PcError):
         substitute(gen(2), images)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: nf_multiply(catalogue_pc("T3"), (1, 2), (1, 2, 3)), id="short-factor"),
+        pytest.param(lambda: nf_power(catalogue_pc("T3"), (1, 2, 3, 4), 2), id="long-base"),
+        pytest.param(
+            lambda: nf_multiply(catalogue_pc("Delta", 2), (1.5, 0, 0), (0, 1, 0)), id="float-entry"
+        ),
+        pytest.param(lambda: nf_invert(catalogue_pc("Delta", 2), (1, 2)), id="short-inverse"),
+        pytest.param(lambda: nf_power(catalogue_pc("Delta", 2), (1, 0, 0), 2.0), id="float-exponent"),
+    ],
+)
+def test_normal_form_entry_points_reject_malformed_input(call):
+    # each of these gave a wrong answer or a bare IndexError before
+    with pytest.raises(ValueError):
+        call()

@@ -1,12 +1,13 @@
 """The rule-wise homomorphism check against the relator-word oracle.
 
-For a polycyclic source, verify_homomorphism checks each positive rule
-x_i x_j x_i^-1 = w as a_i a_j = W a_i on normal forms.  The oracle in
-conftest evaluates the relator words x_i x_j x_i^-1 w^-1 instead, and its
-isomorphism check maps both round trips back through nf_to_word.  Both
-must give the same verdict on the witness maps of classify_tower, on near
-misses of them (one exponent of one image moved by 1), on maps between
-built depth-3/4 groups and on seeded random image tuples.
+verify_homomorphism checks each positive rule x_i x_j x_i^-1 = w of its
+pc source as a_i a_j = W a_i on the normal forms a_g of the images.  The
+oracle in conftest collects the image words and evaluates the relator
+words x_i x_j x_i^-1 w^-1 instead, and its isomorphism check maps both
+round trips back through nf_to_word.  Both must give the same verdict on
+the witness maps of classify_tower, on near misses of them (one exponent
+of one image moved by 1), on maps between built depth-3/4 groups and on
+seeded random image tuples.
 """
 
 import random
@@ -16,6 +17,7 @@ from conftest import (
     CENTRAL4,
     DEPTH4,
     PATTERNS,
+    collected,
     relator_images_if_homomorphism,
     relator_verify_isomorphism,
 )
@@ -105,15 +107,16 @@ def test_rule_wise_check_matches_relator_oracle():
     homs, isos = _cases()
     seen = Counter()
     for src, dst, images in homs:
-        verdict = verify_homomorphism(src, dst, images)
+        verdict = verify_homomorphism(src, dst, collected(dst, images))
         oracle = relator_images_if_homomorphism(src, dst, images) is not None
         assert verdict == oracle, (src, dst, images)
         seen["hom", verdict] += 1
     for a, b, fwd, bwd in isos:
-        verdict = verify_isomorphism(a, b, fwd, bwd)
+        fwd_nf, bwd_nf = collected(b, fwd), collected(a, bwd)
+        verdict = verify_isomorphism(a, b, fwd_nf, bwd_nf)
         assert verdict == relator_verify_isomorphism(a, b, fwd, bwd), (a, b, fwd, bwd)
         seen["iso", verdict] += 1
-        if not verdict and verify_homomorphism(a, b, fwd) and verify_homomorphism(b, a, bwd):
+        if not verdict and verify_homomorphism(a, b, fwd_nf) and verify_homomorphism(b, a, bwd_nf):
             seen["round trip fails"] += 1
     for key in (("hom", True), ("hom", False), ("iso", True), ("iso", False), "round trip fails"):
         assert seen[key] >= 20, (key, seen)

@@ -1,8 +1,20 @@
+from functools import reduce
+from pathlib import Path
+
 import pytest
 
-from conftest import CASE_DATA, base_presentation, case_extension
+from conftest import (
+    CASE_DATA,
+    GOLDEN_KS,
+    PATTERNS,
+    base_presentation,
+    case_extension,
+    classify_witnesses_text,
+    collected,
+    compose_maps,
+)
 
-from nilbott.catalogue import catalogue_pc
+from nilbott.catalogue import base_identification, case_swap_maps, catalogue_pc, reduction_maps
 from nilbott.cohomology import class_order, restriction_nonzero
 from nilbott.polycyclic import (
     collect,
@@ -21,7 +33,7 @@ from nilbott.towers import (
     parse_tower_spec,
     tower_names,
 )
-from nilbott.words import TwistMap, parse_word
+from nilbott.words import TwistMap, gen, parse_word
 
 
 GHN = ("g", "h", "n")
@@ -127,9 +139,10 @@ def test_classification_witnesses_reverify():
         target = catalogue_pc(target_label, target_k)
         fwd = [parse_word(v.witness_fwd[n], target.names) for n in ext.names]
         bwd = [parse_word(v.witness_bwd[n], ext.names) for n in target.names]
-        assert verify_isomorphism(ext, target, fwd, bwd)
+        assert verify_isomorphism(ext, target, collected(target, fwd), collected(ext, bwd))
         # the independently built extension has the same index structure
-        assert verify_isomorphism(case_extension(case, k), target, fwd, bwd)
+        other = case_extension(case, k)
+        assert verify_isomorphism(other, target, collected(target, fwd), collected(other, bwd))
 
 
 def test_classify_depths_one_and_two():
@@ -222,3 +235,48 @@ def test_tower_spec_errors():
         parse_tower_spec("nilbott-tower v1\nstage 1: S1\nstage 2: k=1")
     with pytest.raises(ValueError):
         TowerSpec.depth3("RP2", (1, 1), 0)
+
+
+GOLDEN_WITNESSES = Path(__file__).parent / "golden" / "classify_witnesses.json"
+
+
+def test_classify_matches_golden_bytes():
+    # labels, witness normal forms and rejection messages, pinned from the
+    # engine that composed witness maps by word substitution
+    assert classify_witnesses_text().encode() == GOLDEN_WITNESSES.read_bytes()
+
+
+def _substituted_witnesses(base, signs, k):
+    """(target, fwd, bwd): classify_tower's chain of case swap, k-reduction
+    and catalogue identification, composed as words by substitution."""
+    fwd, bwd = [], []
+    if (base, signs) == ("T2", (-1, 1)):
+        swap = [gen(1), gen(0), gen(2)]
+        fwd, bwd, case, k = [swap], [swap], 6, -k
+    else:
+        kind = "klein" if base == "K" else "torus"
+        case = next(c for c, data in CASE_DATA.items() if data == (kind, signs))
+        if case in (4, 7):
+            sw_fwd, sw_bwd = case_swap_maps(case)
+            fwd, bwd, case = [sw_fwd], [sw_bwd], {4: 2, 7: 6}[case]
+    if case in (1, 2, 6) and k % 2 != k:
+        red_fwd, red_bwd = reduction_maps(case, k, k % 2)
+        fwd, bwd, k = fwd + [red_fwd], [red_bwd] + bwd, k % 2
+    _, target, id_fwd, id_bwd = base_identification(case, k)
+    return target, reduce(compose_maps, fwd + [id_fwd]), reduce(compose_maps, [id_bwd] + bwd)
+
+
+@pytest.mark.parametrize("base,signs", PATTERNS)
+def test_witness_fold_matches_word_substitution(base, signs):
+    for k in GOLDEN_KS:
+        if (base, signs) == ("K", (1, 1)) and k % 2 and abs(k) > 11:
+            # the substituted word repeats u^2 v about 2^63 times
+            continue
+        spec = TowerSpec.depth3(base, signs, k)
+        v = classify_tower(spec)
+        ext = build_tower_groups(spec)[2]
+        target, fwd, bwd = _substituted_witnesses(base, signs, k)
+        witness_fwd = [parse_word(v.witness_fwd[n], target.names) for n in ext.names]
+        witness_bwd = [parse_word(v.witness_bwd[n], ext.names) for n in target.names]
+        assert collected(target, fwd) == collected(target, witness_fwd), (base, signs, k)
+        assert collected(ext, bwd) == collected(ext, witness_bwd), (base, signs, k)
