@@ -22,7 +22,7 @@ from .polycyclic import (
     nf_invert,
     nf_to_word,
 )
-from .words import Word, Presentation, TwistMap, fox_augmented, parse_word
+from .words import Word, Presentation, TwistMap, _word_sign, fox_augmented, parse_word
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,15 @@ class ClassOrder:
         return f"finite({self.order})" if self.is_finite else "infinite"
 
 
+#: h2_one_relator by (relators, signs), all it reads; base kind would not
+#: do, since a Klein presentation may swap its generators' roles
+_H2: dict[tuple, CohomologyResult] = {}
+
+
 def class_order(base: Presentation, phi: TwistMap, k: int) -> ClassOrder:
     """Order of k times the distinguished class in the twisted H^2."""
-    h2 = h2_one_relator(base, phi)
+    key = (base.relators, phi.signs)
+    h2 = _H2.get(key) or _H2.setdefault(key, h2_one_relator(base, phi))
     if h2.free_rank > 0:
         return ClassOrder("finite", 1) if k == 0 else ClassOrder("infinite")
     if not h2.torsion:
@@ -150,11 +156,7 @@ class Cocycle:
         return tuple(a) + (self._shift(tuple(a)),)
 
     def phi(self, a) -> int:
-        s = 1
-        for e, sg in zip(a, self.signs):
-            if sg == -1 and e % 2:
-                s = -s
-        return s
+        return _word_sign(enumerate(a), self.signs)
 
     def value(self, a, b) -> int:
         a, b = tuple(a), tuple(b)

@@ -16,12 +16,13 @@ automorphisms x_i^(+-2^b) for the set bits b of |t|, whose generator
 images are computed by squaring when first needed and kept on the
 presentation, so the cost grows with the bit length of the exponents.
 
-Only the positive conjugation rules are supplied; the inverse rules are
-derived at construction by a triangular solve (the conjugation action
-preserves the chain, so its leading coefficients must be units).  A
-presentation whose inverse rules fail to solve is recorded as defective
-and reported by consistency_check, which then checks level by level that
-conjugation by x_i respects the rules of <x_{i+1}, ...>.
+Only the positive conjugation rules are supplied; the constructor derives
+the inverse rules by a triangular solve (the conjugation action preserves
+the chain, so its leading coefficients must be units).  A presentation
+whose inverse rules fail to solve is recorded as defective and reported
+by consistency_check, which then checks level by level that conjugation
+by x_i respects the rules of <x_{i+1}, ...>.  An extension by a fiber
+inherits its base's rules instead, with no collection (_extend).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import smith_normal_form, IntMatrix
-from .words import Word, gen, parse_word, word_str
+from .words import Word, _word_sign, gen, parse_word, word_str
 
 
 class PcError(Exception):
@@ -61,28 +62,15 @@ class PcPresentation:
     """
 
     def __init__(self, names, conj=None):
-        self.names = tuple(names)
-        m = len(self.names)
-        if m == 0:
-            raise ValueError("need at least one generator")
-        if len(set(self.names)) != m:
-            raise ValueError("duplicate generator names")
-        self._m = m
-        self._rules: dict[tuple[int, int, int], NormalForm] = {}
-        self._defects: list[tuple] = []
-        # (i, sign) -> images of x_{i+1..m-1} under x_i^(sign 2^b), b = 0, 1, ...
-        self._squares: dict[tuple[int, int], list] = {}
-        self._central = [True] * m  # x_i commutes with every later generator
-        self._abelian = [True] * m  # <x_i, ..., x_{m-1}> is abelian
-
+        self._start(names)
         given: dict[tuple[int, int], Word] = {}
         for (i, j), w in (conj or {}).items():
-            if not (0 <= i < j < m):
+            if not (0 <= i < j < self._m):
                 raise ValueError(f"bad rule pair ({i}, {j})")
             if not isinstance(w, Word):
                 w = Word(w)
             for g, _ in w:
-                if g < j or g >= m:
+                if g < j or g >= self._m:
                     raise ValueError(
                         f"rule x_{i} x_{j} x_{i}^-1 output must use "
                         f"generators of index >= {j}"
@@ -98,6 +86,21 @@ class PcPresentation:
         return f"PcPresentation(<{' '.join(self.names)}>)"
 
     # -- assembly ---------------------------------------------------------
+
+    def _start(self, names):
+        self.names = tuple(names)
+        m = len(self.names)
+        if m == 0:
+            raise ValueError("need at least one generator")
+        if len(set(self.names)) != m:
+            raise ValueError("duplicate generator names")
+        self._m = m
+        self._rules: dict[tuple[int, int, int], NormalForm] = {}
+        self._defects: list[tuple] = []
+        # (i, sign) -> images of x_{i+1..m-1} under x_i^(sign 2^b), b = 0, 1, ...
+        self._squares: dict[tuple[int, int], list] = {}
+        self._central = [True] * m  # x_i commutes with every later generator
+        self._abelian = [True] * m  # <x_i, ..., x_{m-1}> is abelian
 
     def _assemble(self, given):
         m = self._m
@@ -116,14 +119,42 @@ class PcPresentation:
                 except PcError as exc:
                     self._defects.append((i, j, str(exc)))
                     self._rules[(i, j, -1)] = self._unit(j)
-            for sign in (1, -1):
-                self._squares[(i, sign)] = [
-                    [self._rules[(i, j, sign)] for j in range(i + 1, m)]
-                ]
-            self._central[i] = all(
-                self._rules[(i, j, 1)] == self._unit(j) for j in range(i + 1, m)
-            )
-            self._abelian[i] = self._central[i] and self._abelian[i + 1]
+            self._close_level(i)
+
+    def _close_level(self, i):
+        """The level-i squares and flags, once the level-i rules are set."""
+        later = range(i + 1, self._m)
+        for sign in (1, -1):
+            self._squares[(i, sign)] = [[self._rules[(i, j, sign)] for j in later]]
+        self._central[i] = all(self._rules[(i, j, 1)] == self._unit(j) for j in later)
+        self._abelian[i] = self._central[i] and self._abelian[i + 1]
+
+    @classmethod
+    def _extend(cls, base, name, signs, lifts):
+        """base (free of defects) extended by a fiber z = x_m, m = base.ngens:
+        x_i z x_i^-1 = z^(signs[i]), and x_i x_j x_i^-1 = z^k w for each
+        positive base rule w, with k from lifts in positive_rules order.
+
+        Each rule is the base's plus one fiber tail (Sims 1994, ch. 9):
+        z^k w = w z^(phi(w) k), phi(w) the sign of w under signs, and the
+        base's inverse rule v gives x_i^-1 x_j x_i = v z^(-signs[i] c) from
+        one conjugation x_i v x_i^-1 = x_j z^c.  Nothing is collected or
+        solved; consistency is left to consistency_check.
+        """
+        p = cls.__new__(cls)
+        p._start(base.names + (name,))
+        m = base.ngens
+        for ((i, j), w), k in zip(base.positive_rules(), lifts):
+            p._rules[(i, j, 1)] = w + (_word_sign(enumerate(w), signs) * k,)
+        for i in range(m - 1, -1, -1):
+            p._rules[(i, m, 1)] = p._rules[(i, m, -1)] = p._unit(m, signs[i])
+            images = [p._rules[(i, j, 1)] for j in range(i + 1, m + 1)]
+            for j in range(i + 1, m):
+                v = base._rules[(i, j, -1)] + (0,)
+                c = p._act(images, v, i + 1)[m]
+                p._rules[(i, j, -1)] = v[:m] + (-signs[i] * c,)
+            p._close_level(i)
+        return p
 
     def _solve_inverse(self, i, j):
         """Find z with x_i z x_i^-1 = x_j, i.e. the rule x_i^-1 x_j x_i."""
@@ -151,7 +182,7 @@ class PcPresentation:
     # -- vector arithmetic --------------------------------------------------
 
     def _unit(self, j, e=1) -> NormalForm:
-        return tuple(e if t == j else 0 for t in range(self._m))
+        return (0,) * j + (e,) + (0,) * (self._m - j - 1)
 
     def identity(self) -> NormalForm:
         return (0,) * self._m
@@ -307,10 +338,11 @@ def consistency_check(p: PcPresentation) -> ConsistencyResult:
     so the rules are consistent iff each phi_i: x_j -> x_i x_j x_i^-1
     extends to an automorphism of H_i = <x_{i+1}, ...>.  Assembly defects
     (a non-unit leading coefficient, a generator outside the image) are
-    reported first.  Otherwise the triangular solve has shown phi_i onto,
+    reported first.  Otherwise the inverse rules, solved or inherited (the
+    base's action is onto and the fiber goes to z^(+-1)), show phi_i onto,
     so it suffices that phi_i respects each rule x_j x_k x_j^-1 = w_jk of
     H_i (an onto endomorphism of a polycyclic group is an automorphism);
-    the derived inverse rules are then its inverse and need no check.
+    the inverse rules are then its inverse and need no check.
     Levels are checked from the top, each in arithmetic already sound, by
     the rule loop that also checks generator maps; a broken rule is
     reported as phi_i(x_j x_k x_j^-1) vs phi_i(w_jk).

@@ -16,12 +16,12 @@ from .polycyclic import (
     consistency_check,
     cyclic_pc,
     evaluate,
-    nf_to_word,
     verify_isomorphism,
 )
 from .words import (
     Presentation,
     TwistMap,
+    _word_sign,
     gen,
     klein_presentation,
     torus_presentation,
@@ -70,9 +70,10 @@ def build_extension(base: PcPresentation, phi, lifts, fiber_name=None) -> PcPres
 
     phi gives the conjugation sign of the fiber per base generator; lifts
     gives one fiber exponent per base conjugation rule, in positive_rules
-    order, so that each base relator r becomes r = fiber^{k_r}.  The result
-    is consistency-checked; invalid cocycle data raises ExtensionError
-    naming a generator whose conjugation does not respect a rule above it.
+    order, so that each base relator r becomes r = fiber^{k_r}.  The rules,
+    the base's plus fiber tails, come from PcPresentation._extend and are
+    consistency-checked; invalid cocycle data raises ExtensionError naming
+    a generator whose conjugation does not respect a rule above it.
     """
     base.require_consistent()
     signs = _signs_of(phi, base.ngens)
@@ -80,23 +81,11 @@ def build_extension(base: PcPresentation, phi, lifts, fiber_name=None) -> PcPres
     lifts = [int(x) for x in lifts]
     if len(lifts) != len(rules):
         raise ValueError(f"need {len(rules)} lift integers, got {len(lifts)}")
-
     for (i, j), w in rules:
-        wsign = 1
-        for t, e in enumerate(w):
-            if signs[t] == -1 and e % 2:
-                wsign = -wsign
-        if signs[j] != wsign:
+        if signs[j] != _word_sign(enumerate(w), signs):
             raise ValueError("phi is not a homomorphism on the base")
 
-    fiber = base.ngens
-    names = base.names + (fiber_name or _fresh_fiber_name(base.names),)
-    conj = {}
-    for ((i, j), w), k in zip(rules, lifts):
-        conj[(i, j)] = gen(fiber, k) * nf_to_word(w)
-    for i in range(base.ngens):
-        conj[(i, fiber)] = gen(fiber, signs[i])
-    ext = PcPresentation(names, conj)
+    ext = PcPresentation._extend(base, fiber_name or _fresh_fiber_name(base.names), signs, lifts)
     result = consistency_check(ext)
     if not result:
         raise ExtensionError(

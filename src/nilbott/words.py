@@ -161,7 +161,8 @@ class TwistMap:
         return all(s == 1 for s in self.signs)
 
 
-def _word_sign(w: Word, signs) -> int:
+def _word_sign(w, signs) -> int:
+    """The sign under signs of w, a Word or (generator, exponent) pairs."""
     s = 1
     for g, e in w:
         if signs[g] == -1 and e % 2:
