@@ -42,12 +42,10 @@ from .towers import (
     TowerSpec,
     VerificationError,
     build_extension,
-    base_pc,
     classify_tower,
     parse_signs,
     parse_tower_spec,
 )
-from .words import TwistMap, klein_presentation, torus_presentation
 
 
 ENGINE = f"nilbott {__version__}"
@@ -96,36 +94,31 @@ def _write_out(filename: str, text: str):
 # -- cohomology command -------------------------------------------------------
 
 
-#: base kind -> (presentation, generator names, tower spec base tag)
-_BASES = {
-    "klein": (klein_presentation, ("g", "h"), "K"),
-    "torus": (torus_presentation, ("a", "b"), "T2"),
-}
+#: base kind -> catalogue label and tower spec base tag
+_BASES = {"klein": "K", "torus": "T2"}
 
 
 def cmd_cohomology(args) -> int:
     if args.base not in _BASES:
         print(f"error: unknown base {args.base!r} (use klein or torus)", file=sys.stderr)
         return 2
-    make, names, _ = _BASES[args.base]
-    pres = make()
+    base = catalogue_pc(_BASES[args.base])
     try:
         items = [
             tuple(t.strip() for t in item.partition("=")[::2])
             for item in args.phi.split(",")
         ]
-        signs = parse_signs(items, names)
-        phi = TwistMap(pres, signs)
+        signs = parse_signs(items, base.names)
+        h2 = h2_one_relator(base, signs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    h2 = h2_one_relator(pres, phi)
     print(f"H^2_phi({args.base}; Z) = {h2}")
     print(f"distinguished class image = {h2.generator_image}")
     payload = {
         "schema_version": SCHEMA_VERSION,
         "base": args.base,
-        "phi": {n: s for n, s in zip(names, signs)},
+        "phi": {n: s for n, s in zip(base.names, signs)},
         "h2": str(h2),
         "free_rank": h2.free_rank,
         "torsion": list(h2.torsion),
@@ -183,12 +176,12 @@ def tables_data():
     h2_one_relator, the labels from classify_tower at k = 0 and k = 1."""
     tables = {}
     for case, (kind, signs) in sorted(CASES.items()):
-        make, names, base = _BASES[kind]
-        pres = make()
-        h2 = h2_one_relator(pres, TwistMap(pres, signs))
+        base = _BASES[kind]
+        base_group = catalogue_pc(base)
+        h2 = h2_one_relator(base_group, signs)
         nonzero = classify_tower(TowerSpec.depth3(base, signs, 1))
         tables.setdefault(base, []).append({
-            "phi": dict(zip(names, signs)),
+            "phi": dict(zip(base_group.names, signs)),
             "case": case,
             "h2": str(h2),
             "class_zero": classify_tower(TowerSpec.depth3(base, signs, 0)).label,
@@ -249,10 +242,9 @@ def _suite_paper(kmax: int) -> list[Certificate]:
     ks = range(-kmax, kmax + 1)
     certs = []
     for case, (kind, signs) in sorted(CASES.items()):
-        make, _, base = _BASES[kind]
-        pres = make()
-        phi = TwistMap(pres, signs)
-        h2 = str(h2_one_relator(pres, phi))
+        base = _BASES[kind]
+        base_group = catalogue_pc(base)
+        h2 = str(h2_one_relator(base_group, signs))
         certs.append(
             Certificate(
                 claim=f"h2/{kind}/case{case}",
@@ -281,11 +273,10 @@ def _suite_paper(kmax: int) -> list[Certificate]:
         # type dichotomy: class order vs lattice restriction
         agree = True
         expected = True
-        base_group = base_pc(pres)
         for k in ks:
             ext = build_extension(base_group, signs, [k])
             infinite_restriction = restriction_nonzero(ext)
-            infinite_order = not class_order(pres, phi, k).is_finite
+            infinite_order = not class_order(base_group, signs, k).is_finite
             agree = agree and (infinite_restriction == infinite_order)
             expected = expected and (
                 infinite_order == (case in (3, 5) and k != 0)
@@ -300,7 +291,7 @@ def _suite_paper(kmax: int) -> list[Certificate]:
         )
         # transfer identity on the twisted cases
         if -1 in signs:
-            ok = all(transfer_identity_check(pres, phi, k) for k in ks)
+            ok = all(transfer_identity_check(base_group, signs, k) for k in ks)
             certs.append(
                 Certificate(
                     claim=f"transfer/case{case}",

@@ -1,6 +1,8 @@
-"""Twisted second cohomology of the flat 2-dimensional base groups, the
-2-cocycles of built extensions, class orders, and the restriction and
-transfer criteria that decide finite versus infinite type.
+"""Twisted second cohomology of the torus and Klein bottle groups, read
+off their polycyclic presentations; the 2-cocycles of built extensions,
+class orders, and the restriction and transfer criteria that decide
+finite versus infinite type.  A base twist is a tuple of signs, checked
+by polycyclic.twist_signs.
 
 A cocycle is read off its extension on demand: f(a, b) is the fiber
 exponent of s(a) s(b) s(ab)^-1, collected in the polycyclic presentation.
@@ -21,8 +23,9 @@ from .polycyclic import (
     nf_multiply,
     nf_invert,
     nf_to_word,
+    twist_signs,
 )
-from .words import Word, Presentation, TwistMap, _word_sign, fox_augmented, parse_word
+from .words import Word, _word_sign, fox_augmented, gen
 
 
 @dataclass(frozen=True)
@@ -42,29 +45,28 @@ class CohomologyResult:
         return self.describe()
 
 
-def base_kind(p: Presentation) -> str:
-    """'klein' or 'torus' for the two one-relator surface bases in scope."""
-    if len(p.relators) != 1 or p.ngens != 2:
-        raise ValueError("expected a 2-generator one-relator presentation")
-    row = [0, 0]
-    for g, e in p.relators[0]:
-        row[g] += e
-    if row == [0, 0]:
-        return "torus"
-    if sorted(abs(x) for x in row) == [0, 2]:
-        return "klein"
-    raise ValueError("presentation is not a torus or Klein bottle group")
+def base_kind(base: PcPresentation) -> str:
+    """'klein' or 'torus' for the two 2-generator bases in scope, read off
+    the one rule g h g^-1 = h^-1 or h."""
+    if base.ngens == 2:
+        if base.rule(0, 1) == (0, 1):
+            return "torus"
+        if base.rule(0, 1) == (0, -1):
+            return "klein"
+    raise ValueError(f"{base!r} is not the torus or Klein bottle group")
 
 
-def h2_one_relator(p: Presentation, phi: TwistMap) -> CohomologyResult:
-    """H^2 with sign-twisted integer coefficients for a one-relator
-    aspherical surface presentation: the cokernel of the map whose entries
-    are the twisted free derivatives of the relator."""
-    if len(p.relators) != 1:
-        raise ValueError("h2_one_relator needs exactly one relator")
-    base_kind(p)
-    r = p.relators[0]
-    row = [fox_augmented(r, g, phi) for g in range(p.ngens)]
+def h2_one_relator(base: PcPresentation, signs) -> CohomologyResult:
+    """H^2 with sign-twisted integer coefficients of the torus or Klein
+    bottle group, read off its pc presentation by tails (Eick & Nickel,
+    J. Algebra 320, 2008).  The one rule g h g^-1 = w gives the one
+    relator r = g h g^-1 w^-1 and no rule triples, so the tail coboundary
+    is the row of twisted free derivatives of r and H^2 is its cokernel.
+    """
+    base_kind(base)
+    signs = twist_signs(base, signs)
+    r = gen(0) * gen(1) * gen(0, -1) * nf_to_word(base.rule(0, 1)).inverse()
+    row = [fox_augmented(r, g, signs) for g in range(2)]
     d, _, _ = smith_normal_form(IntMatrix([row]))
     nonzero = [x for x in d if x != 0]
     free_rank = 1 - len(nonzero)
@@ -85,15 +87,14 @@ class ClassOrder:
         return f"finite({self.order})" if self.is_finite else "infinite"
 
 
-#: h2_one_relator by (relators, signs), all it reads; base kind would not
-#: do, since a Klein presentation may swap its generators' roles
+#: h2_one_relator by (the base's one rule, signs), all it reads
 _H2: dict[tuple, CohomologyResult] = {}
 
 
-def class_order(base: Presentation, phi: TwistMap, k: int) -> ClassOrder:
+def class_order(base: PcPresentation, signs, k: int) -> ClassOrder:
     """Order of k times the distinguished class in the twisted H^2."""
-    key = (base.relators, phi.signs)
-    h2 = _H2.get(key) or _H2.setdefault(key, h2_one_relator(base, phi))
+    key = (base.rule(0, 1) if base.ngens == 2 else None, tuple(signs))
+    h2 = _H2.get(key) or _H2.setdefault(key, h2_one_relator(base, signs))
     if h2.free_rank > 0:
         return ClassOrder("finite", 1) if k == 0 else ClassOrder("infinite")
     if not h2.torsion:
@@ -251,28 +252,26 @@ def restriction_nonzero(ext: PcPresentation) -> bool:
     return nonzero
 
 
-#: index-2 untwisted subgroup of each nontrivially twisted base, as
-#: generator words over the base and the subgroup's own base kind.
-_UNTWISTED_SUBGROUPS = {
-    ("klein", (1, -1)): (("g", "h^2"), "klein"),
-    ("klein", (-1, 1)): (("g^2", "h"), "torus"),
-    ("klein", (-1, -1)): (("g h", "h^2"), "klein"),
-    ("torus", (1, -1)): (("a", "b^2"), "torus"),
-    ("torus", (-1, 1)): (("a^2", "b"), "torus"),
-    ("torus", (-1, -1)): (("a b", "b^2"), "torus"),
+#: generator words of the index-2 subgroup on which each nontrivial twist
+#: is trivial, the same on either base
+_UNTWISTED_WORDS = {
+    (1, -1): (gen(0), gen(1, 2)),
+    (-1, 1): (gen(0, 2), gen(1)),
+    (-1, -1): (gen(0) * gen(1), gen(1, 2)),
 }
 
 
-def untwisted_subgroup(base: Presentation, phi: TwistMap):
+def untwisted_subgroup(base: PcPresentation, signs):
     """Generator words and kind of the index-2 subgroup on which the twist
     is trivial."""
     kind = base_kind(base)
-    key = (kind, phi.signs)
-    if key not in _UNTWISTED_SUBGROUPS:
+    signs = twist_signs(base, signs)
+    if signs not in _UNTWISTED_WORDS:
         raise ValueError("twist map is trivial; no index-2 untwisted subgroup")
-    words_text, sub_kind = _UNTWISTED_SUBGROUPS[key]
-    names = ("g", "h") if kind == "klein" else ("a", "b")
-    return [parse_word(t, names) for t in words_text], sub_kind
+    # the Klein bottle's subgroup <g^2, h> is a torus; the others keep
+    # their base's kind
+    sub_kind = "torus" if signs == (-1, 1) else kind
+    return _UNTWISTED_WORDS[signs], sub_kind
 
 
 def _subgroup_relator(u: Word, v: Word, kind: str) -> Word:
@@ -281,16 +280,14 @@ def _subgroup_relator(u: Word, v: Word, kind: str) -> Word:
     return u * v * u.inverse() * v.inverse()
 
 
-def transfer_identity_check(base: Presentation, phi: TwistMap, k: int) -> bool:
+def transfer_identity_check(base: PcPresentation, signs, k: int) -> bool:
     """Verify the transfer constraint: if the class restricts to zero on the
     index-2 untwisted subgroup, then twice the class must vanish upstairs.
     """
-    if phi.is_trivial:
-        raise ValueError("transfer check needs a nontrivial twist")
-    from .towers import build_extension, base_pc  # local to avoid a cycle
+    from .towers import build_extension  # local to avoid a cycle
 
-    (u, v), sub_kind = untwisted_subgroup(base, phi)
-    ext = build_extension(base_pc(base), phi, [k])
+    (u, v), sub_kind = untwisted_subgroup(base, signs)
+    ext = build_extension(base, signs, [k])
     lifted = collect(ext, _subgroup_relator(u, v, sub_kind))
     if any(lifted[:-1]):
         raise ValueError("subgroup relator did not lift to a fiber power")
@@ -301,5 +298,5 @@ def transfer_identity_check(base: Presentation, phi: TwistMap, k: int) -> bool:
         vanishes = k_restricted % 2 == 0
     if not vanishes:
         return True  # restriction nonzero: the identity imposes nothing
-    doubled = class_order(base, phi, 2 * k)
+    doubled = class_order(base, signs, 2 * k)
     return doubled.is_finite and doubled.order == 1

@@ -330,6 +330,20 @@ def nf_power(p: PcPresentation, a: NormalForm, e: int) -> NormalForm:
     return p._power(_normal_form(p, a), e)
 
 
+def twist_signs(p: PcPresentation, signs) -> tuple[int, ...]:
+    """signs as a twist of p, a homomorphism onto {+1, -1}: one sign +1/-1
+    per generator, kept by every rule x_i x_j x_i^-1 = w (x_j and w have
+    the same sign).  ValueError otherwise."""
+    signs = tuple(signs)
+    if len(signs) != p.ngens or any(s not in (1, -1) for s in signs):
+        raise ValueError("need one sign per base generator")
+    signs = tuple(int(s) for s in signs)
+    for (_, j), w in p.positive_rules():
+        if signs[j] != _word_sign(enumerate(w), signs):
+            raise ValueError("phi is not a homomorphism on the base")
+    return signs
+
+
 def consistency_check(p: PcPresentation) -> ConsistencyResult:
     """Per-level automorphism test (Sims, *Computation with Finitely
     Presented Groups*, 1994, ch. 9).

@@ -16,16 +16,10 @@ from .polycyclic import (
     consistency_check,
     cyclic_pc,
     evaluate,
+    twist_signs,
     verify_isomorphism,
 )
-from .words import (
-    Presentation,
-    TwistMap,
-    _word_sign,
-    gen,
-    klein_presentation,
-    torus_presentation,
-)
+from .words import gen
 
 
 class ExtensionError(Exception):
@@ -36,23 +30,6 @@ class ExtensionError(Exception):
 
 class VerificationError(Exception):
     """The witness maps of a classification failed to verify."""
-
-
-def _signs_of(phi, ngens: int):
-    signs = tuple(phi.signs) if isinstance(phi, TwistMap) else tuple(int(s) for s in phi)
-    if len(signs) != ngens or any(s not in (1, -1) for s in signs):
-        raise ValueError("need one sign per base generator")
-    return signs
-
-
-def base_pc(p: Presentation) -> PcPresentation:
-    """Polycyclic form of a torus or Klein bottle presentation."""
-    from .cohomology import base_kind
-
-    kind = base_kind(p)
-    if kind == "klein":
-        return PcPresentation(p.names, {(0, 1): gen(1, -1)})
-    return PcPresentation(p.names, {})
 
 
 _FIBER_NAMES = ("n", "m", "f", "q")
@@ -76,15 +53,11 @@ def build_extension(base: PcPresentation, phi, lifts, fiber_name=None) -> PcPres
     a generator whose conjugation does not respect a rule above it.
     """
     base.require_consistent()
-    signs = _signs_of(phi, base.ngens)
-    rules = list(base.positive_rules())
+    signs = twist_signs(base, phi)
+    need = base.ngens * (base.ngens - 1) // 2
     lifts = [int(x) for x in lifts]
-    if len(lifts) != len(rules):
-        raise ValueError(f"need {len(rules)} lift integers, got {len(lifts)}")
-    for (i, j), w in rules:
-        if signs[j] != _word_sign(enumerate(w), signs):
-            raise ValueError("phi is not a homomorphism on the base")
-
+    if len(lifts) != need:
+        raise ValueError(f"need {need} lift integers, got {len(lifts)}")
     ext = PcPresentation._extend(base, fiber_name or _fresh_fiber_name(base.names), signs, lifts)
     result = consistency_check(ext)
     if not result:
@@ -341,11 +314,6 @@ class ClassificationVerdict:
         }
 
 
-@cache
-def _base_presentation(kind: str) -> Presentation:
-    return klein_presentation() if kind == "klein" else torus_presentation()
-
-
 def classify_tower(spec: TowerSpec) -> ClassificationVerdict:
     """Resolve a tower to its catalogue label and finite/infinite type.
 
@@ -362,11 +330,9 @@ def classify_tower(spec: TowerSpec) -> ClassificationVerdict:
     if depth == 2:
         return ClassificationVerdict("K" if base_kind_ == "klein" else "T2", "finite")
 
-    base_pres = _base_presentation(base_kind_)
     signs = spec.stages[2].phi
     k = spec.stages[2].lifts[0]
-    phi = TwistMap(base_pres, signs)
-    order3 = class_order(base_pres, phi, k)
+    order3 = class_order(groups[1], signs, k)
     finite = order3.is_finite
     if depth > 3:
         for g in groups[3:]:

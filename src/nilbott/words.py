@@ -1,12 +1,12 @@
-"""Free-group words, finite presentations, sign twists and Fox calculus.
+"""Free-group words, their signs under a twist and their twisted Fox
+derivatives.
 
 Words are stored freely reduced as tuples of (generator index, exponent).
-Generator names are display metadata; all logic is index based.
+Generator names are display metadata; all logic is index based.  A twist
+is a tuple of signs +1/-1, one per generator.
 """
 
 from __future__ import annotations
-
-from .exact import IntMatrix, smith_normal_form
 
 
 class Word:
@@ -100,67 +100,6 @@ def parse_word(text: str, names) -> Word:
     return Word(syllables)
 
 
-class Presentation:
-    """Finite presentation: generator names plus relator words."""
-
-    def __init__(self, names, relators):
-        self.names = tuple(names)
-        self.relators = tuple(Word(r.syllables) for r in relators)
-        for r in self.relators:
-            if r.max_gen() >= len(self.names):
-                raise ValueError("relator references undeclared generator")
-
-    @property
-    def ngens(self) -> int:
-        return len(self.names)
-
-    def __repr__(self):
-        rels = "; ".join(word_str(r, self.names) for r in self.relators)
-        return f"Presentation(<{' '.join(self.names)} | {rels}>)"
-
-
-def klein_presentation() -> Presentation:
-    # g h g^-1 h, i.e. g h g^-1 = h^-1
-    return Presentation(("g", "h"), [Word(((0, 1), (1, 1), (0, -1), (1, 1)))])
-
-
-def torus_presentation() -> Presentation:
-    return Presentation(("a", "b"), [Word(((0, 1), (1, 1), (0, -1), (1, -1)))])
-
-
-class TwistMap:
-    """Sign assignment on generators extending to a homomorphism to {+1,-1}."""
-
-    __slots__ = ("signs",)
-
-    def __init__(self, p: Presentation, signs):
-        signs = tuple(int(s) for s in signs)
-        if len(signs) != p.ngens or any(s not in (1, -1) for s in signs):
-            raise ValueError("need one sign +1/-1 per generator")
-        for r in p.relators:
-            if _word_sign(r, signs) != 1:
-                raise ValueError(
-                    "sign assignment is not a homomorphism: relator "
-                    f"{word_str(r, p.names)} maps to -1"
-                )
-        self.signs = signs
-
-    def __call__(self, w) -> int:
-        if isinstance(w, Word):
-            return _word_sign(w, self.signs)
-        return self.signs[w]
-
-    def __eq__(self, other):
-        return isinstance(other, TwistMap) and self.signs == other.signs
-
-    def __repr__(self):
-        return f"TwistMap{self.signs}"
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(s == 1 for s in self.signs)
-
-
 def _word_sign(w, signs) -> int:
     """The sign under signs of w, a Word or (generator, exponent) pairs."""
     s = 1
@@ -170,18 +109,19 @@ def _word_sign(w, signs) -> int:
     return s
 
 
-def fox_augmented(r: Word, target: int, phi: TwistMap) -> int:
+def fox_augmented(r: Word, target: int, signs) -> int:
     """Free derivative of r with respect to the target generator, pushed
-    through the sign map.
+    through the twist signs.
 
-    Satisfies the product rule fox(uv) = fox(u) + phi(u) * fox(v).
+    Satisfies the product rule fox(uv) = fox(u) + phi(u) * fox(v), phi(u)
+    the sign of u.
     """
-    if not 0 <= target < len(phi.signs):
+    if not 0 <= target < len(signs):
         raise ValueError("generator index out of range")
     total = 0
     prefix_sign = 1
     for g, e in r:
-        s = phi.signs[g]
+        s = signs[g]
         if g == target:
             # d(x^e)/dx is 1 + x + ... + x^(e-1) for e > 0 and
             # -(x^-1 + ... + x^e) for e < 0; under x -> s that sums to e
@@ -190,25 +130,3 @@ def fox_augmented(r: Word, target: int, phi: TwistMap) -> int:
         if s == -1 and e % 2:
             prefix_sign = -prefix_sign
     return total
-
-
-def relator_matrix(p: Presentation) -> IntMatrix:
-    """Exponent-sum matrix, one row per relator."""
-    rows = []
-    for r in p.relators:
-        row = [0] * p.ngens
-        for g, e in r:
-            row[g] += e
-        rows.append(row)
-    if not rows:
-        rows = [[0] * p.ngens]
-    return IntMatrix(rows)
-
-
-def abelianization(p: Presentation) -> tuple[int, list[int]]:
-    """(free rank, invariant factors > 1) of the abelianized group."""
-    d, _, _ = smith_normal_form(relator_matrix(p))
-    nonzero = [x for x in d if x != 0]
-    rank = p.ngens - len(nonzero)
-    torsion = [x for x in nonzero if x > 1]
-    return rank, torsion

@@ -4,16 +4,17 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from nilbott.catalogue import catalogue_pc
 from nilbott.polycyclic import PcError, PcPresentation, collect, evaluate, nf_to_word
 from nilbott.towers import (
     ExtensionError,
     TowerSpec,
-    base_pc,
     build_extension,
     classify_tower,
     parse_tower_spec,
 )
-from nilbott.words import Presentation, Word, gen, klein_presentation, parse_word, torus_presentation
+from nilbott.words import Word, gen, parse_word
+from relator_oracle import Presentation, base_pc, klein_presentation, torus_presentation
 
 CASE_DATA = {
     1: ("klein", (1, 1)),
@@ -112,6 +113,11 @@ def classify_witnesses_text():
 def base_presentation(case):
     kind, _ = CASE_DATA[case]
     return klein_presentation() if kind == "klein" else torus_presentation()
+
+
+def base_group(case):
+    """The engine's pc base of the given twist case: catalogue K or T2."""
+    return catalogue_pc("K" if CASE_DATA[case][0] == "klein" else "T2")
 
 
 def case_extension(case, k):

@@ -6,7 +6,14 @@ to see the per-criterion lines.
 import random
 from itertools import product
 
-from conftest import CASE_DATA, base_presentation, case_extension, collected, compose_maps
+from conftest import (
+    CASE_DATA,
+    base_group,
+    base_presentation,
+    case_extension,
+    collected,
+    compose_maps,
+)
 
 from nilbott.catalogue import (
     base_identification,
@@ -41,7 +48,7 @@ from nilbott.invariants import (
     torus_rank,
 )
 from nilbott.polycyclic import collect, cyclic_pc, nf_to_word, verify_isomorphism
-from nilbott.words import TwistMap, Word, parse_word
+from nilbott.words import Word, parse_word
 
 
 def report(n, text):
@@ -49,16 +56,14 @@ def report(n, text):
 
 
 def test_criterion_1_cohomology_tables():
-    klein = base_presentation(1)
-    torus = base_presentation(5)
+    klein = base_group(1)
+    torus = base_group(5)
     klein_expected = {1: "Z_2", 2: "Z_2", 3: "Z", 4: "Z_2"}
     torus_expected = {5: "Z", 6: "Z_2", 7: "Z_2"}
     for case, expected in klein_expected.items():
-        phi = TwistMap(klein, CASE_DATA[case][1])
-        assert str(h2_one_relator(klein, phi)) == expected
+        assert str(h2_one_relator(klein, CASE_DATA[case][1])) == expected
     for case, expected in torus_expected.items():
-        phi = TwistMap(torus, CASE_DATA[case][1])
-        assert str(h2_one_relator(torus, phi)) == expected
+        assert str(h2_one_relator(torus, CASE_DATA[case][1])) == expected
     report(1, "twisted H^2 tables: Z_2, Z_2, Z, Z_2 and Z, Z_2, Z_2 exactly")
 
 
@@ -134,10 +139,9 @@ def test_criterion_3_nil_relations_exact():
 
 def test_criterion_4_type_dichotomy():
     for case in sorted(CASE_DATA):
-        pres = base_presentation(case)
-        phi = TwistMap(pres, CASE_DATA[case][1])
+        base, signs = base_group(case), CASE_DATA[case][1]
         for k in range(-5, 6):
-            infinite_by_order = not class_order(pres, phi, k).is_finite
+            infinite_by_order = not class_order(base, signs, k).is_finite
             infinite_by_restriction = restriction_nonzero(case_extension(case, k))
             assert infinite_by_order == infinite_by_restriction, (case, k)
             assert infinite_by_order == (case in (3, 5) and k != 0), (case, k)

@@ -353,6 +353,24 @@ GOLDEN_RUNS = [
      {"verify_all.json": "verify_all_kmax1_maxlen2.json"}),
 ]
 
+#: `cohomology --json` on all eight sign forms: stdout and the written JSON
+#: of each, in files named by the signs (p for +1, m for -1)
+_COHOMOLOGY_FORMS = [
+    (base, names, f"{'p' if s > 0 else 'm'}{'p' if t > 0 else 'm'}", s, t)
+    for base, names in (("klein", "gh"), ("torus", "ab"))
+    for s in (1, -1)
+    for t in (1, -1)
+]
+GOLDEN_RUNS += [
+    (["cohomology", "--base", base, "--phi", f"{x}={s:+d},{y}={t:+d}", "--json"],
+     f"cohomology_{base}_{tag}.stdout",
+     {f"cohomology_{base}.json": f"cohomology_{base}_{tag}.json"})
+    for base, (x, y), tag, s, t in _COHOMOLOGY_FORMS
+]
+GOLDEN_IDS = ["tables", "verify-all"] + [
+    f"cohomology-{base}-{tag}" for base, _, tag, _, _ in _COHOMOLOGY_FORMS
+]
+
 
 def _assert_golden(outdir, capsys, monkeypatch, argv, stdout_file, written):
     monkeypatch.setenv("NILBOTT_OUTPUT_DIR", str(outdir))
@@ -365,7 +383,7 @@ def _assert_golden(outdir, capsys, monkeypatch, argv, stdout_file, written):
 
 
 @pytest.mark.parametrize(
-    "argv, stdout_file, written", GOLDEN_RUNS, ids=["tables", "verify-all"]
+    "argv, stdout_file, written", GOLDEN_RUNS, ids=GOLDEN_IDS
 )
 def test_output_matches_golden_bytes(tmp_path, capsys, monkeypatch, argv,
                                      stdout_file, written):

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     CASE_DATA,
+    base_group,
     base_presentation,
     case_extension,
     relator_images_if_homomorphism,
@@ -22,15 +23,12 @@ from nilbott.cohomology import (
     transfer_identity_check,
     untwisted_subgroup,
 )
-from nilbott.polycyclic import nf_invert, nf_multiply
-from nilbott.words import (
-    TwistMap,
-    fox_augmented,
-    gen,
-    klein_presentation,
-    parse_word,
-    torus_presentation,
-)
+import relator_oracle as oracle
+from nilbott.catalogue import catalogue_pc
+from nilbott.polycyclic import PcPresentation, nf_invert, nf_multiply
+from nilbott.towers import _low_stages
+from nilbott.words import _word_sign, fox_augmented, gen, parse_word
+from relator_oracle import TwistMap, klein_presentation, torus_presentation
 
 
 KLEIN_H2 = {(1, 1): "Z_2", (1, -1): "Z_2", (-1, 1): "Z", (-1, -1): "Z_2"}
@@ -38,47 +36,86 @@ TORUS_H2 = {(1, 1): "Z", (1, -1): "Z_2", (-1, -1): "Z_2"}
 
 
 def test_h2_tables():
-    K = klein_presentation()
+    K = catalogue_pc("K")
     for signs, expected in KLEIN_H2.items():
-        assert str(h2_one_relator(K, TwistMap(K, signs))) == expected
-    T = torus_presentation()
+        assert str(h2_one_relator(K, signs)) == expected
+    T = catalogue_pc("T2")
     for signs, expected in TORUS_H2.items():
-        assert str(h2_one_relator(T, TwistMap(T, signs))) == expected
+        assert str(h2_one_relator(T, signs)) == expected
 
 
 def test_generator_image_pinned():
-    K = klein_presentation()
-    assert h2_one_relator(K, TwistMap(K, (1, 1))).generator_image == 1
+    assert h2_one_relator(catalogue_pc("K"), (1, 1)).generator_image == 1
 
 
 def test_h2_torus_coinvariants_formula():
     # independent description: Z / <1 - phi(b), phi(a) - 1>
-    T = torus_presentation()
+    T = catalogue_pc("T2")
     for signs in TORUS_H2:
-        phi = TwistMap(T, signs)
         g = gcd(1 - signs[1], signs[0] - 1)
         expected = (1, ()) if g == 0 else (0, (g,) if g > 1 else ())
-        h2 = h2_one_relator(T, phi)
+        h2 = h2_one_relator(T, signs)
         assert (h2.free_rank, h2.torsion) == expected
 
 
 def test_h2_requires_one_relator():
-    from nilbott.words import Presentation
-
-    p = Presentation(("g", "h"), [gen(0) * gen(1) * gen(0, -1) * gen(1), gen(0)])
+    p = oracle.Presentation(("g", "h"), [gen(0) * gen(1) * gen(0, -1) * gen(1), gen(0)])
     with pytest.raises(ValueError):
-        h2_one_relator(p, TwistMap(klein_presentation(), (1, 1)))
+        oracle.h2_one_relator(p, TwistMap(klein_presentation(), (1, 1)))
+
+
+#: twisting integers on which class_order is compared with the oracle
+ORACLE_KS = (0, 1, -1, 2, -2, 3, -3, 2**64 + 1, -(2**64 + 1), 10**30, -(10**30))
+
+
+def test_pc_h2_matches_relator_oracle():
+    # the engine reads H^2 off the pc base's one rule; the oracle takes the
+    # Fox row of the relator presentation.  Both the catalogue bases and
+    # the tower's stage-2 groups are checked, on all eight sign forms.
+    for pres, label, stage2 in ((klein_presentation(), "K", (-1,)),
+                                (torus_presentation(), "T2", (1,))):
+        for base in (catalogue_pc(label), _low_stages(stage2)[1]):
+            for signs in product((1, -1), repeat=2):
+                phi = TwistMap(pres, signs)
+                assert h2_one_relator(base, signs) == oracle.h2_one_relator(pres, phi)
+                for k in ORACLE_KS:
+                    assert class_order(base, signs, k) == oracle.class_order(pres, phi, k)
+
+
+BAD_BASE_INPUTS = [
+    pytest.param(catalogue_pc("K"), (1,), id="K-one-sign"),
+    pytest.param(catalogue_pc("K"), (1, 1, 1), id="K-three-signs"),
+    pytest.param(catalogue_pc("K"), (1, 2), id="K-sign-2"),
+    pytest.param(catalogue_pc("K"), (0, -1), id="K-sign-0"),
+    pytest.param(catalogue_pc("T2"), (-2, 1), id="T2-sign-minus-2"),
+    pytest.param(catalogue_pc("S1"), (1,), id="S1"),
+    pytest.param(catalogue_pc("T3"), (1, 1, 1), id="T3"),
+    pytest.param(catalogue_pc("B1"), (1, -1, 1), id="B1"),
+    pytest.param(PcPresentation(("g", "h"), {(0, 1): gen(1, 2)}), (1, 1), id="rule-h^2"),
+]
+
+
+@pytest.mark.parametrize("base, signs", BAD_BASE_INPUTS)
+def test_base_inputs_checked(base, signs):
+    # a twist that is not one sign +1/-1 per generator, or a base other
+    # than the torus or Klein group, is an error, never a wrong H^2
+    with pytest.raises(ValueError):
+        h2_one_relator(base, signs)
+    with pytest.raises(ValueError):
+        class_order(base, signs, 1)
+    with pytest.raises(ValueError):
+        transfer_identity_check(base, signs, 1)
 
 
 def test_class_order_examples():
-    K, T = klein_presentation(), torus_presentation()
-    co = class_order(K, TwistMap(K, (1, -1)), 2)
+    K, T = catalogue_pc("K"), catalogue_pc("T2")
+    co = class_order(K, (1, -1), 2)
     assert co.is_finite and co.order == 1  # the doubled class vanishes
-    co = class_order(K, TwistMap(K, (1, 1)), 0)
+    co = class_order(K, (1, 1), 0)
     assert co.is_finite and co.order == 1
-    assert class_order(T, TwistMap(T, (1, 1)), 4).kind == "infinite"
-    assert class_order(K, TwistMap(K, (-1, 1)), 3).kind == "infinite"
-    co = class_order(K, TwistMap(K, (-1, -1)), 3)
+    assert class_order(T, (1, 1), 4).kind == "infinite"
+    assert class_order(K, (-1, 1), 3).kind == "infinite"
+    co = class_order(K, (-1, -1), 3)
     assert co.is_finite and co.order == 2
 
 
@@ -88,7 +125,6 @@ def test_class_order_matches_complement_search():
     for case in sorted(CASE_DATA):
         kind, signs = CASE_DATA[case]
         pres = base_presentation(case)
-        phi = TwistMap(pres, signs)
         for k in range(-2, 3):
             ext = case_extension(case, k)
             found = False
@@ -97,7 +133,7 @@ def test_class_order_matches_complement_search():
                 if relator_images_if_homomorphism(pres, ext, images) is not None:
                     found = True
                     break
-            co = class_order(pres, phi, k)
+            co = class_order(base_group(case), signs, k)
             assert found == (co.is_finite and co.order == 1), (case, k)
 
 
@@ -216,9 +252,8 @@ def test_section_change_moves_pairing_by_coboundary_image():
     for case, k in [(1, 1), (2, 2), (3, 3), (5, 2), (6, 1), (7, 4)]:
         pres = base_presentation(case)
         _, signs = CASE_DATA[case]
-        phi = TwistMap(pres, signs)
         r = pres.relators[0]
-        image_gcd = gcd(fox_augmented(r, 0, phi), fox_augmented(r, 1, phi))
+        image_gcd = gcd(fox_augmented(r, 0, signs), fox_augmented(r, 1, signs))
         ext = case_extension(case, k)
         for _ in range(5):
             shifts = {}
@@ -243,7 +278,7 @@ def test_fiber_signs_and_base():
     assert fiber_signs(ext) == (-1, -1)
     f = Cocycle(ext)
     assert f.base.ngens == 2
-    assert base_kind(base_presentation(4)) == "klein"
+    assert base_kind(f.base) == "klein"
 
 
 def test_restriction_examples():
@@ -254,22 +289,21 @@ def test_restriction_examples():
 
 
 def test_transfer_identity():
-    K, T = klein_presentation(), torus_presentation()
-    assert transfer_identity_check(K, TwistMap(K, (1, -1)), 1)
-    assert transfer_identity_check(K, TwistMap(K, (-1, 1)), 1)
-    assert transfer_identity_check(K, TwistMap(K, (-1, -1)), 0)
-    assert transfer_identity_check(T, TwistMap(T, (1, -1)), 3)
+    K, T = catalogue_pc("K"), catalogue_pc("T2")
+    assert transfer_identity_check(K, (1, -1), 1)
+    assert transfer_identity_check(K, (-1, 1), 1)
+    assert transfer_identity_check(K, (-1, -1), 0)
+    assert transfer_identity_check(T, (1, -1), 3)
     with pytest.raises(ValueError):
-        transfer_identity_check(K, TwistMap(K, (1, 1)), 1)
+        transfer_identity_check(K, (1, 1), 1)
 
 
 def test_untwisted_subgroups_are_untwisted():
     # each listed subgroup sits inside the kernel of its twist
-    K, T = klein_presentation(), torus_presentation()
+    K, T = catalogue_pc("K"), catalogue_pc("T2")
     for pres, signs_list in ((K, [(1, -1), (-1, 1), (-1, -1)]),
                              (T, [(1, -1), (-1, 1), (-1, -1)])):
         for signs in signs_list:
-            phi = TwistMap(pres, signs)
-            (u, v), kind = untwisted_subgroup(pres, phi)
-            assert phi(u) == 1 and phi(v) == 1
+            (u, v), kind = untwisted_subgroup(pres, signs)
+            assert _word_sign(u, signs) == 1 and _word_sign(v, signs) == 1
             assert kind in ("klein", "torus")

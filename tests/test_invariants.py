@@ -177,8 +177,8 @@ def test_h1_rank_step_finite_type():
 def test_gamma_h1_two_routes():
     # abelianization from the stored rules vs exponent sums of the relator
     # words, reduced with the same Smith machinery
-    from nilbott.words import Presentation
-    from nilbott.words import abelianization as word_abelianization
+    from relator_oracle import Presentation
+    from relator_oracle import abelianization as word_abelianization
 
     for k in (-4, -1, 1, 2, 5):
         p = catalogue_pc("Gamma", k)

@@ -7,6 +7,7 @@ from conftest import (
     CASE_DATA,
     GOLDEN_KS,
     PATTERNS,
+    base_group,
     base_presentation,
     case_extension,
     classify_witnesses_text,
@@ -25,7 +26,6 @@ from nilbott.towers import (
     ExtensionError,
     Stage,
     TowerSpec,
-    base_pc,
     build_extension,
     build_tower_groups,
     classify_tower,
@@ -33,7 +33,7 @@ from nilbott.towers import (
     parse_tower_spec,
     tower_names,
 )
-from nilbott.words import TwistMap, gen, parse_word
+from nilbott.words import gen, parse_word
 
 
 GHN = ("g", "h", "n")
@@ -65,9 +65,9 @@ def test_build_extension_validates_phi():
     with pytest.raises(ValueError):
         # phi must be a homomorphism on the base: on the Klein group the
         # fiber sign of h is unconstrained, but a wrong-length tuple is not
-        build_extension(base_pc(base_presentation(1)), (1,), [0])
+        build_extension(base_group(1), (1,), [0])
     with pytest.raises(ValueError):
-        build_extension(base_pc(base_presentation(1)), (1, 1), [0, 0])
+        build_extension(base_group(1), (1, 1), [0, 0])
 
 
 def test_build_extension_rejects_bad_cocycle():
@@ -189,10 +189,8 @@ def test_classify_depth4_type_only():
 def test_type_decisions_agree():
     for case in sorted(CASE_DATA):
         kind, signs = CASE_DATA[case]
-        pres = base_presentation(case)
-        phi = TwistMap(pres, signs)
         for k in range(-5, 6):
-            by_order = not class_order(pres, phi, k).is_finite
+            by_order = not class_order(base_group(case), signs, k).is_finite
             by_restriction = restriction_nonzero(case_extension(case, k))
             assert by_order == by_restriction
             assert by_order == (case in (3, 5) and k != 0)
