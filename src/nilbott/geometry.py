@@ -10,6 +10,11 @@ integers over one positive denominator (the nil rotation over its own), so
 products, inverses and most fixed-point solves use integer arithmetic only;
 Fraction and Gaussian rational values are built for the public views
 (`trans`, `g`, `aut`) and for the fixed points that are returned.
+
+A freeness certificate walks the l1 ball of normal forms by rows, one per
+head (e_0, ..., e_{n-2}); the last exponents of a row whose maps can have
+a fixed point are found in closed form (`fixed_point_candidates`), so only
+those maps are built and solved.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .catalogue import catalogue_pc
+from .catalogue import catalogue_pc, require_integer_k
 from .exact import GaussRat, IntMatrix
 from .polycyclic import PcPresentation, nf_to_word
 from .words import Word
@@ -141,11 +146,49 @@ class FlatAffineMap:
         )
 
     def is_identity(self) -> bool:
-        return (
-            self.perm == tuple(range(self.dim))
-            and all(s == 1 for s in self.signs)
-            and not any(self.num)
-        )
+        return self.is_translation() and not any(self.num)
+
+    def is_translation(self) -> bool:
+        return self.perm == tuple(range(self.dim)) and all(s == 1 for s in self.signs)
+
+    @classmethod
+    def over_one_den(cls, maps) -> list:
+        """maps with their translations over the lcm of their denominators,
+        so that no product of them takes the lcm path."""
+        d = lcm(*(m.den for m in maps))
+        return [
+            m if m.den == d
+            else cls._make(m.perm, m.signs, tuple(n * (d // m.den) for n in m.num), d)
+            for m in maps
+        ]
+
+    def fixed_point_candidates(self, tau: "FlatAffineMap", lo: int, hi: int) -> range:
+        """The j in [lo, hi] for which self * tau^j can have a fixed point,
+        for a translation tau: all of them, none or exactly one.
+
+        self * tau^j is x -> A x + b + j A t.  Walking a cycle as
+        `fixed_point` does, the cycle sum is c0 + j c1, with c1 the same
+        walk over A t; a cycle whose signs multiply to +1 closes only if
+        that sum vanishes, and a cycle with product -1 always closes.
+        """
+        perm, signs, num, t = self.perm, self.signs, self.num, tau.num
+        d, dt = self.den, tau.den
+        seen = [False] * len(perm)
+        conditions = []
+        for top in range(len(perm)):
+            if seen[top]:
+                continue
+            coef, c0, c1, j = 1, 0, 0, top
+            while not seen[j]:
+                seen[j] = True
+                s = signs[j]
+                c0 += coef * num[j]
+                c1 += coef * s * t[perm[j]]
+                coef *= s
+                j = perm[j]
+            if coef == 1:
+                conditions.append((c0 * dt, c1 * d))
+        return _linear_roots(conditions, lo, hi)
 
     def fixed_point(self):
         """Exact solution of A x + b = x as a list of Fraction, or None.
@@ -179,6 +222,23 @@ class FlatAffineMap:
                 y[i] = signs[i] * y[perm[i]] + 2 * num[i]
         den2 = 2 * self.den
         return [Fraction(v, den2) for v in y]
+
+
+def _linear_roots(conditions, lo: int, hi: int) -> range:
+    """The integers j in [lo, hi] with a + j b = 0 for every (a, b) in
+    conditions: all of them, none or exactly one."""
+    root = None
+    for a, b in conditions:
+        if not b:
+            if a:
+                return range(0)
+        elif a % b or (root is not None and root != -a // b):
+            return range(0)
+        else:
+            root = -a // b
+    if root is None:
+        return range(lo, hi + 1)
+    return range(root, root + 1) if lo <= root <= hi else range(0)
 
 
 # -- nil geometry ------------------------------------------------------------
@@ -272,6 +332,9 @@ class HeisAffineMap:
 
     __slots__ = ("gx", "gr", "gi", "gd", "ur", "ui", "ud", "conj")
 
+    #: dimension of the nil geometry R x C
+    dim = 3
+
     def __init__(self, g: HeisPoint, aut: HeisAut = None):
         aut = aut if aut is not None else HeisAut()
         (self.gx, self.gr, self.gi), self.gd = _over_common_den((g.x, g.z.re, g.z.im))
@@ -335,7 +398,35 @@ class HeisAffineMap:
         return self.g * self.aut.apply(p)
 
     def is_identity(self) -> bool:
-        return not (self.gx or self.gr or self.gi or self.conj) and self.ur == self.ud
+        return self.is_translation() and not (self.gx or self.gr or self.gi)
+
+    def is_translation(self) -> bool:
+        return not self.conj and self.ur == self.ud
+
+    @classmethod
+    def over_one_den(cls, maps) -> list:
+        """maps as they are: nil maps are kept reduced."""
+        return list(maps)
+
+    def fixed_point_candidates(self, tau: "HeisAffineMap", lo: int, hi: int) -> range:
+        """The j in [lo, hi] for which self * tau^j can have a fixed point,
+        for a translation tau: p -> s p: all of them, none or exactly one.
+
+        self * tau^j is p -> g aut(s^j) aut(p), with s^j = (j s_x, j s_z).
+        With rotation 1 and conjugation it fixes a point only if
+        re(g_z + j conj(s_z)) = 0.  With rotation 1 and no conjugation it
+        fixes a point only if g s^j = (g_x + j s_x - j im(conj(g_z) s_z),
+        g_z + j s_z) is the identity; once g_z = -j s_z the im term is 0, so
+        that is three conditions linear in j.  Every other rotation is left
+        to `fixed_point`.
+        """
+        if self.ur != self.ud:
+            return range(lo, hi + 1)
+        x, r, i, d = self.gx, self.gr, self.gi, self.gd
+        sx, sr, si, sd = tau.gx, tau.gr, tau.gi, tau.gd
+        if self.conj:
+            return _linear_roots([(r * sd, sr * d)], lo, hi)
+        return _linear_roots([(r * sd, sr * d), (i * sd, si * d), (x * sd, sx * d)], lo, hi)
 
     def fixed_point(self):
         """Exact fixed point (x, z), or None.
@@ -458,20 +549,25 @@ def _flat_data() -> dict:
 
 def delta_generators(k: int) -> list[HeisAffineMap]:
     """Nil lattice generators (a, b, c) with [a, b] = c^-k, c central."""
-    a = HeisAffineMap(HeisPoint(0, GaussRat(k)))
-    b = HeisAffineMap(HeisPoint(0, GaussRat(0, k)))
-    c = HeisAffineMap(HeisPoint(2 * k, GaussRat(0)))
-    return [a, b, c]
+    k = require_integer_k(k)
+    return [
+        _reduced_heis(0, k, 0, 1, 1, 0, 1, False),
+        _reduced_heis(0, 0, k, 1, 1, 0, 1, False),
+        _reduced_heis(2 * k, 0, 0, 1, 1, 0, 1, False),
+    ]
 
 
 def gamma_generators(k: int) -> list[HeisAffineMap]:
-    """Generators (a, b, n) of the index-2 nil lattice extension."""
+    """Generators (a, b, n) of the index-2 nil lattice extension; a is
+    z -> k/2 + conj(z), x -> -x."""
+    k = require_integer_k(k)
     if k == 0:
         raise ValueError("the index-2 nil lattice needs k != 0")
-    a = HeisAffineMap(HeisPoint(0, GaussRat(Fraction(k, 2))), TAU)
-    b = HeisAffineMap(HeisPoint(0, GaussRat(0, k)))
-    n = HeisAffineMap(HeisPoint(k, GaussRat(0)))
-    return [a, b, n]
+    return [
+        _reduced_heis(0, k, 0, 2, 1, 0, 1, True),
+        _reduced_heis(0, 0, k, 1, 1, 0, 1, False),
+        _reduced_heis(k, 0, 0, 1, 1, 0, 1, False),
+    ]
 
 
 def catalogue_representation(label: str, k: int | None = None) -> list:
@@ -480,7 +576,7 @@ def catalogue_representation(label: str, k: int | None = None) -> list:
     if label == "Delta":
         if k is None:
             raise ValueError("Delta needs k")
-        if k == 0:
+        if require_integer_k(k) == 0:
             # degenerate lattice: three commuting unit translations
             return [
                 FlatAffineMap.translation(v)
@@ -583,6 +679,7 @@ def verify_relations_in_rep(p: PcPresentation, rep: list):
     """
     if len(rep) != p.ngens:
         raise ValueError("need one map per generator")
+    rep = _one_geometry(rep)
     for (i, j), w in p.positive_rules():
         lhs = rep[i] * rep[j] * rep[i].inverse()
         rhs = rep_evaluate(rep, nf_to_word(w))
@@ -619,13 +716,13 @@ def _power_table(m, bound: int) -> dict:
 
 
 def _l1_ball(powers: list, budget: int, prefix=None, head=()):
-    """Yield (vec, m_0^e_0 ... m_{n-1}^e_{n-1}) for the nonzero vectors
-    extending head with l1 norm at most budget beyond it, in lexicographic
-    order; prefix is the product for head (None while head is all zero)."""
+    """Yield (head, m_0^e_0 ... m_{i-1}^e_{i-1}, budget - |head|_1) for the
+    heads (e_0, ..., e_{i-1}), i = len(powers), with l1 norm at most
+    budget, in lexicographic order; the product is None for the all-zero
+    head."""
     i = len(head)
     if i == len(powers):
-        if prefix is not None:
-            yield head, prefix
+        yield head, prefix, budget
         return
     for e in range(-budget, budget + 1):
         if e:
@@ -636,6 +733,16 @@ def _l1_ball(powers: list, budget: int, prefix=None, head=()):
             )
         else:
             yield from _l1_ball(powers, budget, prefix, head + (0,))
+
+
+def _one_geometry(rep: list) -> list:
+    """The nonempty rep with its flat maps over one denominator, after
+    checking that its maps are all flat of one dimension or all nil."""
+    if len({(type(m), m.dim) for m in rep}) > 1:
+        raise ValueError(
+            "a representation must be all flat maps of one dimension or all nil maps"
+        )
+    return type(rep[0]).over_one_den(rep)
 
 
 #: most normal forms one freeness_sample call walks
@@ -654,11 +761,19 @@ def freeness_sample(p: PcPresentation, rep: list, max_word_len: int) -> Freeness
 
     The vectors are visited in lexicographic order of (e_0, ..., e_{n-1}),
     each e_i ascending from its most negative value; fixed points are
-    reported in that order.  Each generator's powers are tabulated once
-    and the walk carries the prefix product m_0^e_0 ... m_i^e_i, so each
-    normal form costs at most one map product plus its fixed-point solve.
-    A ball of more than FREENESS_LIMIT normal forms is rejected before any
-    map product is taken.
+    reported in that order.  Each generator's powers are tabulated once,
+    over one denominator, and the walk goes by rows: a head
+    (e_0, ..., e_{n-2}) with its prefix product P and the budget b left
+    for e_{n-1} in [-b, b].  With m the last generator and tau = m^q its
+    least power that is a translation (q at most max_word_len), the row's
+    maps in the class r mod q are Q_r tau^j with Q_r = P m^r, and
+    `fixed_point_candidates` names the j for which Q_r tau^j can have a
+    fixed point: all, none or one.  Only those maps are built and solved,
+    so a row costs at most q - 1 products before its candidates.  Without
+    such a q every e_{n-1} is a candidate.  A ball of more than FREENESS_LIMIT
+    normal forms is rejected before any map product is taken, and a
+    representation that mixes flat and nil maps, or flat dimensions, is
+    rejected with ValueError.
     """
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
@@ -670,14 +785,39 @@ def freeness_sample(p: PcPresentation, rep: list, max_word_len: int) -> Freeness
             f"{forms} normal forms up to length {max_word_len}, "
             f"above the limit of {FREENESS_LIMIT}"
         )
-    powers = [_power_table(rep[i], max_word_len) for i in range(p.ngens)]
+    powers = [_power_table(m, max_word_len) for m in _one_geometry(rep)]
+    last = powers[-1]
+    q = next((e for e in range(1, max_word_len + 1) if last[e].is_translation()), None)
+    identity = None if q is None else last[1] * last[-1]
     checked = 0
     fixed = []
-    for vec, m in _l1_ball(powers, max_word_len):
-        checked += 1
-        pt = m.fixed_point()
-        if pt is not None:
-            fixed.append((vec, pt))
+    for head, prefix, b in _l1_ball(powers[:-1], max_word_len):
+        checked += 2 * b + (prefix is not None)
+        if q is None:
+            exponents = range(-b, b + 1)
+        else:
+            exponents = []
+            for r in range(q):
+                # the class e = r + q j with -b <= e <= b
+                lo, hi = -((b + r) // q), (b - r) // q
+                if lo > hi:
+                    continue
+                if r:
+                    base = last[r] if prefix is None else prefix * last[r]
+                else:
+                    base = identity if prefix is None else prefix
+                exponents += [r + q * j for j in base.fixed_point_candidates(last[q], lo, hi)]
+            exponents.sort()
+        for e in exponents:
+            if e:
+                m = last[e] if prefix is None else prefix * last[e]
+            elif prefix is None:
+                continue  # the identity
+            else:
+                m = prefix
+            pt = m.fixed_point()
+            if pt is not None:
+                fixed.append((head + (e,), pt))
     return FreenessReport(max_word_len, checked, fixed)
 
 

@@ -351,6 +351,9 @@ GOLDEN_RUNS = [
     (["verify", "--suite", "all", "--kmax", "1", "--maxlen", "2"],
      "verify_all_kmax1_maxlen2.stdout",
      {"verify_all.json": "verify_all_kmax1_maxlen2.json"}),
+    (["verify", "--suite", "freeness", "--maxlen", "12"],
+     "verify_freeness_maxlen12.stdout",
+     {"verify_freeness.json": "verify_freeness_maxlen12.json"}),
 ]
 
 #: `cohomology --json` on all eight sign forms: stdout and the written JSON
@@ -367,7 +370,7 @@ GOLDEN_RUNS += [
      {f"cohomology_{base}.json": f"cohomology_{base}_{tag}.json"})
     for base, (x, y), tag, s, t in _COHOMOLOGY_FORMS
 ]
-GOLDEN_IDS = ["tables", "verify-all"] + [
+GOLDEN_IDS = ["tables", "verify-all", "verify-freeness"] + [
     f"cohomology-{base}-{tag}" for base, _, tag, _, _ in _COHOMOLOGY_FORMS
 ]
 

@@ -179,6 +179,40 @@ def test_catalogue_representation_errors():
         catalogue_representation("Gamma", 0)
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, Fraction(2), "3", True, False])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda k: catalogue_pc("Delta", k),
+        lambda k: catalogue_pc("Gamma", k),
+        lambda k: catalogue_representation("Delta", k),
+        lambda k: catalogue_representation("Gamma", k),
+        delta_generators,
+        gamma_generators,
+    ],
+    ids=["pc-Delta", "pc-Gamma", "rep-Delta", "rep-Gamma", "delta", "gamma"],
+)
+def test_k_must_be_an_integer(build, k):
+    with pytest.raises(ValueError, match="^k must be an integer$"):
+        build(k)
+
+
+@pytest.mark.parametrize("k", [1, -1, 2, -3, 7, 10**30, -(10**30) - 1])
+def test_nil_generators_from_integers(k):
+    # built from integers, equal in value and reduced integers to the maps
+    # the validating constructor builds
+    assert delta_generators(k) == [
+        HeisAffineMap(HeisPoint(0, GaussRat(k))),
+        HeisAffineMap(HeisPoint(0, GaussRat(0, k))),
+        HeisAffineMap(HeisPoint(2 * k, GaussRat(0))),
+    ]
+    assert gamma_generators(k) == [
+        HeisAffineMap(HeisPoint(0, GaussRat(Fraction(k, 2))), TAU),
+        HeisAffineMap(HeisPoint(0, GaussRat(0, k))),
+        HeisAffineMap(HeisPoint(k, GaussRat(0))),
+    ]
+
+
 def test_verify_relations_detects_tampering():
     p = catalogue_pc("B1")
     rep = list(catalogue_representation("B1"))
