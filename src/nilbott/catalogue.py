@@ -27,11 +27,10 @@ def _pc(names, rules_text):
     return PcPresentation(names, conj)
 
 
-def require_integer_k(k) -> int:
-    """k itself, after checking that it is an int (and not a bool)."""
+def require_integer_k(k) -> None:
+    """Raise ValueError unless k is an int (and not a bool)."""
     if isinstance(k, bool) or not isinstance(k, int):
         raise ValueError("k must be an integer")
-    return k
 
 
 def catalogue_pc(label: str, k: int | None = None) -> PcPresentation:
@@ -47,7 +46,9 @@ def catalogue_pc(label: str, k: int | None = None) -> PcPresentation:
         # [a, b] = c^-k with c central
         return _pc(("a", "b", "c"), {(0, 1): f"b c^{-k}", (0, 2): "c", (1, 2): "c"})
     if label == "Gamma":
-        if k is None or require_integer_k(k) == 0:
+        if k is not None:
+            require_integer_k(k)
+        if not k:
             raise ValueError("Gamma needs a nonzero twisting integer k")
         return _pc(("a", "b", "n"), {(0, 1): f"n^{k} b^-1", (0, 2): "n^-1", (1, 2): "n"})
     return _fixed_pc(label)

@@ -12,9 +12,10 @@ Fraction and Gaussian rational values are built for the public views
 (`trans`, `g`, `aut`) and for the fixed points that are returned.
 
 A freeness certificate walks the l1 ball of normal forms by rows, one per
-head (e_0, ..., e_{n-2}); the last exponents of a row whose maps can have
-a fixed point are found in closed form (`fixed_point_candidates`), so only
-those maps are built and solved.
+head (e_0, ..., e_{n-2}); when the last generator is a translation, the
+last exponents of a row whose maps can have a fixed point are found in
+closed form (`fixed_point_candidates`), so only those maps are built and
+solved.
 """
 
 from __future__ import annotations
@@ -549,7 +550,7 @@ def _flat_data() -> dict:
 
 def delta_generators(k: int) -> list[HeisAffineMap]:
     """Nil lattice generators (a, b, c) with [a, b] = c^-k, c central."""
-    k = require_integer_k(k)
+    require_integer_k(k)
     return [
         _reduced_heis(0, k, 0, 1, 1, 0, 1, False),
         _reduced_heis(0, 0, k, 1, 1, 0, 1, False),
@@ -560,7 +561,7 @@ def delta_generators(k: int) -> list[HeisAffineMap]:
 def gamma_generators(k: int) -> list[HeisAffineMap]:
     """Generators (a, b, n) of the index-2 nil lattice extension; a is
     z -> k/2 + conj(z), x -> -x."""
-    k = require_integer_k(k)
+    require_integer_k(k)
     if k == 0:
         raise ValueError("the index-2 nil lattice needs k != 0")
     return [
@@ -576,13 +577,14 @@ def catalogue_representation(label: str, k: int | None = None) -> list:
     if label == "Delta":
         if k is None:
             raise ValueError("Delta needs k")
-        if require_integer_k(k) == 0:
+        gens = delta_generators(k)  # checks that k is an integer
+        if k == 0:
             # degenerate lattice: three commuting unit translations
             return [
                 FlatAffineMap.translation(v)
                 for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
             ]
-        return delta_generators(k)
+        return gens
     if label == "Gamma":
         if k is None:
             raise ValueError("Gamma needs k")
@@ -679,7 +681,7 @@ def verify_relations_in_rep(p: PcPresentation, rep: list):
     """
     if len(rep) != p.ngens:
         raise ValueError("need one map per generator")
-    rep = _one_geometry(rep)
+    _require_one_geometry(rep)
     for (i, j), w in p.positive_rules():
         lhs = rep[i] * rep[j] * rep[i].inverse()
         rhs = rep_evaluate(rep, nf_to_word(w))
@@ -735,14 +737,13 @@ def _l1_ball(powers: list, budget: int, prefix=None, head=()):
             yield from _l1_ball(powers, budget, prefix, head + (0,))
 
 
-def _one_geometry(rep: list) -> list:
-    """The nonempty rep with its flat maps over one denominator, after
-    checking that its maps are all flat of one dimension or all nil."""
+def _require_one_geometry(rep: list) -> None:
+    """Raise ValueError unless the maps of rep are all flat of one
+    dimension or all nil."""
     if len({(type(m), m.dim) for m in rep}) > 1:
         raise ValueError(
             "a representation must be all flat maps of one dimension or all nil maps"
         )
-    return type(rep[0]).over_one_den(rep)
 
 
 #: most normal forms one freeness_sample call walks
@@ -764,16 +765,14 @@ def freeness_sample(p: PcPresentation, rep: list, max_word_len: int) -> Freeness
     reported in that order.  Each generator's powers are tabulated once,
     over one denominator, and the walk goes by rows: a head
     (e_0, ..., e_{n-2}) with its prefix product P and the budget b left
-    for e_{n-1} in [-b, b].  With m the last generator and tau = m^q its
-    least power that is a translation (q at most max_word_len), the row's
-    maps in the class r mod q are Q_r tau^j with Q_r = P m^r, and
-    `fixed_point_candidates` names the j for which Q_r tau^j can have a
-    fixed point: all, none or one.  Only those maps are built and solved,
-    so a row costs at most q - 1 products before its candidates.  Without
-    such a q every e_{n-1} is a candidate.  A ball of more than FREENESS_LIMIT
-    normal forms is rejected before any map product is taken, and a
-    representation that mixes flat and nil maps, or flat dimensions, is
-    rejected with ValueError.
+    for e_{n-1} in [-b, b].  When the last generator m is a translation,
+    `P.fixed_point_candidates(m, -b, b)` names the e for which P m^e can
+    have a fixed point (all, none or one), and only those maps are built
+    and solved; otherwise, and for the all-zero head, whose maps are
+    powers of m from the table, every e_{n-1} is solved.  A ball of more than FREENESS_LIMIT normal forms is
+    rejected before any map product is taken, and a representation that
+    mixes flat and nil maps, or flat dimensions, is rejected with
+    ValueError.
     """
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
@@ -785,29 +784,18 @@ def freeness_sample(p: PcPresentation, rep: list, max_word_len: int) -> Freeness
             f"{forms} normal forms up to length {max_word_len}, "
             f"above the limit of {FREENESS_LIMIT}"
         )
-    powers = [_power_table(m, max_word_len) for m in _one_geometry(rep)]
+    _require_one_geometry(rep)
+    powers = [_power_table(m, max_word_len) for m in type(rep[0]).over_one_den(rep)]
     last = powers[-1]
-    q = next((e for e in range(1, max_word_len + 1) if last[e].is_translation()), None)
-    identity = None if q is None else last[1] * last[-1]
+    filtered = last[1].is_translation()
     checked = 0
     fixed = []
     for head, prefix, b in _l1_ball(powers[:-1], max_word_len):
         checked += 2 * b + (prefix is not None)
-        if q is None:
+        if prefix is None or not filtered:
             exponents = range(-b, b + 1)
         else:
-            exponents = []
-            for r in range(q):
-                # the class e = r + q j with -b <= e <= b
-                lo, hi = -((b + r) // q), (b - r) // q
-                if lo > hi:
-                    continue
-                if r:
-                    base = last[r] if prefix is None else prefix * last[r]
-                else:
-                    base = identity if prefix is None else prefix
-                exponents += [r + q * j for j in base.fixed_point_candidates(last[q], lo, hi)]
-            exponents.sort()
+            exponents = prefix.fixed_point_candidates(last[1], -b, b)
         for e in exponents:
             if e:
                 m = last[e] if prefix is None else prefix * last[e]
