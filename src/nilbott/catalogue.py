@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .polycyclic import PcPresentation
+from .polycyclic import PcPresentation, require_integer_k
 from .words import Word, gen, parse_word
 
 
@@ -25,12 +25,6 @@ def _pc(names, rules_text):
     for (i, j), text in rules_text.items():
         conj[(i, j)] = parse_word(text, names)
     return PcPresentation(names, conj)
-
-
-def require_integer_k(k) -> None:
-    """Raise ValueError unless k is an int (and not a bool)."""
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise ValueError("k must be an integer")
 
 
 def catalogue_pc(label: str, k: int | None = None) -> PcPresentation:

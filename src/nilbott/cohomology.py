@@ -1,13 +1,8 @@
 """Twisted second cohomology of the torus and Klein bottle groups, read
-off their polycyclic presentations; the 2-cocycles of built extensions,
-class orders, and the restriction and transfer criteria that decide
-finite versus infinite type.  A base twist is a tuple of signs, checked
-by polycyclic.twist_signs.
-
-A cocycle is read off its extension on demand: f(a, b) is the fiber
-exponent of s(a) s(b) s(ab)^-1, collected in the polycyclic presentation.
-There is no separate group law on (fiber, base) pairs; the pair (n, x)
-stands for z^n s(x) and multiplies as that element of the extension does.
+off their polycyclic presentations; class orders, the relator pairing
+that reads a built extension's class back, and the restriction and
+transfer criteria that decide finite versus infinite type.  A base twist
+is a tuple of signs, checked by polycyclic.twist_signs.
 """
 
 from __future__ import annotations
@@ -19,13 +14,11 @@ from .exact import smith_normal_form, IntMatrix
 from .polycyclic import (
     PcPresentation,
     collect,
-    evaluate,
-    nf_multiply,
-    nf_invert,
     nf_to_word,
+    require_integer_k,
     twist_signs,
 )
-from .words import Word, _word_sign, fox_augmented, gen
+from .words import Word, fox_augmented, gen
 
 
 @dataclass(frozen=True)
@@ -93,6 +86,7 @@ _H2: dict[tuple, CohomologyResult] = {}
 
 def class_order(base: PcPresentation, signs, k: int) -> ClassOrder:
     """Order of k times the distinguished class in the twisted H^2."""
+    require_integer_k(k)
     key = (base.rule(0, 1) if base.ngens == 2 else None, tuple(signs))
     h2 = _H2.get(key) or _H2.setdefault(key, h2_one_relator(base, signs))
     if h2.free_rank > 0:
@@ -103,103 +97,24 @@ def class_order(base: PcPresentation, signs, k: int) -> ClassOrder:
     return ClassOrder("finite", d // gcd(k, d))
 
 
-# -- cocycles from built extensions ----------------------------------------
+# -- reading a built extension's class ----------------------------------------
 
 
-def fiber_signs(ext: PcPresentation) -> tuple[int, ...]:
-    """Conjugation sign of the fiber (last generator) per base generator."""
-    fiber = ext.ngens - 1
-    signs = []
-    for i in range(fiber):
-        rule = ext.rule(i, fiber)
-        if rule == ext._unit(fiber):
-            signs.append(1)
-        elif rule == ext._unit(fiber, -1):
-            signs.append(-1)
-        else:
-            raise ValueError("last generator is not a sign-twisted fiber")
-    return tuple(signs)
-
-
-def base_of_extension(ext: PcPresentation) -> PcPresentation:
-    """The quotient by the fiber: drop the last generator coordinate."""
-    fiber = ext.ngens - 1
-    if fiber == 0:
-        raise ValueError("extension has no base")
-    conj = {}
-    for (i, j), w in ext.positive_rules():
-        if j < fiber:
-            conj[(i, j)] = nf_to_word(w[:fiber])
-    return PcPresentation(ext.names[:fiber], conj)
-
-
-class Cocycle:
-    """The 2-cocycle f(a, b) = fiber exponent of s(a) s(b) s(ab)^-1 of an
-    extension, for a section s of the quotient map onto the base.
-
-    The section sends a base normal form to the extension normal form with
-    fiber exponent zero (optionally shifted by a bounded function, which is
-    how the section-independence properties are exercised).  Values are
-    computed by collection in the extension when first asked for and
-    cached.
+def relator_pairing(ext: PcPresentation, relator: Word) -> int:
+    """Fiber exponent of a base relator lifted into the built extension ext
+    through the zero section: the relator is collected in ext, where it
+    must land in the fiber, the last generator.  For the defining relator
+    of a depth-3 extension this recovers the lift integer k.  ValueError
+    names the word if a letter is not a base generator or the word is not
+    a relator of the base.
     """
-
-    def __init__(self, ext: PcPresentation, section_shift=None):
-        ext.require_consistent()
-        self.ext = ext
-        self.fiber = ext.ngens - 1
-        self.base = base_of_extension(ext)
-        self.signs = fiber_signs(ext)
-        self._shift = section_shift if section_shift is not None else (lambda a: 0)
-        self._cache: dict[tuple, int] = {}
-
-    def section(self, a) -> tuple:
-        return tuple(a) + (self._shift(tuple(a)),)
-
-    def phi(self, a) -> int:
-        return _word_sign(enumerate(a), self.signs)
-
-    def value(self, a, b) -> int:
-        a, b = tuple(a), tuple(b)
-        key = (a, b)
-        if key not in self._cache:
-            ab = nf_multiply(self.base, a, b)
-            lift = nf_multiply(
-                self.ext,
-                nf_multiply(self.ext, self.section(a), self.section(b)),
-                nf_invert(self.ext, self.section(ab)),
-            )
-            if any(lift[:self.fiber]):
-                raise ValueError("section lift did not land in the fiber")
-            self._cache[key] = lift[self.fiber]
-        return self._cache[key]
-
-    def identity_defect(self, a, b, c) -> int:
-        """phi(a) f(b,c) - f(ab,c) + f(a,bc) - f(a,b); zero iff the cocycle
-        identity holds on the triple."""
-        ab = nf_multiply(self.base, a, b)
-        bc = nf_multiply(self.base, b, c)
-        return (
-            self.phi(a) * self.value(b, c)
-            - self.value(ab, c)
-            + self.value(a, bc)
-            - self.value(a, b)
-        )
-
-
-def relator_pairing(f: Cocycle, relator: Word) -> int:
-    """Fiber exponent of the relator lifted through the section: each base
-    generator g is replaced by s(g) and the word is evaluated in the
-    extension.  For the defining relator of a built extension this
-    recovers the lift integer k.
-    """
-    if relator.max_gen() >= f.fiber:
-        raise ValueError("relator references a non-base generator")
-    images = [f.section(f.base._unit(g)) for g in range(f.fiber)]
-    lifted = evaluate(f.ext, relator, images)
-    if any(lifted[:f.fiber]):
-        raise ValueError("word is not a relator of the base")
-    return lifted[f.fiber]
+    fiber = ext.ngens - 1
+    if relator.max_gen() >= fiber:
+        raise ValueError(f"{relator!r} has a letter that is not a base generator")
+    lifted = collect(ext, relator)
+    if any(lifted[:fiber]):
+        raise ValueError(f"{relator!r} is not a relator of the base")
+    return lifted[fiber]
 
 
 # -- type criteria -----------------------------------------------------------
@@ -214,42 +129,21 @@ def _carries_holonomy(ext: PcPresentation, i: int) -> bool:
     return any(ext.rule(i, j) != ext._unit(j) for j in range(i + 1, fiber))
 
 
-def lattice_generators(ext: PcPresentation) -> list[tuple]:
-    """Generators of the finite-index free abelian subgroup of the base on
-    which the extension restricts to a central one: squares of
-    holonomy-carrying generators, the others unsquared."""
-    fiber = ext.ngens - 1
-    gens = []
-    for i in range(fiber):
-        e = 2 if _carries_holonomy(ext, i) else 1
-        gens.append(ext._unit(i, e))
-    return gens
-
-
 def restriction_nonzero(ext: PcPresentation) -> bool:
     """True iff the restriction of the extension class to the translation
-    lattice of the base is nonzero, i.e. some pair of commuting lattice
-    generators picks up a fiber power in the extension.  Decides infinite
-    type."""
-    ext.require_consistent()
-    fiber = ext.ngens - 1
-    gens = lattice_generators(ext)
-    nonzero = False
-    for s, a in enumerate(gens):
-        for b in gens[s + 1:]:
-            comm = nf_multiply(
-                ext,
-                nf_multiply(ext, a, b),
-                nf_invert(ext, nf_multiply(ext, b, a)),
-            )
-            if any(comm[:fiber]):
-                raise ValueError(
-                    "lattice generators do not commute in the base; "
-                    "not a depth-supported extension"
-                )
-            if comm[fiber] != 0:
-                nonzero = True
-    return nonzero
+    lattice of the base is nonzero, i.e. the commutator of some pair of
+    lattice generators pairs to a nonzero fiber power.  The lattice is
+    generated by the squares of the holonomy-carrying base generators and
+    the others unsquared.  Decides infinite type."""
+    gens = [
+        gen(i, 2 if _carries_holonomy(ext, i) else 1) for i in range(ext.ngens - 1)
+    ]
+    pairings = [
+        relator_pairing(ext, a * b * a.inverse() * b.inverse())
+        for s, a in enumerate(gens)
+        for b in gens[s + 1:]
+    ]
+    return any(pairings)
 
 
 #: generator words of the index-2 subgroup on which each nontrivial twist
@@ -288,10 +182,7 @@ def transfer_identity_check(base: PcPresentation, signs, k: int) -> bool:
 
     (u, v), sub_kind = untwisted_subgroup(base, signs)
     ext = build_extension(base, signs, [k])
-    lifted = collect(ext, _subgroup_relator(u, v, sub_kind))
-    if any(lifted[:-1]):
-        raise ValueError("subgroup relator did not lift to a fiber power")
-    k_restricted = lifted[-1]
+    k_restricted = relator_pairing(ext, _subgroup_relator(u, v, sub_kind))
     if sub_kind == "torus":
         vanishes = k_restricted == 0
     else:

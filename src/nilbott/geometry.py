@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .catalogue import catalogue_pc, require_integer_k
+from .catalogue import catalogue_pc
 from .exact import GaussRat, IntMatrix
-from .polycyclic import PcPresentation, nf_to_word
+from .polycyclic import PcPresentation, nf_to_word, require_integer_k
 from .words import Word
 
 

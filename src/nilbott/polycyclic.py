@@ -313,6 +313,12 @@ def _normal_form(p: PcPresentation, v) -> NormalForm:
     return tuple(v)
 
 
+def require_integer_k(k) -> None:
+    """Raise ValueError unless k is an int (and not a bool)."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError("k must be an integer")
+
+
 def nf_multiply(p: PcPresentation, a: NormalForm, b: NormalForm) -> NormalForm:
     p.require_consistent()
     return p._mult(_normal_form(p, a), _normal_form(p, b))

@@ -16,6 +16,7 @@ from .polycyclic import (
     consistency_check,
     cyclic_pc,
     evaluate,
+    require_integer_k,
     twist_signs,
     verify_isomorphism,
 )
@@ -55,7 +56,9 @@ def build_extension(base: PcPresentation, phi, lifts, fiber_name=None) -> PcPres
     base.require_consistent()
     signs = twist_signs(base, phi)
     need = base.ngens * (base.ngens - 1) // 2
-    lifts = [int(x) for x in lifts]
+    lifts = list(lifts)
+    for x in lifts:
+        require_integer_k(x)
     if len(lifts) != need:
         raise ValueError(f"need {need} lift integers, got {len(lifts)}")
     ext = PcPresentation._extend(base, fiber_name or _fresh_fiber_name(base.names), signs, lifts)
@@ -90,12 +93,13 @@ class TowerSpec:
     def depth3(base: str, signs, k: int) -> "TowerSpec":
         if base not in ("K", "T2"):
             raise ValueError("depth-3 towers are built over K or T2")
+        require_integer_k(k)
         phi2 = (-1,) if base == "K" else (1,)
         return TowerSpec(
             (
                 Stage(1),
                 Stage(2, phi2, (), "S1"),
-                Stage(3, tuple(signs), (int(k),), base),
+                Stage(3, tuple(signs), (k,), base),
             )
         )
 
@@ -288,9 +292,6 @@ _CASE_OF = {pattern: case for case, pattern in CASES.items()}
 #: case_swap_maps carry cases 4 and 7 onto these cases
 _SWAPPED_CASE = {4: 2, 7: 6}
 
-#: finite-order H^2 cases reduce k mod 2; the torsion-free cases keep it
-TORSION_CASES = (1, 2, 4, 6, 7)
-
 
 @dataclass
 class ClassificationVerdict:
@@ -345,7 +346,9 @@ def classify_tower(spec: TowerSpec) -> ClassificationVerdict:
 
     ext = groups[2]
     case, k_eff, chain_fwd, chain_bwd = _normalize_case(base_kind_, signs, k)
-    if case in TORSION_CASES and k_eff % 2 != k_eff:
+    # a finite-order class with k_eff outside {0, 1} lies in a Z_2 of the
+    # H^2, where only k_eff mod 2 matters
+    if order3.is_finite and k_eff % 2 != k_eff:
         red_fwd, red_bwd = reduction_maps(case, k_eff, k_eff % 2)
         chain_fwd, chain_bwd = chain_fwd + [red_fwd], [red_bwd] + chain_bwd
         k_eff %= 2

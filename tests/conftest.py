@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -8,9 +9,11 @@ from nilbott.catalogue import catalogue_pc
 from nilbott.polycyclic import PcError, PcPresentation, collect, evaluate, nf_to_word
 from nilbott.towers import (
     ExtensionError,
+    Stage,
     TowerSpec,
     build_extension,
     classify_tower,
+    format_tower_spec,
     parse_tower_spec,
 )
 from nilbott.words import Word, gen, parse_word
@@ -108,6 +111,44 @@ def classify_witnesses_text():
         else:
             raise AssertionError(f"not rejected:\n{text}")
     return json.dumps({"classify": verdicts, "rejected": rejected}, indent=1) + "\n"
+
+
+def deep_specs(count=400, seed="classify-deep"):
+    """Seeded depth-4 and depth-5 towers (one in four of depth 5): a random
+    sign pattern with k in [-3, 3] below, then random stage signs and lifts
+    that are 0 with probability 0.7, else +-1.  Many are rejected; most
+    accepted ones have a finite depth-3 prefix, where the restriction
+    criterion alone decides the type."""
+    rng = random.Random(seed)
+    specs = []
+    for n in range(count):
+        base, signs = rng.choice(PATTERNS)
+        stages = list(TowerSpec.depth3(base, signs, rng.randint(-3, 3)).stages)
+        for dim in range(4, (5 if n % 4 == 3 else 4) + 1):
+            phi = tuple(rng.choice((1, -1)) for _ in range(dim - 1))
+            lifts = tuple(
+                0 if rng.random() < 0.7 else rng.choice((1, -1))
+                for _ in range((dim - 1) * (dim - 2) // 2)
+            )
+            stages.append(Stage(dim, phi, lifts))
+        specs.append(TowerSpec(tuple(stages)))
+    return specs
+
+
+def classify_deep_text():
+    """The JSON text pinned in golden/classify_deep.json: for each of
+    deep_specs, its spec text and either classify_tower's type or the
+    class and message of the exception it raises."""
+    towers = []
+    for spec in deep_specs():
+        entry = {"spec": format_tower_spec(spec)}
+        try:
+            entry["type"] = classify_tower(spec).type
+        except (ExtensionError, ValueError) as exc:
+            entry["error"] = type(exc).__name__
+            entry["message"] = str(exc)
+        towers.append(entry)
+    return json.dumps({"towers": towers}, indent=1) + "\n"
 
 
 def base_presentation(case):

@@ -6,27 +6,29 @@ import pytest
 
 from conftest import (
     CASE_DATA,
+    PATTERNS,
     base_group,
     base_presentation,
     case_extension,
+    deep_specs,
     relator_images_if_homomorphism,
 )
 
 from nilbott.cohomology import (
-    Cocycle,
     base_kind,
     class_order,
-    fiber_signs,
     h2_one_relator,
     relator_pairing,
     restriction_nonzero,
     transfer_identity_check,
     untwisted_subgroup,
 )
+import cocycle_oracle
 import relator_oracle as oracle
+from cocycle_oracle import Cocycle, fiber_signs
 from nilbott.catalogue import catalogue_pc
 from nilbott.polycyclic import PcPresentation, nf_invert, nf_multiply
-from nilbott.towers import _low_stages
+from nilbott.towers import ExtensionError, _low_stages, build_extension, build_tower_groups
 from nilbott.words import _word_sign, fox_augmented, gen, parse_word
 from relator_oracle import TwistMap, klein_presentation, torus_presentation
 
@@ -143,13 +145,20 @@ def test_cocycle_split_extension_vanishes():
     assert all(f.value(a, b) == 0 for a in box for b in box)
 
 
+def _pairings(ext, relator, f=None):
+    """The engine's pairing of relator in ext and the oracle's, through
+    the cocycle f of ext (its zero section if None)."""
+    f = Cocycle(ext) if f is None else f
+    return relator_pairing(ext, relator), cocycle_oracle.relator_pairing(f, relator)
+
+
 def test_cocycle_recovers_lift_integer():
-    for case in sorted(CASE_DATA):
-        pres = base_presentation(case)
-        for k in (-4, -1, 0, 2, 5):
-            ext = case_extension(case, k)
-            f = Cocycle(ext)
-            assert relator_pairing(f, pres.relators[0]) == k
+    # engine == oracle == k on all eight sign forms, huge k included
+    for base, signs in PATTERNS:
+        pres = klein_presentation() if base == "K" else torus_presentation()
+        for k in (-4, 2, 5) + ORACLE_KS:
+            ext = build_extension(catalogue_pc(base), signs, [k])
+            assert _pairings(ext, pres.relators[0]) == (k, k), (base, signs, k)
 
 
 def test_cocycle_antisymmetry_on_torus():
@@ -160,15 +169,24 @@ def test_cocycle_antisymmetry_on_torus():
 def test_relator_pairing_examples():
     klein = klein_presentation().relators[0]
     torus = torus_presentation().relators[0]
-    assert relator_pairing(Cocycle(case_extension(2, 1)), klein) == 1
-    assert relator_pairing(Cocycle(case_extension(2, 0)), klein) == 0
-    assert relator_pairing(Cocycle(case_extension(5, -3)), torus) == -3
+    assert _pairings(case_extension(2, 1), klein) == (1, 1)
+    assert _pairings(case_extension(2, 0), klein) == (0, 0)
+    assert _pairings(case_extension(5, -3), torus) == (-3, -3)
 
 
 def test_relator_pairing_rejects_non_relators():
-    f = Cocycle(case_extension(1, 1))
+    ext = case_extension(1, 1)
+    f = Cocycle(ext)
+    word = parse_word("g h", ("g", "h"))
     with pytest.raises(ValueError):
-        relator_pairing(f, parse_word("g h", ("g", "h")))
+        cocycle_oracle.relator_pairing(f, word)
+    with pytest.raises(ValueError, match="is not a relator of the base"):
+        relator_pairing(ext, word)
+    # the message names the word; a fiber letter is not a base generator
+    with pytest.raises(ValueError, match=r"\(2, 1\).*not a base generator"):
+        relator_pairing(ext, gen(0) * gen(2))
+    with pytest.raises(ValueError):
+        cocycle_oracle.relator_pairing(f, gen(0) * gen(2))
 
 
 def test_cocycle_identity_all_window_triples():
@@ -190,8 +208,10 @@ def test_pairing_of_conjugated_relator():
         r = pres.relators[0]
         g3 = parse_word("g^3", ("g", "h"))
         for k in (-3, 0, 2):
-            f = Cocycle(case_extension(case, k))
-            assert relator_pairing(f, g3 * r * g3.inverse()) == f.phi((1, 0)) ** 3 * k
+            ext = case_extension(case, k)
+            f = Cocycle(ext)
+            expected = f.phi((1, 0)) ** 3 * k
+            assert _pairings(ext, g3 * r * g3.inverse(), f) == (expected, expected)
 
 
 def _element(f, pair):
@@ -240,9 +260,10 @@ def test_pairing_ignores_section_at_identity():
     for case in (3, 5):
         r = base_presentation(case).relators[0]
         for c in (-2, 1, 3):
-            f = Cocycle(case_extension(case, 4), section_shift=lambda a, c=c: c)
+            ext = case_extension(case, 4)
+            f = Cocycle(ext, section_shift=lambda a, c=c: c)
             assert f.section((0, 0)) == (0, 0, c)
-            assert relator_pairing(f, r) == 4
+            assert _pairings(ext, r, f) == (4, 4)
 
 
 def test_section_change_moves_pairing_by_coboundary_image():
@@ -266,7 +287,7 @@ def test_section_change_moves_pairing_by_coboundary_image():
                 return shifts[a]
 
             f2 = Cocycle(ext, section_shift=shift)
-            k2 = relator_pairing(f2, r)
+            k2 = cocycle_oracle.relator_pairing(f2, r)
             if image_gcd == 0:
                 assert k2 == k
             else:
@@ -286,6 +307,34 @@ def test_restriction_examples():
     assert not restriction_nonzero(case_extension(1, 1))
     assert restriction_nonzero(case_extension(5, -3))
     assert not restriction_nonzero(case_extension(7, 5))
+
+
+def _restriction_or_error(criterion, ext):
+    try:
+        return criterion(ext)
+    except ValueError:
+        return ValueError
+
+
+def test_restriction_matches_product_form():
+    # the engine pairs each lattice commutator a b a^-1 b^-1; the oracle
+    # multiplies (ab)(ba)^-1 out in normal forms.  Every stage of the
+    # seeded deep towers that builds, and every depth-3 case, is compared;
+    # above an infinite-type stage the lattice need not commute, and then
+    # both must refuse
+    exts = [case_extension(case, k) for case in sorted(CASE_DATA) for k in range(-3, 4)]
+    for spec in deep_specs():
+        try:
+            exts += build_tower_groups(spec)[2:]
+        except (ExtensionError, ValueError):
+            pass
+    assert len(exts) > 300
+    verdicts = set()
+    for ext in exts:
+        engine = _restriction_or_error(restriction_nonzero, ext)
+        assert engine == _restriction_or_error(cocycle_oracle.restriction_nonzero, ext)
+        verdicts.add(engine)
+    assert verdicts == {True, False, ValueError}
 
 
 def test_transfer_identity():

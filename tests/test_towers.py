@@ -10,13 +10,21 @@ from conftest import (
     base_group,
     base_presentation,
     case_extension,
+    classify_deep_text,
     classify_witnesses_text,
     collected,
     compose_maps,
 )
+import cocycle_oracle
+from cocycle_oracle import Cocycle
 
 from nilbott.catalogue import base_identification, case_swap_maps, catalogue_pc, reduction_maps
-from nilbott.cohomology import class_order, restriction_nonzero
+from nilbott.cohomology import (
+    class_order,
+    relator_pairing,
+    restriction_nonzero,
+    transfer_identity_check,
+)
 from nilbott.polycyclic import (
     collect,
     cyclic_pc,
@@ -197,13 +205,12 @@ def test_type_decisions_agree():
 
 
 def test_round_trip_lift_through_pairing():
-    from nilbott.cohomology import Cocycle, relator_pairing
-
     for case in sorted(CASE_DATA):
         pres = base_presentation(case)
         for k in (-5, -2, 0, 1, 3):
-            f = Cocycle(case_extension(case, k))
-            assert relator_pairing(f, pres.relators[0]) == k
+            ext = case_extension(case, k)
+            r = pres.relators[0]
+            assert relator_pairing(ext, r) == cocycle_oracle.relator_pairing(Cocycle(ext), r) == k
 
 
 def test_tower_spec_parse_format_roundtrip():
@@ -242,6 +249,35 @@ def test_classify_matches_golden_bytes():
     # labels, witness normal forms and rejection messages, pinned from the
     # engine that composed witness maps by word substitution
     assert classify_witnesses_text().encode() == GOLDEN_WITNESSES.read_bytes()
+
+
+GOLDEN_DEEP = Path(__file__).parent / "golden" / "classify_deep.json"
+
+
+def test_classify_deep_matches_golden_bytes():
+    # depth-4/5 types and rejections of a seeded tower set; where the
+    # depth-3 prefix is finite the restriction criterion alone decides
+    assert classify_deep_text().encode() == GOLDEN_DEEP.read_bytes()
+
+
+#: values that are not integers, and the bools that int() would accept
+NOT_INTEGERS = [2.5, 2.0, "7", True, False, None]
+
+K_ENTRY_POINTS = {
+    "build_extension": lambda k: build_extension(catalogue_pc("T2"), (1, 1), [k]),
+    "depth3": lambda k: TowerSpec.depth3("T2", (1, 1), k),
+    "class_order-free": lambda k: class_order(catalogue_pc("T2"), (1, 1), k),
+    "class_order-torsion": lambda k: class_order(catalogue_pc("K"), (1, -1), k),
+    "transfer": lambda k: transfer_identity_check(catalogue_pc("K"), (-1, 1), k),
+}
+
+
+@pytest.mark.parametrize("k", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("entry", sorted(K_ENTRY_POINTS))
+def test_k_must_be_an_integer(entry, k):
+    # a lift that is not an int is refused, never truncated or read as 0/1
+    with pytest.raises(ValueError, match="^k must be an integer$"):
+        K_ENTRY_POINTS[entry](k)
 
 
 def _substituted_witnesses(base, signs, k):
