@@ -138,6 +138,8 @@ def restriction_nonzero(ext: PcPresentation) -> bool:
     gens = [
         gen(i, 2 if _carries_holonomy(ext, i) else 1) for i in range(ext.ngens - 1)
     ]
+    # every pair is paired before any() reads them, so a lattice that does
+    # not commute in the base is refused rather than passed over
     pairings = [
         relator_pairing(ext, a * b * a.inverse() * b.inverse())
         for s, a in enumerate(gens)
