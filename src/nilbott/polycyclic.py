@@ -8,13 +8,26 @@ generators of index >= j.  Power relations are not supported: every group
 here is torsion-free.
 
 Normal forms are exponent vectors (e_0, ..., e_{m-1}) meaning
-x_0^{e_0} ... x_{m-1}^{e_{m-1}}.  Multiplication collects from the left:
-the lowest-index letters are merged first and their conjugation action is
-pushed into the tail, which is the standard terminating strategy for
-consistent presentations.  Conjugation by x_i^t is applied as the
-automorphisms x_i^(+-2^b) for the set bits b of |t|, whose generator
-images are computed by squaring when first needed and kept on the
-presentation, so the cost grows with the bit length of the exponents.
+x_0^{e_0} ... x_{m-1}^{e_{m-1}}.  The collector is one loop over the
+levels, with no recursion.  A product collects from the left: at each
+level l it adds the two exponents and conjugates the rest of the left
+factor past x_l^(b_l), and from the first level whose subgroup
+<x_l, ...> is abelian on it adds the rest coordinate-wise.  An inverse
+negates the abelian top of the chain and then walks down the lower
+levels; a power is binary exponentiation, high bits first.  Conjugation
+by x_i^t is applied as the automorphisms x_i^(+-2^b) for the set bits b
+of |t|, whose generator images are computed by squaring when first
+needed and kept on the presentation, so the cost grows with the bit
+length of the exponents.
+
+On an abelian level every generator map is linear: the image of a normal
+form is the integer combination of the generator images, with no
+products.  So a power of x_l^a t from the level just below the abelian
+top, where conjugation by x_l is an involution (as every sign twist of a
+single fiber is), is a sum of t and its image, in closed form.  The
+degree of the cost in the bit length still grows with the number of
+non-abelian levels; towers of depth 4 and more bound their twisting
+integers (towers.DEEP_LIFT_BITS).
 
 Only the positive conjugation rules are supplied; the constructor derives
 the inverse rules by a triangular solve (the conjugation action preserves
@@ -28,6 +41,7 @@ inherits its base's rules instead, with no collection (_extend).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .exact import smith_normal_form, IntMatrix
 from .words import Word, _word_sign, gen, parse_word, word_str
@@ -99,6 +113,7 @@ class PcPresentation:
         self._defects: list[tuple] = []
         # (i, sign) -> images of x_{i+1..m-1} under x_i^(sign 2^b), b = 0, 1, ...
         self._squares: dict[tuple[int, int], list] = {}
+        self._involutions: dict[int, bool] = {}  # see _involution
         self._central = [True] * m  # x_i commutes with every later generator
         self._abelian = [True] * m  # <x_i, ..., x_{m-1}> is abelian
 
@@ -188,18 +203,20 @@ class PcPresentation:
         return (0,) * self._m
 
     def _mult(self, a, b, lvl=0) -> NormalForm:
+        """a b for a, b supported on indices >= lvl, one level at a time:
+        x_l^(a_l) t x_l^(b_l) = x_l^(a_l + b_l) (x_l^(-b_l) t x_l^(b_l))
+        moves the left tail t past x_l^(b_l), and from the first abelian
+        level on (the top level is one) the rest is added coordinate-wise."""
         if not any(a):
             return b
-        if not any(b):
-            return a
-        if self._abelian[lvl]:
-            return tuple(x + y for x, y in zip(a, b))
-        a1, b1 = a[lvl], b[lvl]
-        a_tail = _zero_at(a, lvl)
-        if b1 and any(a_tail):
-            a_tail = self._conj(a_tail, lvl, -b1)
-        tail = self._mult(a_tail, _zero_at(b, lvl), lvl + 1)
-        return tail[:lvl] + (a1 + b1,) + tail[lvl + 1:]
+        out = b[:lvl]
+        for l in range(lvl, self._m):
+            if self._abelian[l]:
+                return out + tuple(map(add, a[l:], b[l:]))
+            bl = b[l]
+            out += (a[l] + bl,)
+            if bl and not self._central[l] and any(a[l + 1:]):
+                a = self._conj(a, l, -bl)
 
     def _conj(self, v, i, t) -> NormalForm:
         """x_i^t v x_i^-t for v supported on indices > i.
@@ -223,16 +240,31 @@ class PcPresentation:
     def _act(self, images, v, lvl) -> NormalForm:
         """The product of the images[j - lvl]^(v_j), j = lvl, lvl + 1, ...,
         collected at level lvl: the image of v under the map sending x_j to
-        images[j - lvl].  v may be a normal form of another group."""
-        out = (0,) * self._m
+        images[j - lvl].  v may be a normal form of another group.  On an
+        abelian level it is the integer combination of the images."""
+        if self._abelian[lvl]:
+            out = [0] * self._m
+            for j in range(lvl, len(v)):
+                e = v[j]
+                if e:
+                    out = [x + e * y for x, y in zip(out, images[j - lvl])]
+            return tuple(out)
+        out = None
         for j in range(lvl, len(v)):
-            if v[j]:
-                out = self._mult(out, self._power(images[j - lvl], v[j], lvl), lvl)
-        return out
+            e = v[j]
+            if e:
+                w = images[j - lvl]
+                if e != 1:
+                    w = self._power(w, e, lvl)
+                out = w if out is None else self._mult(out, w, lvl)
+        return (0,) * self._m if out is None else out
 
     def _power(self, v, e, lvl=0) -> NormalForm:
         """v^e for v supported on indices >= lvl, collected from the first
-        nonzero entry of v."""
+        nonzero entry of v, at level l, by squaring, high bits of |e|
+        first.  If conjugation by x_l is an involution phi of the abelian
+        <x_{l+1}, ...>, then v = x_l^a t gives, with no products,
+        v^e = x_l^(a e) ((e - e // 2) t + (e // 2) phi^a(t))."""
         if e == 1:
             return v
         while lvl < self._m and not v[lvl]:
@@ -242,21 +274,48 @@ class PcPresentation:
         if self._abelian[lvl] or not any(v[lvl + 1:]):
             return tuple(x * e for x in v)
         if e < 0:
-            return self._power(self._invert(v, lvl), -e, lvl)
-        half = self._power(v, e // 2, lvl)
-        out = self._mult(half, half, lvl)
-        if e % 2:
-            out = self._mult(out, v, lvl)
+            v, e = self._invert(v, lvl), -e
+            if e == 1:
+                return v
+        if self._involution(lvl):
+            a, q = v[lvl], e // 2
+            t = self._act(self._squares[(lvl, 1)][0], v, lvl + 1) if a % 2 else v
+            out = [(e - q) * x + q * y for x, y in zip(v, t)]
+            out[lvl] = a * e
+            return tuple(out)
+        out = v
+        for bit in bin(e)[3:]:
+            out = self._mult(out, out, lvl)
+            if bit == "1":
+                out = self._mult(out, v, lvl)
         return out
 
+    def _involution(self, i) -> bool:
+        """Whether <x_{i+1}, ...> is abelian and conjugation by x_i is an
+        involution of it; decided on first use and kept."""
+        flag = self._involutions.get(i)
+        if flag is None:
+            images = self._squares[(i, 1)][0]
+            flag = self._abelian[i + 1] and [
+                self._act(images, w, i + 1) for w in images
+            ] == [self._unit(j) for j in range(i + 1, self._m)]
+            self._involutions[i] = flag
+        return flag
+
     def _invert(self, v, lvl=0) -> NormalForm:
-        if not any(v):
-            return v
-        v1 = v[lvl]
-        tail_inv = self._invert(_zero_at(v, lvl), lvl + 1)
-        if v1 and any(tail_inv):
-            tail_inv = self._conj(tail_inv, lvl, v1)
-        return tail_inv[:lvl] + (-v1,) + tail_inv[lvl + 1:]
+        """v^-1 for v supported on indices >= lvl: the abelian top of the
+        chain is negated, then each lower level l takes
+        (x_l^(v_l) t)^-1 = x_l^(-v_l) (x_l^(v_l) t^-1 x_l^(-v_l))."""
+        top = lvl
+        while not self._abelian[top]:
+            top += 1
+        out = (0,) * top + tuple(-x for x in v[top:])
+        for l in range(top - 1, lvl - 1, -1):
+            vl = v[l]
+            if vl and any(out[l + 1:]):
+                out = self._conj(out, l, vl)
+            out = out[:l] + (-vl,) + out[l + 1:]
+        return out
 
     def _collect_from(self, w: Word, lvl) -> NormalForm:
         out = (0,) * self._m
@@ -277,7 +336,7 @@ class PcPresentation:
         return parse_word(text, self.names)
 
     def nf_str(self, v: NormalForm) -> str:
-        return word_str(nf_to_word(v), self.names)
+        return word_str(((i, e) for i, e in enumerate(v) if e), self.names)
 
     def rule(self, i, j, sign=1) -> NormalForm:
         return self._rules[(i, j, sign)]
@@ -291,10 +350,6 @@ class PcPresentation:
         for i in range(self._m):
             for j in range(i + 1, self._m):
                 yield (i, j), self._rules[(i, j, 1)]
-
-
-def _zero_at(v, lvl):
-    return v[:lvl] + (0,) + v[lvl + 1:]
 
 
 def nf_to_word(v: NormalForm) -> Word:
@@ -411,7 +466,7 @@ def evaluate(p: PcPresentation, w: Word, images) -> NormalForm:
     syllable."""
     out = p.identity()
     for g, e in w:
-        out = p._mult(out, p._power(images[g], e))
+        out = p._mult(out, images[g] if e == 1 else p._power(images[g], e))
     return out
 
 

@@ -72,13 +72,10 @@ def gen(i: int, e: int = 1) -> Word:
     return Word(((i, e),))
 
 
-def word_str(w: Word, names) -> str:
-    if w.is_identity():
-        return "1"
-    parts = []
-    for g, e in w:
-        parts.append(names[g] if e == 1 else f"{names[g]}^{e}")
-    return " ".join(parts)
+def word_str(w, names) -> str:
+    """w, a Word or (generator, exponent) pairs, as 'g h^-1 ...'; "1" if
+    empty."""
+    return " ".join(names[g] if e == 1 else f"{names[g]}^{e}" for g, e in w) or "1"
 
 
 def parse_word(text: str, names) -> Word:

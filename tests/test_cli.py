@@ -190,6 +190,13 @@ MALFORMED_SPECS = [
         "error: lift data is not a cocycle",
         id="lifts-not-cocycle",
     ),
+    pytest.param(
+        SPEC_HEAD + f"stage 3: base=K phi={{g:-1,h:+1}} k={10**1000}\n"
+        "stage 4: phi={g:+1,h:+1,n:+1} k=0,0,0\n",
+        "error: stage 3: a twisting integer of 3322 bits is above the bound of "
+        "128 bits for towers of depth 4 or more",
+        id="deep-k-over-bound",
+    ),
 ]
 
 

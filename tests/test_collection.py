@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linear_collector as oracle
-from conftest import CENTRAL4, DEPTH4, PATTERNS, collected
+from conftest import CENTRAL4, DEPTH4, PATTERNS, collected, deep_specs
 from nilbott.catalogue import catalogue_pc
 from nilbott.polycyclic import (
     PcPresentation,
@@ -19,7 +19,13 @@ from nilbott.polycyclic import (
     nf_to_word,
     verify_isomorphism,
 )
-from nilbott.towers import TowerSpec, build_tower_groups, classify_tower, parse_tower_spec
+from nilbott.towers import (
+    ExtensionError,
+    TowerSpec,
+    build_tower_groups,
+    classify_tower,
+    parse_tower_spec,
+)
 from nilbott.words import parse_word
 
 
@@ -80,6 +86,48 @@ def test_consistency_check_cost(name):
     # 0.3 ms on depth5 on a 2-vCPU Xeon at 2.1 GHz (both bracketings of all
     # signed generator triples took 21.7 ms)
     assert time.perf_counter() - start < 0.005
+
+
+def _oracle_checks(p, rng, box):
+    """nf_multiply, nf_invert and nf_power against the oracle on seeded
+    draws with entries in [-box, box], exponents in [-2 box, 2 box]."""
+    for _ in range(3):
+        a, b = (tuple(rng.randint(-box, box) for _ in range(p.ngens)) for _ in range(2))
+        assert nf_multiply(p, a, b) == oracle.mult(p, a, b), (p.names, a, b)
+        assert nf_invert(p, a) == oracle.invert(p, a), (p.names, a)
+        e = rng.randint(-2 * box, 2 * box)
+        assert nf_power(p, a, e) == oracle.power(p, a, e), (p.names, a, e)
+
+
+@pytest.mark.parametrize("base,signs", PATTERNS)
+def test_depth3_collector_matches_linear_oracle(base, signs):
+    rng = random.Random(f"depth3:{base}{signs}")
+    for k in (-3, 0, 2, 5):
+        _oracle_checks(build_tower_groups(TowerSpec.depth3(base, signs, k))[2], rng, 4)
+
+
+def test_deep_collector_matches_linear_oracle():
+    # every accepted tower of the seeded deep set, in its top group
+    rng = random.Random("deep")
+    accepted = 0
+    for spec in deep_specs():
+        try:
+            p = build_tower_groups(spec)[-1]
+        except (ExtensionError, ValueError):
+            continue
+        accepted += 1
+        _oracle_checks(p, rng, 2)
+    assert accepted > 100
+
+
+@pytest.mark.parametrize("label,k", [("Delta", 3), ("Gamma", 3), ("B4", None)])
+def test_power_with_a_1100_bit_exponent(label, k):
+    # the power loop keeps no frame per bit of the exponent
+    p = catalogue_pc(label, k)
+    a, e = (1, 1, 1), 2**1100 + 1
+    power = nf_power(p, a, e)
+    assert power == nf_multiply(p, nf_power(p, a, e - 1), a)
+    assert nf_power(p, a, -e) == nf_invert(p, power)
 
 
 def _elements(ngens, bound=10**6):
@@ -145,6 +193,17 @@ def test_classify_huge_twisting_integer(base, signs):
         assert verify_isomorphism(ext, target, collected(target, fwd), collected(ext, bwd))
 
 
+@pytest.mark.parametrize("base,signs", PATTERNS)
+def test_classify_4000_digit_twisting_integer(base, signs):
+    # depth 3 takes no bound on k
+    for k in (10**3999 + 1, -(10**3999)):
+        start = time.perf_counter()
+        v = classify_tower(TowerSpec.depth3(base, signs, k))
+        # 1.2 to 2.6 ms on a 2-vCPU Xeon at 2.1 GHz
+        assert time.perf_counter() - start < 0.5, (base, signs, k)
+        assert (v.label, v.type) == _expected(base, signs, k)
+
+
 @pytest.mark.parametrize("label,k", [("Delta", 3), ("Gamma", 3), ("B2", None), ("B4", None)])
 def test_nf_multiply_million_exponents(label, k):
     p = catalogue_pc(label, k)
@@ -165,10 +224,8 @@ def test_klein_pp_witness_is_normal_form():
     assert v.witness_bwd == {"e": "g", "u": "h n^-5", "v": "h^-2 n^11"}
 
 
-def test_power_of_a_fiber_normal_form_makes_no_products():
-    # x^e for x in the abelian top of the chain is one scaling, whatever
-    # level the caller starts from
-    p = catalogue_pc("Delta", 3)  # built per call, so the counter stays local
+def _count_products(p):
+    """The list that collects the arguments of every later p._mult call."""
     mult, calls = p._mult, []
 
     def counted(*args):
@@ -176,6 +233,28 @@ def test_power_of_a_fiber_normal_form_makes_no_products():
         return mult(*args)
 
     p._mult = counted
+    return calls
+
+
+def test_power_of_a_fiber_normal_form_makes_no_products():
+    # x^e for x in the abelian top of the chain is one scaling, whatever
+    # level the caller starts from; on an abelian level the action is an
+    # integer combination and the inverse a negation
+    p = catalogue_pc("Delta", 3)  # built per call, so the counter stays local
+    calls = _count_products(p)
     assert nf_power(p, (0, 0, 1), 10**30) == (0, 0, 10**30)
     assert nf_power(p, (0, 1, 1), -(10**30)) == (0, -(10**30), -(10**30))
+    images = p._squares[(0, 1)][0]  # conjugation by a on <b, c>
+    assert p._act(images, (0, 5, -7), 1) == (0, 5, -22)
+    assert p._invert((0, 5, -7), 1) == (0, -5, 7)
+    assert p._power((0, 5, -7), 10**30, 1) == (0, 5 * 10**30, -7 * 10**30)
+    assert len(calls) == 0
+    # below an abelian top that x_l^a acts on by an involution, a power is
+    # t and its image summed: (g^a h^b)^e with g h g^-1 = h^-1
+    klein = PcPresentation(("g", "h"), {(0, 1): ((1, -1),)})
+    calls = _count_products(klein)
+    e = 10**30 + 1
+    assert nf_power(klein, (1, 7), e) == (e, 7)
+    assert nf_power(klein, (2, 7), e) == (2 * e, 7 * e)
+    assert nf_power(klein, (3, 7), -e) == (-3 * e, 7)
     assert len(calls) == 0

@@ -1,3 +1,4 @@
+import time
 from functools import reduce
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from nilbott.polycyclic import (
     verify_isomorphism,
 )
 from nilbott.towers import (
+    DEEP_LIFT_BITS,
     ExtensionError,
     Stage,
     TowerSpec,
@@ -192,6 +194,47 @@ def test_classify_depth4_type_only():
         )
     )
     assert classify_tower(deep_nil).type == "infinite"
+
+
+def _dense_deep_tower(bits):
+    """The slowest depth-5 tower of a seeded search over towers whose
+    twisting integers all have the given bit length, most bits set."""
+    top = 2**bits
+    return TowerSpec(
+        (
+            Stage(1),
+            Stage(2, (-1,), (), "S1"),
+            Stage(3, (-1, -1), (-(top - 7),), "K"),
+            Stage(4, (1, -1, 1), (top - 14, -(top - 4), -(top - 12))),
+            Stage(
+                5,
+                (1, -1, 1, -1),
+                (-(top - 3), top - 9, -(top - 5), -(top - 10), top - 1, top - 6),
+            ),
+        )
+    )
+
+
+def test_deep_twisting_integers_are_bounded():
+    start = time.perf_counter()
+    with pytest.raises(ExtensionError, match="does not respect n m n\\^-1"):
+        classify_tower(_dense_deep_tower(DEEP_LIFT_BITS))
+    # 0.48 s on a 2-vCPU Xeon at 2.1 GHz
+    assert time.perf_counter() - start < 10
+    over = _dense_deep_tower(DEEP_LIFT_BITS + 1)
+    with pytest.raises(ValueError, match=(
+        f"^stage 3: a twisting integer of {DEEP_LIFT_BITS + 1} bits is above "
+        f"the bound of {DEEP_LIFT_BITS} bits for towers of depth 4 or more$"
+    )):
+        classify_tower(over)
+    # one over-bound lift at the top stage of depth 5, and of depth 4
+    *low, top = _dense_deep_tower(DEEP_LIFT_BITS).stages
+    lifts = top.lifts[:-1] + (-(2**DEEP_LIFT_BITS),)
+    with pytest.raises(ValueError, match="^stage 5: a twisting integer of 129 bits"):
+        build_tower_groups(TowerSpec((*low, Stage(5, top.phi, lifts))))
+    depth4 = TowerSpec((*low[:3], Stage(4, low[3].phi, (2**DEEP_LIFT_BITS, 0, 0))))
+    with pytest.raises(ValueError, match="^stage 4: a twisting integer of 129 bits"):
+        build_tower_groups(depth4)
 
 
 def test_type_decisions_agree():
