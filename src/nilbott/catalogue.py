@@ -2,77 +2,94 @@
 identify built extensions with them.
 
 Flat labels follow Wolf's naming (G1 = T3, G2, B1..B4); the nil labels are
-the Heisenberg lattice Delta(k) and its index-2 extension Gamma(k).  The
-catalogue presentations are fixed here, independent of the extension
-builder, so the identification checks have content.
+the Heisenberg lattice Delta(k) and its index-2 extension Gamma(k).  Each
+group is a tower over the circle, like every pc group of the engine: a
+table gives its generator names and the twist signs and lifts of each
+stage, and build_extension builds it.  The identification checks keep
+their content because tests/test_catalogue.py compares every group with
+the one assembled from the paper's rule text by an independent
+constructor.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .polycyclic import PcPresentation, require_integer_k
+from .polycyclic import PcPresentation, build_extension, cyclic_pc, require_integer_k
 from .words import Word, gen, parse_word
 
 
 FLAT_LABELS = ("T3", "G2", "B1", "B2", "B3", "B4")
 NIL_LABELS = ("Delta", "Gamma")
 
-
-def _pc(names, rules_text):
-    names = tuple(names)
-    conj = {}
-    for (i, j), text in rules_text.items():
-        conj[(i, j)] = parse_word(text, names)
-    return PcPresentation(names, conj)
+#: label -> (generator names, then the (twist signs, lifts) of each stage
+#: above the circle).  The stage-3 lifts of Delta and Gamma are those of
+#: k = 1; catalogue_pc scales them by k.
+_TOWERS = {
+    "S1": ("t",),
+    "T2": ("a b", ((1,), ())),
+    "K": ("g h", ((-1,), ())),
+    "T3": ("t1 t2 t3", ((1,), ()), ((1, 1), (0,))),
+    # half turn: a t a^-1 = t^-1 on both lattice directions, a^2 central
+    "G2": ("a t2 t3", ((-1,), ()), ((-1, 1), (0,))),
+    # Klein bottle times circle
+    "B1": ("e t2 t3", ((-1,), ()), ((1, 1), (0,))),
+    # the other flat Klein-type manifold: the holonomy action on the
+    # lattice is a shear-by-involution, not diagonalizable over Z
+    "B2": ("e u v", ((1,), ()), ((-1, 1), (1,))),
+    "B3": ("a e t", ((-1,), ()), ((-1, -1), (0,))),
+    "B4": ("a e t", ((-1,), ()), ((-1, -1), (-1,))),
+    # [a, b] = c^-k with c central
+    "Delta": ("a b c", ((1,), ()), ((1, 1), (-1,))),
+    "Gamma": ("a b n", ((-1,), ()), ((-1, 1), (1,))),
+}
 
 
 def catalogue_pc(label: str, k: int | None = None) -> PcPresentation:
     """Canonical polycyclic presentation of a catalogue group.
 
     The groups that do not depend on k are built on first use and shared;
-    Delta(k) and Gamma(k) are built on every call.
+    Delta(k) and Gamma(k) are built on every call, over a shared base.
     """
     if label == "Delta":
         if k is None:
             raise ValueError("Delta needs the twisting integer k")
         require_integer_k(k)
-        # [a, b] = c^-k with c central
-        return _pc(("a", "b", "c"), {(0, 1): f"b c^{-k}", (0, 2): "c", (1, 2): "c"})
+        return _tower(label, k)
     if label == "Gamma":
         if k is not None:
             require_integer_k(k)
         if not k:
             raise ValueError("Gamma needs a nonzero twisting integer k")
-        return _pc(("a", "b", "n"), {(0, 1): f"n^{k} b^-1", (0, 2): "n^-1", (1, 2): "n"})
+        return _tower(label, k)
     return _fixed_pc(label)
 
 
 @cache
 def _fixed_pc(label: str) -> PcPresentation:
-    if label == "S1":
-        return _pc(("t",), {})
-    if label == "T2":
-        return _pc(("a", "b"), {})
-    if label == "K":
-        return _pc(("g", "h"), {(0, 1): "h^-1"})
-    if label == "T3":
-        return _pc(("t1", "t2", "t3"), {})
-    if label == "G2":
-        # half turn: a t a^-1 = t^-1 on both lattice directions, a^2 central
-        return _pc(("a", "t2", "t3"), {(0, 1): "t2^-1", (0, 2): "t3^-1"})
-    if label == "B1":
-        # Klein bottle times circle
-        return _pc(("e", "t2", "t3"), {(0, 1): "t2^-1", (0, 2): "t3"})
-    if label == "B2":
-        # the other flat Klein-type manifold: the holonomy action on the
-        # lattice is a shear-by-involution, not diagonalizable over Z
-        return _pc(("e", "u", "v"), {(0, 1): "u v", (0, 2): "v^-1"})
-    if label == "B3":
-        return _pc(("a", "e", "t"), {(0, 1): "e^-1", (0, 2): "t^-1", (1, 2): "t^-1"})
-    if label == "B4":
-        return _pc(("a", "e", "t"), {(0, 1): "e^-1 t", (0, 2): "t^-1", (1, 2): "t^-1"})
-    raise ValueError(f"unknown catalogue label {label!r}")
+    if label not in _TOWERS or label in NIL_LABELS:
+        raise ValueError(f"unknown catalogue label {label!r}")
+    return _tower(label)
+
+
+def _tower(label: str, k: int = 1) -> PcPresentation:
+    """label's group, with the lifts of its top stage scaled by k."""
+    names, *stages = _TOWERS[label]
+    names = tuple(names.split())
+    if not stages:
+        return cyclic_pc(names[0])
+    signs, lifts = stages[-1]
+    base = _prefix(names[:-1], tuple(stages[:-1]))
+    return build_extension(base, signs, [k * x for x in lifts], names[-1])
+
+
+@cache
+def _prefix(names, stages) -> PcPresentation:
+    """The tower below a catalogue group's top stage, built once."""
+    p = cyclic_pc(names[0])
+    for name, (signs, lifts) in zip(names[1:], stages):
+        p = build_extension(p, signs, lifts, name)
+    return p
 
 
 def _w(names, *texts):

@@ -13,6 +13,7 @@ from math import gcd
 from .exact import smith_normal_form, IntMatrix
 from .polycyclic import (
     PcPresentation,
+    build_extension,
     collect,
     nf_to_word,
     require_integer_k,
@@ -180,8 +181,6 @@ def transfer_identity_check(base: PcPresentation, signs, k: int) -> bool:
     """Verify the transfer constraint: if the class restricts to zero on the
     index-2 untwisted subgroup, then twice the class must vanish upstairs.
     """
-    from .towers import build_extension  # local to avoid a cycle
-
     (u, v), sub_kind = untwisted_subgroup(base, signs)
     ext = build_extension(base, signs, [k])
     k_restricted = relator_pairing(ext, _subgroup_relator(u, v, sub_kind))

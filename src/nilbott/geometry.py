@@ -596,54 +596,6 @@ def catalogue_representation(label: str, k: int | None = None) -> list:
     return [data[label][name] for name in p.names]
 
 
-_HALF = Fraction(1, 2)
-
-
-def extension_representation(case: int, k: int) -> list:
-    """Faithful exact models for the built depth-3 extensions, generator
-    order (g, h, n).  Fiber coordinate first for the flat cases."""
-    kh = Fraction(k, 2)
-    if case == 1:
-        return [
-            FlatAffineMap(IntMatrix.diagonal([1, 1, -1]), (0, _HALF, 0)),
-            FlatAffineMap.translation((kh, 0, 1)),
-            FlatAffineMap.translation((1, 0, 0)),
-        ]
-    if case == 2:
-        return [
-            FlatAffineMap(IntMatrix.diagonal([1, 1, -1]), (kh, _HALF, 0)),
-            FlatAffineMap(IntMatrix.diagonal([-1, 1, 1]), (0, 0, 1)),
-            FlatAffineMap.translation((1, 0, 0)),
-        ]
-    if case == 3:
-        if k == 0:
-            return catalogue_representation("G2")
-        return gamma_generators(k)
-    if case == 4:
-        return [
-            FlatAffineMap(IntMatrix.diagonal([-1, 1, -1]), (kh, _HALF, 0)),
-            FlatAffineMap(IntMatrix.diagonal([-1, 1, 1]), (0, 0, 1)),
-            FlatAffineMap.translation((1, 0, 0)),
-        ]
-    if case == 5:
-        if k == 0:
-            return catalogue_representation("Delta", 0)
-        return delta_generators(-k)
-    if case == 6:
-        return [
-            FlatAffineMap(IntMatrix.identity(3), (kh, 1, 0)),
-            FlatAffineMap(IntMatrix.diagonal([-1, 1, 1]), (0, 0, 1)),
-            FlatAffineMap.translation((1, 0, 0)),
-        ]
-    if case == 7:
-        return [
-            FlatAffineMap(IntMatrix.diagonal([-1, 1, 1]), (kh, 1, 0)),
-            FlatAffineMap(IntMatrix.diagonal([-1, 1, 1]), (0, 0, 1)),
-            FlatAffineMap.translation((1, 0, 0)),
-        ]
-    raise ValueError(f"unknown case {case}")
-
-
 def _power(m, e: int):
     """m^e for e != 0 by repeated squaring: O(log |e|) products."""
     base = m if e > 0 else m.inverse()

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import comb
+from math import comb, prod
 
 from .catalogue import catalogue_pc, central_words, FLAT_LABELS
 from .exact import IntMatrix, smith_normal_form, solve_fixed_lattice, rank
@@ -56,9 +56,16 @@ def holonomy(rep: list):
 def _orientable(rep: list) -> bool:
     if all(isinstance(m, HeisAffineMap) for m in rep):
         return True  # nil-type quotients in scope preserve orientation
-    from .exact import det
+    return all(_orientation(m) == 1 for m in rep)
 
-    return all(det(m.lin) == 1 for m in rep)
+
+def _orientation(m: FlatAffineMap) -> int:
+    """The determinant of m's linear part, a signed permutation: the
+    product of its signs times the sign of the permutation,
+    (-1)^(inversions)."""
+    perm = m.perm
+    inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
+    return prod(m.signs) * (-1) ** inversions
 
 
 def betti_numbers(group: PcPresentation, rep: list) -> tuple[int, int, int, int]:
@@ -78,7 +85,6 @@ def center_rank(p: PcPresentation, box: int = 2) -> int:
     """Rank of the center, by exact centralizer equations sampled on the
     normal-form box: a vector is central iff it commutes with every
     generator."""
-    p.require_consistent()
     central = []
     units = [p._unit(i) for i in range(p.ngens)]
     for vec in product(range(-box, box + 1), repeat=p.ngens):

@@ -29,13 +29,11 @@ degree of the cost in the bit length still grows with the number of
 non-abelian levels; towers of depth 4 and more bound their twisting
 integers (towers.DEEP_LIFT_BITS).
 
-Only the positive conjugation rules are supplied; the constructor derives
-the inverse rules by a triangular solve (the conjugation action preserves
-the chain, so its leading coefficients must be units).  A presentation
-whose inverse rules fail to solve is recorded as defective and reported
-by consistency_check, which then checks level by level that conjugation
-by x_i respects the rules of <x_{i+1}, ...>.  An extension by a fiber
-inherits its base's rules instead, with no collection (_extend).
+Every presentation is a tower: the circle (cyclic_pc), extended one
+fiber at a time by build_extension.  An extension inherits its base's
+rules, each with one fiber tail, with no collection (_extend), and
+consistency_check then checks level by level that conjugation by x_i
+respects the rules of <x_{i+1}, ...>.
 """
 
 from __future__ import annotations
@@ -44,18 +42,16 @@ from dataclasses import dataclass
 from operator import add
 
 from .exact import smith_normal_form, IntMatrix
-from .words import Word, _word_sign, gen, parse_word, word_str
-
-
-class PcError(Exception):
-    pass
-
-
-class InconsistentPresentation(PcError):
-    pass
+from .words import Word, _word_sign, gen, word_str
 
 
 NormalForm = tuple  # exponent vector, one int per generator
+
+
+class ExtensionError(Exception):
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 @dataclass
@@ -69,28 +65,8 @@ class ConsistencyResult:
 
 
 class PcPresentation:
-    """Polycyclic presentation; immutable once constructed.
-
-    conj maps (i, j) with i < j to the word x_i x_j x_i^-1.  Pairs not
-    listed default to the trivial rule x_i x_j x_i^-1 = x_j.
-    """
-
-    def __init__(self, names, conj=None):
-        self._start(names)
-        given: dict[tuple[int, int], Word] = {}
-        for (i, j), w in (conj or {}).items():
-            if not (0 <= i < j < self._m):
-                raise ValueError(f"bad rule pair ({i}, {j})")
-            if not isinstance(w, Word):
-                w = Word(w)
-            for g, _ in w:
-                if g < j or g >= self._m:
-                    raise ValueError(
-                        f"rule x_{i} x_{j} x_{i}^-1 output must use "
-                        f"generators of index >= {j}"
-                    )
-            given[(i, j)] = w
-        self._assemble(given)
+    """Polycyclic presentation; immutable once built.  Made only as the
+    circle (cyclic_pc) and by extending one (build_extension)."""
 
     @property
     def ngens(self) -> int:
@@ -101,40 +77,24 @@ class PcPresentation:
 
     # -- assembly ---------------------------------------------------------
 
-    def _start(self, names):
-        self.names = tuple(names)
-        m = len(self.names)
+    @classmethod
+    def _blank(cls, names):
+        """A presentation on names with no rules set yet."""
+        p = cls.__new__(cls)
+        p.names = tuple(names)
+        m = len(p.names)
         if m == 0:
             raise ValueError("need at least one generator")
-        if len(set(self.names)) != m:
+        if len(set(p.names)) != m:
             raise ValueError("duplicate generator names")
-        self._m = m
-        self._rules: dict[tuple[int, int, int], NormalForm] = {}
-        self._defects: list[tuple] = []
+        p._m = m
+        p._rules: dict[tuple[int, int, int], NormalForm] = {}
         # (i, sign) -> images of x_{i+1..m-1} under x_i^(sign 2^b), b = 0, 1, ...
-        self._squares: dict[tuple[int, int], list] = {}
-        self._involutions: dict[int, bool] = {}  # see _involution
-        self._central = [True] * m  # x_i commutes with every later generator
-        self._abelian = [True] * m  # <x_i, ..., x_{m-1}> is abelian
-
-    def _assemble(self, given):
-        m = self._m
-        for i in range(m - 2, -1, -1):
-            for j in range(i + 1, m):
-                w = given.get((i, j), gen(j))
-                try:
-                    nf = self._collect_from(w, j)
-                except PcError as exc:
-                    self._defects.append((i, j, f"rule output: {exc}"))
-                    nf = self._unit(j)
-                self._rules[(i, j, 1)] = nf
-            for j in range(i + 1, m):
-                try:
-                    self._rules[(i, j, -1)] = self._solve_inverse(i, j)
-                except PcError as exc:
-                    self._defects.append((i, j, str(exc)))
-                    self._rules[(i, j, -1)] = self._unit(j)
-            self._close_level(i)
+        p._squares: dict[tuple[int, int], list] = {}
+        p._involutions: dict[int, bool] = {}  # see _involution
+        p._central = [True] * m  # x_i commutes with every later generator
+        p._abelian = [True] * m  # <x_i, ..., x_{m-1}> is abelian
+        return p
 
     def _close_level(self, i):
         """The level-i squares and flags, once the level-i rules are set."""
@@ -146,7 +106,7 @@ class PcPresentation:
 
     @classmethod
     def _extend(cls, base, name, signs, lifts):
-        """base (free of defects) extended by a fiber z = x_m, m = base.ngens:
+        """base (consistent) extended by a fiber z = x_m, m = base.ngens:
         x_i z x_i^-1 = z^(signs[i]), and x_i x_j x_i^-1 = z^k w for each
         positive base rule w, with k from lifts in positive_rules order.
 
@@ -156,8 +116,7 @@ class PcPresentation:
         one conjugation x_i v x_i^-1 = x_j z^c.  Nothing is collected or
         solved; consistency is left to consistency_check.
         """
-        p = cls.__new__(cls)
-        p._start(base.names + (name,))
+        p = cls._blank(base.names + (name,))
         m = base.ngens
         for ((i, j), w), k in zip(base.positive_rules(), lifts):
             p._rules[(i, j, 1)] = w + (_word_sign(enumerate(w), signs) * k,)
@@ -170,29 +129,6 @@ class PcPresentation:
                 p._rules[(i, j, -1)] = v[:m] + (-signs[i] * c,)
             p._close_level(i)
         return p
-
-    def _solve_inverse(self, i, j):
-        """Find z with x_i z x_i^-1 = x_j, i.e. the rule x_i^-1 x_j x_i."""
-        m = self._m
-        target = self._unit(j)
-        z = [0] * m
-        for l in range(j, m):
-            rl = self._rules[(i, l, 1)]
-            lead = rl[l]
-            if lead == 0 or target[l] % lead:
-                raise InconsistentPresentation(
-                    f"conjugation by {self.names[i]} is not invertible at "
-                    f"{self.names[l]}"
-                )
-            s = target[l] // lead
-            z[l] = s
-            target = self._mult(self._invert(self._power(rl, s, l), l), target, l)
-        if any(target):
-            raise InconsistentPresentation(
-                f"conjugation by {self.names[i]} is not surjective at "
-                f"{self.names[j]}"
-            )
-        return tuple(z)
 
     # -- vector arithmetic --------------------------------------------------
 
@@ -317,23 +253,7 @@ class PcPresentation:
             out = out[:l] + (-vl,) + out[l + 1:]
         return out
 
-    def _collect_from(self, w: Word, lvl) -> NormalForm:
-        out = (0,) * self._m
-        for g, e in w:
-            if not lvl <= g < self._m:
-                raise PcError(f"generator index {g} out of range")
-            out = self._mult(out, self._unit(g, e), lvl)
-        return out
-
-    def require_consistent(self):
-        if self._defects:
-            i, j, msg = self._defects[0]
-            raise InconsistentPresentation(msg)
-
-    # -- parsing helpers ----------------------------------------------------
-
-    def word(self, text: str) -> Word:
-        return parse_word(text, self.names)
+    # -- printing and rules -------------------------------------------------
 
     def nf_str(self, v: NormalForm) -> str:
         return word_str(((i, e) for i, e in enumerate(v) if e), self.names)
@@ -357,8 +277,13 @@ def nf_to_word(v: NormalForm) -> Word:
 
 
 def collect(p: PcPresentation, w: Word) -> NormalForm:
-    p.require_consistent()
-    return p._collect_from(w, 0)
+    """The normal form in p of the word w, one syllable at a time."""
+    out = p.identity()
+    for g, e in w:
+        if not 0 <= g < p.ngens:
+            raise ValueError(f"generator index {g} out of range")
+        out = p._mult(out, p._unit(g, e))
+    return out
 
 
 def _normal_form(p: PcPresentation, v) -> NormalForm:
@@ -375,17 +300,14 @@ def require_integer_k(k) -> None:
 
 
 def nf_multiply(p: PcPresentation, a: NormalForm, b: NormalForm) -> NormalForm:
-    p.require_consistent()
     return p._mult(_normal_form(p, a), _normal_form(p, b))
 
 
 def nf_invert(p: PcPresentation, a: NormalForm) -> NormalForm:
-    p.require_consistent()
     return p._invert(_normal_form(p, a))
 
 
 def nf_power(p: PcPresentation, a: NormalForm, e: int) -> NormalForm:
-    p.require_consistent()
     if type(e) is not int:
         raise ValueError(f"exponent must be an integer, got {e!r}")
     return p._power(_normal_form(p, a), e)
@@ -411,20 +333,16 @@ def consistency_check(p: PcPresentation) -> ConsistencyResult:
 
     The group is the iterated semidirect product <x_0> x| (<x_1> x| ...),
     so the rules are consistent iff each phi_i: x_j -> x_i x_j x_i^-1
-    extends to an automorphism of H_i = <x_{i+1}, ...>.  Assembly defects
-    (a non-unit leading coefficient, a generator outside the image) are
-    reported first.  Otherwise the inverse rules, solved or inherited (the
-    base's action is onto and the fiber goes to z^(+-1)), show phi_i onto,
-    so it suffices that phi_i respects each rule x_j x_k x_j^-1 = w_jk of
-    H_i (an onto endomorphism of a polycyclic group is an automorphism);
+    extends to an automorphism of H_i = <x_{i+1}, ...>.  The inherited
+    inverse rules (the base's action is onto and the fiber goes to
+    z^(+-1)) show phi_i onto, so it suffices that phi_i respects each rule
+    x_j x_k x_j^-1 = w_jk of H_i (an onto endomorphism of a polycyclic
+    group is an automorphism);
     the inverse rules are then its inverse and need no check.
     Levels are checked from the top, each in arithmetic already sound, by
     the rule loop that also checks generator maps; a broken rule is
     reported as phi_i(x_j x_k x_j^-1) vs phi_i(w_jk).
     """
-    if p._defects:
-        i, j, msg = p._defects[0]
-        return ConsistencyResult(False, (gen(i), gen(j), gen(i, -1)), msg)
     for i in range(p.ngens - 2, -1, -1):
         if p._central[i]:
             continue
@@ -442,6 +360,42 @@ def consistency_check(p: PcPresentation) -> ConsistencyResult:
                 f"{p.rule_str(j, k)}: {p.nf_str(lhs)} vs {p.nf_str(rhs)}",
             )
     return ConsistencyResult(True)
+
+
+_FIBER_NAMES = ("n", "m", "f", "q")
+
+
+def _fresh_fiber_name(names) -> str:
+    for cand in _FIBER_NAMES:
+        if cand not in names:
+            return cand
+    return f"z{len(names)}"
+
+
+def build_extension(base: PcPresentation, phi, lifts, fiber_name=None) -> PcPresentation:
+    """Extend base by an infinite cyclic fiber, appended as last generator.
+
+    phi gives the conjugation sign of the fiber per base generator; lifts
+    gives one fiber exponent per base conjugation rule, in positive_rules
+    order, so that each base relator r becomes r = fiber^{k_r}.  The rules,
+    the base's plus fiber tails, come from PcPresentation._extend and are
+    consistency-checked; invalid cocycle data raises ExtensionError naming
+    a generator whose conjugation does not respect a rule above it.
+    """
+    signs = twist_signs(base, phi)
+    need = base.ngens * (base.ngens - 1) // 2
+    lifts = list(lifts)
+    for x in lifts:
+        require_integer_k(x)
+    if len(lifts) != need:
+        raise ValueError(f"need {need} lift integers, got {len(lifts)}")
+    ext = PcPresentation._extend(base, fiber_name or _fresh_fiber_name(base.names), signs, lifts)
+    result = consistency_check(ext)
+    if not result:
+        raise ExtensionError(
+            f"lift data is not a cocycle: {result.detail}", result.witness
+        )
+    return ext
 
 
 def _broken_rule(src: PcPresentation, dst: PcPresentation, images, lvl):
@@ -477,7 +431,6 @@ def _pc_map(src, dst: PcPresentation, images) -> list[NormalForm]:
         raise TypeError(f"the source of a generator map must be a PcPresentation, got {src!r}")
     if len(images) != src.ngens:
         raise ValueError(f"need one image per generator of {src!r}, got {len(images)}")
-    dst.require_consistent()
     return [_normal_form(dst, v) for v in images]
 
 
@@ -522,39 +475,5 @@ def pc_abelianization(p: PcPresentation) -> tuple[int, list[int]]:
 
 
 def cyclic_pc(name: str = "g") -> PcPresentation:
-    return PcPresentation((name,))
-
-
-def parse_pc_presentation(text: str) -> PcPresentation:
-    """Parse 'gens: g h n ; g n g^-1 = n^-1 ; g h g^-1 = n^2 h^-1'."""
-    segments = [s.strip() for s in text.split(";") if s.strip()]
-    if not segments or not segments[0].startswith("gens:"):
-        raise ValueError("pc presentation must start with a 'gens:' segment")
-    names = tuple(segments[0][len("gens:"):].split())
-    conj = {}
-    for seg in segments[1:]:
-        if "=" not in seg:
-            raise ValueError(f"rule {seg!r} has no '='")
-        lhs, _, rhs = seg.partition("=")
-        lw = parse_word(lhs, names)
-        sylls = lw.syllables
-        if (
-            len(sylls) != 3
-            or sylls[0][0] != sylls[2][0]
-            or sylls[0][1] != 1
-            or sylls[2][1] != -1
-            or sylls[1][1] != 1
-        ):
-            raise ValueError(f"rule left side must be 'a b a^-1', got {lhs!r}")
-        i, j = sylls[0][0], sylls[1][0]
-        if not i < j:
-            raise ValueError(f"rule {seg!r} must conjugate a later generator")
-        if (i, j) in conj:
-            raise ValueError(f"duplicate rule for ({names[i]}, {names[j]})")
-        conj[(i, j)] = parse_word(rhs, names)
-    return PcPresentation(names, conj)
-
-
-def format_pc_presentation(p: PcPresentation) -> str:
-    rules = [p.rule_str(i, j) for (i, j), _ in p.positive_rules()]
-    return " ; ".join(["gens: " + " ".join(p.names)] + rules)
+    """The circle group <name>, the bottom of every tower."""
+    return PcPresentation._blank((name,))

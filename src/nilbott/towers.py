@@ -10,64 +10,21 @@ from functools import cache
 
 from .catalogue import base_identification, case_swap_maps, reduction_maps
 from .cohomology import class_order, restriction_nonzero
-from .polycyclic import (
+from .polycyclic import (  # noqa: F401  (ExtensionError is re-exported)
+    ExtensionError,
     PcPresentation,
+    build_extension,
     collect,
-    consistency_check,
     cyclic_pc,
     evaluate,
     require_integer_k,
-    twist_signs,
     verify_isomorphism,
 )
 from .words import gen
 
 
-class ExtensionError(Exception):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class VerificationError(Exception):
     """The witness maps of a classification failed to verify."""
-
-
-_FIBER_NAMES = ("n", "m", "f", "q")
-
-
-def _fresh_fiber_name(names) -> str:
-    for cand in _FIBER_NAMES:
-        if cand not in names:
-            return cand
-    return f"z{len(names)}"
-
-
-def build_extension(base: PcPresentation, phi, lifts, fiber_name=None) -> PcPresentation:
-    """Extend base by an infinite cyclic fiber, appended as last generator.
-
-    phi gives the conjugation sign of the fiber per base generator; lifts
-    gives one fiber exponent per base conjugation rule, in positive_rules
-    order, so that each base relator r becomes r = fiber^{k_r}.  The rules,
-    the base's plus fiber tails, come from PcPresentation._extend and are
-    consistency-checked; invalid cocycle data raises ExtensionError naming
-    a generator whose conjugation does not respect a rule above it.
-    """
-    base.require_consistent()
-    signs = twist_signs(base, phi)
-    need = base.ngens * (base.ngens - 1) // 2
-    lifts = list(lifts)
-    for x in lifts:
-        require_integer_k(x)
-    if len(lifts) != need:
-        raise ValueError(f"need {need} lift integers, got {len(lifts)}")
-    ext = PcPresentation._extend(base, fiber_name or _fresh_fiber_name(base.names), signs, lifts)
-    result = consistency_check(ext)
-    if not result:
-        raise ExtensionError(
-            f"lift data is not a cocycle: {result.detail}", result.witness
-        )
-    return ext
 
 
 # -- tower specifications ----------------------------------------------------
@@ -93,7 +50,7 @@ class TowerSpec:
     def depth3(base: str, signs, k: int) -> "TowerSpec":
         if base not in ("K", "T2"):
             raise ValueError("depth-3 towers are built over K or T2")
-        require_integer_k(k)
+        _check_lift(3, k)
         phi2 = (-1,) if base == "K" else (1,)
         return TowerSpec(
             (
@@ -190,6 +147,8 @@ def parse_tower_spec(text: str) -> TowerSpec:
                 texts = val.split(",")
                 if not all(_DECIMAL.fullmatch(x) for x in texts):
                     raise ValueError(f"stage {dim}: k= must be integers, got {val!r}")
+                if any(len(x.lstrip("+-")) > MAX_LIFT_DIGITS for x in texts):
+                    raise ValueError(_too_many_digits(dim))
                 lifts = tuple(int(x) for x in texts)
             else:
                 raise ValueError(f"stage {dim}: unknown field {key!r}")
@@ -247,36 +206,51 @@ def tower_names(dim: int) -> tuple[str, ...]:
     )
 
 
+#: the most decimal digits of a twisting integer in any tower.  Labels
+#: and witnesses print their integers, and Python refuses to print an int
+#: of more than 4300 digits (sys.int_info.default_max_str_digits).
+MAX_LIFT_DIGITS = 4000
+_LIFT_LIMIT = 10**MAX_LIFT_DIGITS
+
 #: the largest bit length of a twisting integer in a tower of depth 4 or
 #: more.  Collection there costs a power of the bit length that grows with
 #: the depth; the slowest depth-5 tower found with every integer at this
 #: bound classifies in about 0.5 s on a 2-vCPU Xeon at 2.1 GHz.  Depth 3
-#: is not bounded.
+#: is bounded by MAX_LIFT_DIGITS only.
 DEEP_LIFT_BITS = 128
 
 
-def _check_deep_lifts(spec: TowerSpec):
-    """ValueError naming the stage if a tower of depth 4 or more has a
-    twisting integer of more than DEEP_LIFT_BITS bits."""
-    if spec.depth < 4:
-        return
-    for stage in spec.stages:
-        for x in stage.lifts:
-            require_integer_k(x)
-            if x.bit_length() > DEEP_LIFT_BITS:
-                raise ValueError(
-                    f"stage {stage.dim}: a twisting integer of {x.bit_length()} bits "
-                    f"is above the bound of {DEEP_LIFT_BITS} bits for towers of "
-                    f"depth 4 or more"
-                )
+def _too_many_digits(dim: int) -> str:
+    return (
+        f"stage {dim}: a twisting integer has more than {MAX_LIFT_DIGITS} "
+        f"decimal digits"
+    )
+
+
+def _check_lift(dim: int, x, deep: bool = False):
+    """ValueError naming stage dim unless x is an int of at most
+    MAX_LIFT_DIGITS digits and, in a tower of depth 4 or more (deep), of
+    at most DEEP_LIFT_BITS bits."""
+    require_integer_k(x)
+    if abs(x) >= _LIFT_LIMIT:
+        raise ValueError(_too_many_digits(dim))
+    if deep and x.bit_length() > DEEP_LIFT_BITS:
+        raise ValueError(
+            f"stage {dim}: a twisting integer of {x.bit_length()} bits "
+            f"is above the bound of {DEEP_LIFT_BITS} bits for towers of "
+            f"depth 4 or more"
+        )
 
 
 def build_tower_groups(spec: TowerSpec) -> list[PcPresentation]:
     """Fundamental group of every stage, bottom up, with generators named
-    by tower_names.  A deep tower with a twisting integer above
-    DEEP_LIFT_BITS bits raises ValueError before anything is built."""
+    by tower_names.  A twisting integer of more than MAX_LIFT_DIGITS
+    digits, or in a deep tower of more than DEEP_LIFT_BITS bits, raises
+    ValueError before anything is built."""
     _validate_dims(spec)
-    _check_deep_lifts(spec)
+    for stage in spec.stages:
+        for x in stage.lifts:
+            _check_lift(stage.dim, x, spec.depth >= 4)
     stages = spec.stages[1:]
     if stages and not stages[0].lifts:
         groups = list(_low_stages(tuple(stages[0].phi)))

@@ -45,9 +45,6 @@ class Word:
             return self.inverse() ** (-n)
         return Word(self.syllables * n)
 
-    def is_identity(self) -> bool:
-        return not self.syllables
-
     def max_gen(self) -> int:
         return max((g for g, _ in self.syllables), default=-1)
 

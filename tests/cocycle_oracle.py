@@ -17,6 +17,7 @@ from nilbott.polycyclic import (
     nf_to_word,
 )
 from nilbott.words import Word, _word_sign
+from pc_oracle import pc_presentation
 
 
 def fiber_signs(ext: PcPresentation) -> tuple[int, ...]:
@@ -43,7 +44,7 @@ def base_of_extension(ext: PcPresentation) -> PcPresentation:
     for (i, j), w in ext.positive_rules():
         if j < fiber:
             conj[(i, j)] = nf_to_word(w[:fiber])
-    return PcPresentation(ext.names[:fiber], conj)
+    return pc_presentation(ext.names[:fiber], conj)
 
 
 class Cocycle:
@@ -58,7 +59,6 @@ class Cocycle:
     """
 
     def __init__(self, ext: PcPresentation, section_shift=None):
-        ext.require_consistent()
         self.ext = ext
         self.fiber = ext.ngens - 1
         self.base = base_of_extension(ext)
@@ -131,7 +131,6 @@ def restriction_nonzero(ext: PcPresentation) -> bool:
     """The restriction criterion in product form: (ab)(ba)^-1 for every
     pair of lattice generators, by normal-form products, must land in the
     fiber, and the class restricts to zero iff every such power is 0."""
-    ext.require_consistent()
     fiber = ext.ngens - 1
     gens = lattice_generators(ext)
     nonzero = False

@@ -6,7 +6,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nilbott.catalogue import catalogue_pc
-from nilbott.polycyclic import PcError, PcPresentation, collect, evaluate, nf_to_word
+from nilbott.polycyclic import PcPresentation, collect, evaluate, nf_to_word
 from nilbott.towers import (
     ExtensionError,
     Stage,
@@ -251,7 +251,7 @@ def substitute(w, images):
     out = []
     for g, e in w:
         if g >= len(images):
-            raise PcError(f"no image for generator index {g}")
+            raise ValueError(f"no image for generator index {g}")
         img = images[g].syllables
         if len(img) == 1:
             out.append((img[0][0], img[0][1] * e))

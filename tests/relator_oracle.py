@@ -12,6 +12,7 @@ from math import gcd
 from nilbott.cohomology import ClassOrder, CohomologyResult
 from nilbott.exact import IntMatrix, smith_normal_form
 from nilbott.polycyclic import PcPresentation
+from pc_oracle import pc_presentation
 from nilbott.words import Word, _word_sign, fox_augmented, gen, word_str
 
 
@@ -127,5 +128,5 @@ def class_order(p: Presentation, phi: TwistMap, k: int) -> ClassOrder:
 def base_pc(p: Presentation) -> PcPresentation:
     """Polycyclic form of a torus or Klein bottle presentation."""
     if base_kind(p) == "klein":
-        return PcPresentation(p.names, {(0, 1): gen(1, -1)})
-    return PcPresentation(p.names, {})
+        return pc_presentation(p.names, {(0, 1): gen(1, -1)})
+    return pc_presentation(p.names)

@@ -11,8 +11,9 @@ from nilbott.words import gen
 
 
 def check(p) -> ConsistencyResult:
-    if p._defects:
-        i, j, msg = p._defects[0]
+    defects = getattr(p, "_defects", ())  # only the rule-text constructor sets them
+    if defects:
+        i, j, msg = defects[0]
         return ConsistencyResult(False, (gen(i), gen(j), gen(i, -1)), msg)
     m = p.ngens
     units = [p._unit(i, e) for i in range(m) for e in (1, -1)]

@@ -197,6 +197,12 @@ MALFORMED_SPECS = [
         "128 bits for towers of depth 4 or more",
         id="deep-k-over-bound",
     ),
+    pytest.param(
+        SPEC_HEAD + f"stage 3: base=K phi={{g:-1,h:+1}} k=-{'9' * 4001}\n",
+        "error: bad tower spec: stage 3: a twisting integer has more than 4000 "
+        "decimal digits",
+        id="k-over-digit-bound",
+    ),
 ]
 
 

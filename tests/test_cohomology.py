@@ -27,9 +27,10 @@ import cocycle_oracle
 import relator_oracle as oracle
 from cocycle_oracle import Cocycle, fiber_signs
 from nilbott.catalogue import catalogue_pc
-from nilbott.polycyclic import PcPresentation, nf_invert, nf_multiply
+from nilbott.polycyclic import nf_invert, nf_multiply
 from nilbott.towers import ExtensionError, _low_stages, build_extension, build_tower_groups
 from nilbott.words import _word_sign, fox_augmented, gen, parse_word
+from pc_oracle import pc_presentation
 from relator_oracle import TwistMap, klein_presentation, torus_presentation
 
 
@@ -93,7 +94,7 @@ BAD_BASE_INPUTS = [
     pytest.param(catalogue_pc("S1"), (1,), id="S1"),
     pytest.param(catalogue_pc("T3"), (1, 1, 1), id="T3"),
     pytest.param(catalogue_pc("B1"), (1, -1, 1), id="B1"),
-    pytest.param(PcPresentation(("g", "h"), {(0, 1): gen(1, 2)}), (1, 1), id="rule-h^2"),
+    pytest.param(pc_presentation(("g", "h"), {(0, 1): gen(1, 2)}), (1, 1), id="rule-h^2"),
 ]
 
 

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import linear_collector as oracle
 from conftest import CENTRAL4, DEPTH4, PATTERNS, collected, deep_specs
+from pc_oracle import pc_presentation
 from nilbott.catalogue import catalogue_pc
 from nilbott.polycyclic import (
-    PcPresentation,
     consistency_check,
     nf_invert,
     nf_multiply,
@@ -80,7 +80,7 @@ def test_collector_matches_linear_oracle(name):
 def test_consistency_check_cost(name):
     p = GROUPS[name]
     # a fresh copy, so that no cached conjugation is reused
-    q = PcPresentation(p.names, {ij: nf_to_word(w) for ij, w in p.positive_rules()})
+    q = pc_presentation(p.names, {ij: nf_to_word(w) for ij, w in p.positive_rules()})
     start = time.perf_counter()
     assert consistency_check(q).ok
     # 0.3 ms on depth5 on a 2-vCPU Xeon at 2.1 GHz (both bracketings of all
@@ -195,7 +195,7 @@ def test_classify_huge_twisting_integer(base, signs):
 
 @pytest.mark.parametrize("base,signs", PATTERNS)
 def test_classify_4000_digit_twisting_integer(base, signs):
-    # depth 3 takes no bound on k
+    # depth 3 takes no bit bound on k, only MAX_LIFT_DIGITS
     for k in (10**3999 + 1, -(10**3999)):
         start = time.perf_counter()
         v = classify_tower(TowerSpec.depth3(base, signs, k))
@@ -251,7 +251,7 @@ def test_power_of_a_fiber_normal_form_makes_no_products():
     assert len(calls) == 0
     # below an abelian top that x_l^a acts on by an involution, a power is
     # t and its image summed: (g^a h^b)^e with g h g^-1 = h^-1
-    klein = PcPresentation(("g", "h"), {(0, 1): ((1, -1),)})
+    klein = pc_presentation(("g", "h"), {(0, 1): ((1, -1),)})
     calls = _count_products(klein)
     e = 10**30 + 1
     assert nf_power(klein, (1, 7), e) == (e, 7)

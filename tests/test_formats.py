@@ -1,6 +1,5 @@
-"""Golden tests pinning the external text formats."""
+"""Golden tests pinning the tower spec text format."""
 
-from nilbott.polycyclic import format_pc_presentation, parse_pc_presentation
 from nilbott.towers import (
     TowerSpec,
     build_tower_groups,
@@ -22,14 +21,6 @@ stage 3: phi={g:+1,h:+1} k=0
 stage 4: phi={g:+1,h:+1,n:+1} k=1,0,0
 """
 
-GOLDEN_PC = (
-    "gens: g h n ; "
-    "g h g^-1 = h^-1 n^-2 ; "
-    "g n g^-1 = n ; "
-    "h n h^-1 = n^-1"
-)
-
-
 def test_tower_golden_bytes():
     spec = TowerSpec.depth3("K", (-1, 1), 3)
     assert format_tower_spec(spec) == GOLDEN_TOWER
@@ -43,18 +34,3 @@ def test_tower_depth4_golden():
     assert format_tower_spec(spec) == GOLDEN_TOWER_DEPTH4
     groups = build_tower_groups(spec)
     assert groups[3].names == ("g", "h", "n", "m")
-
-
-def test_pc_golden_bytes():
-    p = parse_pc_presentation(GOLDEN_PC)
-    assert format_pc_presentation(p) == GOLDEN_PC
-    # rule right-hand sides are stored in collected normal form
-    rules = dict(p.positive_rules())
-    assert rules[(0, 1)] == (0, -1, -2)
-
-
-def test_pc_format_normalizes_rhs():
-    # an equivalent but uncollected right-hand side prints in normal form
-    messy = "gens: g h n ; g h g^-1 = n^2 h^-1 ; g n g^-1 = n ; h n h^-1 = n^-1"
-    p = parse_pc_presentation(messy)
-    assert format_pc_presentation(p) == GOLDEN_PC

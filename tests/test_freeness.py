@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from fraction_fixed_points import MatrixMap
 from letterwise_freeness import evaluate as letterwise_evaluate
 from letterwise_freeness import freeness_sample as letterwise_sample
+from pc_oracle import from_rule_text, pc_presentation
 
 from nilbott.catalogue import catalogue_pc
 from nilbott.exact import GaussRat, IntMatrix
@@ -31,7 +32,7 @@ from nilbott.geometry import (
     rep_evaluate,
     verify_relations_in_rep,
 )
-from nilbott.polycyclic import PcPresentation, cyclic_pc, parse_pc_presentation
+from nilbott.polycyclic import cyclic_pc
 from nilbott.words import Word
 
 CATALOGUE = [
@@ -77,7 +78,7 @@ def _signed_permutation_torus():
 def _conjugating_nil():
     """a = z -> conj(z), x -> -x inverts the lattice <b, n> of the nil
     geometry and fixes the real axis."""
-    p = parse_pc_presentation("gens: a b n ; a b a^-1 = b^-1 ; a n a^-1 = n^-1")
+    p = from_rule_text(("a", "b", "n"), {(0, 1): "b^-1", (0, 2): "n^-1"})
     a = HeisAffineMap(HeisPoint.identity(), TAU)
     b = HeisAffineMap(HeisPoint(0, GaussRat(0, 2)))
     n = HeisAffineMap(HeisPoint(4, GaussRat(0)))
@@ -263,7 +264,7 @@ def test_rows_match_letterwise_on_random_representations(data):
     fixer = draw(st.sampled_from([None] + list(range(ngens))))
     if fixer is not None:
         rep[fixer] = _fixing(rep[fixer], draw)
-    p = PcPresentation(tuple(f"x{i}" for i in range(ngens)))
+    p = pc_presentation(tuple(f"x{i}" for i in range(ngens)))
     report = assert_matches_oracle(p, rep, max_word_len)
     if fixer is not None:
         assert report.fixed_points

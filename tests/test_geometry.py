@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import CASE_DATA, case_extension
+from extension_models import extension_representation
 
 from nilbott.catalogue import catalogue_pc
 from nilbott.exact import GaussRat, IntMatrix
@@ -17,7 +18,6 @@ from nilbott.geometry import (
     check_quotient_action,
     delta_generators,
     euler_number,
-    extension_representation,
     freeness_sample,
     gamma_generators,
     klein_quotient_check,

@@ -19,6 +19,7 @@ from nilbott.invariants import (
 )
 from nilbott.polycyclic import collect, nf_multiply, pc_abelianization
 from nilbott.towers import TowerSpec, classify_tower
+from nilbott.words import parse_word
 
 
 FINITE_LABELS = ("B1", "B2", "B3", "B4", "G2", "T3")
@@ -98,7 +99,7 @@ def test_homological_injectivity():
     # a non-central lattice direction of the Klein-type group fails: its
     # image in first homology is torsion
     b1 = catalogue_pc("B1")
-    bad = [b1.word("t2")]
+    bad = [parse_word("t2", b1.names)]
     assert not homological_injectivity_check(b1, bad)
 
 

@@ -33,6 +33,7 @@ from nilbott.polycyclic import (
 )
 from nilbott.towers import (
     DEEP_LIFT_BITS,
+    MAX_LIFT_DIGITS,
     ExtensionError,
     Stage,
     TowerSpec,
@@ -235,6 +236,26 @@ def test_deep_twisting_integers_are_bounded():
     depth4 = TowerSpec((*low[:3], Stage(4, low[3].phi, (2**DEEP_LIFT_BITS, 0, 0))))
     with pytest.raises(ValueError, match="^stage 4: a twisting integer of 129 bits"):
         build_tower_groups(depth4)
+
+
+def test_twisting_integers_have_a_digit_bound():
+    # the largest k of MAX_LIFT_DIGITS digits is classified and printed
+    top = 10**MAX_LIFT_DIGITS - 1
+    spec = TowerSpec.depth3("K", (-1, 1), top)
+    assert classify_tower(spec).label == f"Gamma({top})"
+    text = format_tower_spec(spec)
+    assert parse_tower_spec(text) == spec
+    # one more digit is refused up front, naming the stage
+    over = f"^stage 3: a twisting integer has more than {MAX_LIFT_DIGITS} decimal digits$"
+    for k in (top + 1, -(top + 1)):
+        with pytest.raises(ValueError, match=over):
+            TowerSpec.depth3("K", (-1, 1), k)
+        stages = spec.stages[:2] + (Stage(3, (-1, 1), (k,), "K"),)
+        with pytest.raises(ValueError, match=over):
+            build_tower_groups(TowerSpec(stages))
+    # a spec's k= text is counted before it is read as an int
+    with pytest.raises(ValueError, match=over):
+        parse_tower_spec(text.replace("k=", "k=-1"))
 
 
 def test_type_decisions_agree():
