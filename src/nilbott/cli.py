@@ -274,7 +274,7 @@ def _suite_paper(kmax: int) -> list[Certificate]:
         agree = True
         expected = True
         for k in ks:
-            ext = build_extension(base_group, signs, [k])
+            ext = build_extension(base_group, signs, [k], "n")
             infinite_restriction = restriction_nonzero(ext)
             infinite_order = not class_order(base_group, signs, k).is_finite
             agree = agree and (infinite_restriction == infinite_order)

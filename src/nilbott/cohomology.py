@@ -182,7 +182,7 @@ def transfer_identity_check(base: PcPresentation, signs, k: int) -> bool:
     index-2 untwisted subgroup, then twice the class must vanish upstairs.
     """
     (u, v), sub_kind = untwisted_subgroup(base, signs)
-    ext = build_extension(base, signs, [k])
+    ext = build_extension(base, signs, [k], "n")
     k_restricted = relator_pairing(ext, _subgroup_relator(u, v, sub_kind))
     if sub_kind == "torus":
         vanishes = k_restricted == 0

@@ -108,16 +108,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def diagonal(cls, diag, rows=None, cols=None) -> "IntMatrix":
-        diag = list(diag)
-        rows = rows if rows is not None else len(diag)
-        cols = cols if cols is not None else len(diag)
-        return cls(
-            [[diag[i] if i == j and i < len(diag) else 0 for j in range(cols)]
-             for i in range(rows)]
-        )
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]

@@ -30,15 +30,16 @@ non-abelian levels; towers of depth 4 and more bound their twisting
 integers (towers.DEEP_LIFT_BITS).
 
 Every presentation is a tower: the circle (cyclic_pc), extended one
-fiber at a time by build_extension.  An extension inherits its base's
-rules, each with one fiber tail, with no collection (_extend), and
-consistency_check then checks level by level that conjugation by x_i
-respects the rules of <x_{i+1}, ...>.
+fiber at a time by build_extension in one pass over the levels
+(_extend).  An extension inherits its base's rules, each with one fiber
+tail, with no collection, and closes its levels from the top down.  Each
+level is checked (conjugation by x_i must respect the rules of
+<x_{i+1}, ...>) before its inverse rules are computed, so a broken level
+is reported before any arithmetic rests on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 
 from .exact import smith_normal_form, IntMatrix
@@ -52,16 +53,6 @@ class ExtensionError(Exception):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-@dataclass
-class ConsistencyResult:
-    ok: bool
-    witness: tuple | None = None
-    detail: str = ""
-
-    def __bool__(self):
-        return self.ok
 
 
 class PcPresentation:
@@ -114,15 +105,22 @@ class PcPresentation:
         z^k w = w z^(phi(w) k), phi(w) the sign of w under signs, and the
         base's inverse rule v gives x_i^-1 x_j x_i = v z^(-signs[i] c) from
         one conjugation x_i v x_i^-1 = x_j z^c.  Nothing is collected or
-        solved; consistency is left to consistency_check.
+        solved.  The levels are closed from the top down, and each is
+        checked by _level_break before its inverse rules are computed: the
+        first broken rule raises ExtensionError.
         """
         p = cls._blank(base.names + (name,))
         m = base.ngens
         for ((i, j), w), k in zip(base.positive_rules(), lifts):
             p._rules[(i, j, 1)] = w + (_word_sign(enumerate(w), signs) * k,)
+        for i, s in enumerate(signs):
+            p._rules[(i, m, 1)] = p._rules[(i, m, -1)] = p._unit(m, s)
         for i in range(m - 1, -1, -1):
-            p._rules[(i, m, 1)] = p._rules[(i, m, -1)] = p._unit(m, signs[i])
             images = [p._rules[(i, j, 1)] for j in range(i + 1, m + 1)]
+            broken = _level_break(p, i, images)
+            if broken is not None:
+                witness, detail = broken
+                raise ExtensionError(f"lift data is not a cocycle: {detail}", witness)
             for j in range(i + 1, m):
                 v = base._rules[(i, j, -1)] + (0,)
                 c = p._act(images, v, i + 1)[m]
@@ -327,60 +325,17 @@ def twist_signs(p: PcPresentation, signs) -> tuple[int, ...]:
     return signs
 
 
-def consistency_check(p: PcPresentation) -> ConsistencyResult:
-    """Per-level automorphism test (Sims, *Computation with Finitely
-    Presented Groups*, 1994, ch. 9).
-
-    The group is the iterated semidirect product <x_0> x| (<x_1> x| ...),
-    so the rules are consistent iff each phi_i: x_j -> x_i x_j x_i^-1
-    extends to an automorphism of H_i = <x_{i+1}, ...>.  The inherited
-    inverse rules (the base's action is onto and the fiber goes to
-    z^(+-1)) show phi_i onto, so it suffices that phi_i respects each rule
-    x_j x_k x_j^-1 = w_jk of H_i (an onto endomorphism of a polycyclic
-    group is an automorphism);
-    the inverse rules are then its inverse and need no check.
-    Levels are checked from the top, each in arithmetic already sound, by
-    the rule loop that also checks generator maps; a broken rule is
-    reported as phi_i(x_j x_k x_j^-1) vs phi_i(w_jk).
-    """
-    for i in range(p.ngens - 2, -1, -1):
-        if p._central[i]:
-            continue
-        images = p._squares[(i, 1)][0]
-        broken = _broken_rule(p, p, images, i + 1)
-        if broken is not None:
-            j, k = broken
-            a = images[j - i - 1]
-            lhs = p._mult(p._mult(a, images[k - i - 1], i + 1), p._invert(a, i + 1), i + 1)
-            rhs = p._act(images, p.rule(j, k), i + 1)
-            return ConsistencyResult(
-                False,
-                (gen(i), gen(j), gen(k)),
-                f"conjugation by {p.names[i]} does not respect "
-                f"{p.rule_str(j, k)}: {p.nf_str(lhs)} vs {p.nf_str(rhs)}",
-            )
-    return ConsistencyResult(True)
-
-
-_FIBER_NAMES = ("n", "m", "f", "q")
-
-
-def _fresh_fiber_name(names) -> str:
-    for cand in _FIBER_NAMES:
-        if cand not in names:
-            return cand
-    return f"z{len(names)}"
-
-
-def build_extension(base: PcPresentation, phi, lifts, fiber_name=None) -> PcPresentation:
-    """Extend base by an infinite cyclic fiber, appended as last generator.
+def build_extension(base: PcPresentation, phi, lifts, fiber_name: str) -> PcPresentation:
+    """Extend base by an infinite cyclic fiber named fiber_name, appended
+    as last generator.
 
     phi gives the conjugation sign of the fiber per base generator; lifts
     gives one fiber exponent per base conjugation rule, in positive_rules
-    order, so that each base relator r becomes r = fiber^{k_r}.  The rules,
-    the base's plus fiber tails, come from PcPresentation._extend and are
-    consistency-checked; invalid cocycle data raises ExtensionError naming
-    a generator whose conjugation does not respect a rule above it.
+    order, so that each base relator r becomes r = fiber^{k_r}.  The
+    extension is assembled and checked in one pass by
+    PcPresentation._extend; lifts that are not a cocycle raise
+    ExtensionError naming a generator whose conjugation does not respect a
+    rule above it.
     """
     signs = twist_signs(base, phi)
     need = base.ngens * (base.ngens - 1) // 2
@@ -389,13 +344,39 @@ def build_extension(base: PcPresentation, phi, lifts, fiber_name=None) -> PcPres
         require_integer_k(x)
     if len(lifts) != need:
         raise ValueError(f"need {need} lift integers, got {len(lifts)}")
-    ext = PcPresentation._extend(base, fiber_name or _fresh_fiber_name(base.names), signs, lifts)
-    result = consistency_check(ext)
-    if not result:
-        raise ExtensionError(
-            f"lift data is not a cocycle: {result.detail}", result.witness
-        )
-    return ext
+    return PcPresentation._extend(base, fiber_name, signs, lifts)
+
+
+def _level_break(p: PcPresentation, i, images):
+    """The per-level automorphism test (Sims, *Computation with Finitely
+    Presented Groups*, 1994, ch. 9): None if conjugation by x_i, the
+    generator map x_j -> images[j - i - 1] of H_i = <x_{i+1}, ...>,
+    respects every rule of H_i, else (witness, detail) for the first rule
+    it breaks.  The levels above i must be closed and consistent.
+
+    The group is the iterated semidirect product <x_0> x| (<x_1> x| ...),
+    so the rules are consistent iff each phi_i extends to an automorphism
+    of H_i.  The inherited inverse rules (the base's action is onto and
+    the fiber goes to z^(+-1)) show phi_i onto, so it suffices that phi_i
+    respects each rule x_j x_k x_j^-1 = w_jk of H_i (an onto endomorphism
+    of a polycyclic group is an automorphism); the inverse rules are then
+    its inverse and need no check.  The rule loop is the one that also
+    checks generator maps; a broken rule is reported as
+    phi_i(x_j x_k x_j^-1) vs phi_i(w_jk).
+    """
+    if all(a == p._unit(j) for j, a in enumerate(images, i + 1)):
+        return None
+    broken = _broken_rule(p, p, images, i + 1)
+    if broken is None:
+        return None
+    j, k = broken
+    a = images[j - i - 1]
+    lhs = p._mult(p._mult(a, images[k - i - 1], i + 1), p._invert(a, i + 1), i + 1)
+    rhs = p._act(images, p.rule(j, k), i + 1)
+    return (gen(i), gen(j), gen(k)), (
+        f"conjugation by {p.names[i]} does not respect "
+        f"{p.rule_str(j, k)}: {p.nf_str(lhs)} vs {p.nf_str(rhs)}"
+    )
 
 
 def _broken_rule(src: PcPresentation, dst: PcPresentation, images, lvl):

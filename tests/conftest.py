@@ -6,6 +6,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nilbott.catalogue import catalogue_pc
+from nilbott.exact import IntMatrix
 from nilbott.polycyclic import PcPresentation, collect, evaluate, nf_to_word
 from nilbott.towers import (
     ExtensionError,
@@ -28,6 +29,17 @@ CASE_DATA = {
     6: ("torus", (1, -1)),
     7: ("torus", (-1, -1)),
 }
+
+
+def diagonal(diag, rows=None, cols=None) -> IntMatrix:
+    """The rows x cols integer matrix (square by default) with diag on its
+    main diagonal and zeros elsewhere."""
+    rows = len(diag) if rows is None else rows
+    cols = len(diag) if cols is None else cols
+    return IntMatrix(
+        [[diag[i] if i == j and i < len(diag) else 0 for j in range(cols)] for i in range(rows)]
+    )
+
 
 #: the eight (base, signs) patterns of a depth-3 tower
 PATTERNS = [(base, (s, t)) for base in ("K", "T2") for s in (1, -1) for t in (1, -1)]
@@ -165,7 +177,7 @@ def case_extension(case, k):
     """The depth-3 extension group for the given twist case and lift."""
     kind, signs = CASE_DATA[case]
     pres = klein_presentation() if kind == "klein" else torus_presentation()
-    return build_extension(base_pc(pres), signs, [k])
+    return build_extension(base_pc(pres), signs, [k], "n")
 
 
 def parse_presentation(text):

@@ -4,6 +4,7 @@ models only the catalogue groups (geometry.catalogue_representation)."""
 
 from fractions import Fraction
 
+from conftest import diagonal
 from nilbott.exact import IntMatrix
 from nilbott.geometry import (
     FlatAffineMap,
@@ -21,14 +22,14 @@ def extension_representation(case: int, k: int) -> list:
     kh = Fraction(k, 2)
     if case == 1:
         return [
-            FlatAffineMap(IntMatrix.diagonal([1, 1, -1]), (0, _HALF, 0)),
+            FlatAffineMap(diagonal([1, 1, -1]), (0, _HALF, 0)),
             FlatAffineMap.translation((kh, 0, 1)),
             FlatAffineMap.translation((1, 0, 0)),
         ]
     if case == 2:
         return [
-            FlatAffineMap(IntMatrix.diagonal([1, 1, -1]), (kh, _HALF, 0)),
-            FlatAffineMap(IntMatrix.diagonal([-1, 1, 1]), (0, 0, 1)),
+            FlatAffineMap(diagonal([1, 1, -1]), (kh, _HALF, 0)),
+            FlatAffineMap(diagonal([-1, 1, 1]), (0, 0, 1)),
             FlatAffineMap.translation((1, 0, 0)),
         ]
     if case == 3:
@@ -37,8 +38,8 @@ def extension_representation(case: int, k: int) -> list:
         return gamma_generators(k)
     if case == 4:
         return [
-            FlatAffineMap(IntMatrix.diagonal([-1, 1, -1]), (kh, _HALF, 0)),
-            FlatAffineMap(IntMatrix.diagonal([-1, 1, 1]), (0, 0, 1)),
+            FlatAffineMap(diagonal([-1, 1, -1]), (kh, _HALF, 0)),
+            FlatAffineMap(diagonal([-1, 1, 1]), (0, 0, 1)),
             FlatAffineMap.translation((1, 0, 0)),
         ]
     if case == 5:
@@ -48,13 +49,13 @@ def extension_representation(case: int, k: int) -> list:
     if case == 6:
         return [
             FlatAffineMap(IntMatrix.identity(3), (kh, 1, 0)),
-            FlatAffineMap(IntMatrix.diagonal([-1, 1, 1]), (0, 0, 1)),
+            FlatAffineMap(diagonal([-1, 1, 1]), (0, 0, 1)),
             FlatAffineMap.translation((1, 0, 0)),
         ]
     if case == 7:
         return [
-            FlatAffineMap(IntMatrix.diagonal([-1, 1, 1]), (kh, 1, 0)),
-            FlatAffineMap(IntMatrix.diagonal([-1, 1, 1]), (0, 0, 1)),
+            FlatAffineMap(diagonal([-1, 1, 1]), (kh, 1, 0)),
+            FlatAffineMap(diagonal([-1, 1, 1]), (0, 0, 1)),
             FlatAffineMap.translation((1, 0, 0)),
         ]
     raise ValueError(f"unknown case {case}")

@@ -8,11 +8,23 @@ collected, and the inverse rules x_i^-1 x_j x_i are found by a triangular
 solve, since the conjugation action preserves the chain and so its
 leading coefficients must be units (Sims, *Computation with Finitely
 Presented Groups*, 1994, ch. 9).  A rule that does not solve is recorded
-as a defect, which check reports before the engine's consistency check.
+as a defect, which check reports before the engine's per-level check.
 """
 
-from nilbott.polycyclic import ConsistencyResult, PcPresentation, consistency_check
+from dataclasses import dataclass
+
+from nilbott.polycyclic import PcPresentation, _level_break
 from nilbott.words import Word, gen, parse_word
+
+
+@dataclass
+class ConsistencyResult:
+    ok: bool
+    witness: tuple | None = None
+    detail: str = ""
+
+    def __bool__(self):
+        return self.ok
 
 
 def pc_presentation(names, conj=None) -> PcPresentation:
@@ -79,13 +91,18 @@ def _solve_inverse(p, i, j):
 
 
 def check(p) -> ConsistencyResult:
-    """The first assembly defect of p, if any; else consistency_check.
-    A presentation the engine built has no defects."""
+    """The first assembly defect of p, if any; else the first level, from
+    the top, that the engine's per-level check finds broken.  A
+    presentation the engine built has no defects."""
     defects = getattr(p, "_defects", ())
     if defects:
         i, j, msg = defects[0]
         return ConsistencyResult(False, (gen(i), gen(j), gen(i, -1)), msg)
-    return consistency_check(p)
+    for i in range(p.ngens - 2, -1, -1):
+        broken = _level_break(p, i, p._squares[(i, 1)][0])
+        if broken is not None:
+            return ConsistencyResult(False, *broken)
+    return ConsistencyResult(True)
 
 
 def assert_same_group(new, old):

@@ -13,6 +13,7 @@ from conftest import (
     case_extension,
     collected,
     compose_maps,
+    diagonal,
 )
 import cocycle_oracle
 from cocycle_oracle import Cocycle
@@ -240,7 +241,7 @@ def test_criterion_8_property_suites():
             [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
         )
         d, u, v = smith_normal_form(m)
-        if u * m * v != IntMatrix.diagonal(d, rows=rows, cols=cols):
+        if u * m * v != diagonal(d, rows=rows, cols=cols):
             failures += 1
         if abs(Matrix(u.entries).det()) != 1 or abs(Matrix(v.entries).det()) != 1:
             failures += 1
@@ -265,7 +266,7 @@ def test_criterion_9_freeness():
         rep = catalogue_representation(label, k)
         result = freeness_sample(p, rep, 6)
         assert result.is_free_sample, (label, k, result.fixed_points[:2])
-    control = FlatAffineMap(IntMatrix.diagonal([-1, -1]), (0, 0))
+    control = FlatAffineMap(diagonal([-1, -1]), (0, 0))
     control_report = freeness_sample(cyclic_pc("r"), [control], 2)
     assert not control_report.is_free_sample
     assert control_report.fixed_points[0][1] == [0, 0]

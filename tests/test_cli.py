@@ -182,7 +182,7 @@ MALFORMED_SPECS = [
     ),
     pytest.param(
         GAMMA_1 + "stage 4: phi={g:+1,h:+1,n:-1} k=0,0,0\n",
-        "error: phi is not a homomorphism on the base",
+        "error: stage 4: phi is not a homomorphism on the base",
         id="phi-not-homomorphism",
     ),
     pytest.param(

@@ -158,7 +158,7 @@ def test_cocycle_recovers_lift_integer():
     for base, signs in PATTERNS:
         pres = klein_presentation() if base == "K" else torus_presentation()
         for k in (-4, 2, 5) + ORACLE_KS:
-            ext = build_extension(catalogue_pc(base), signs, [k])
+            ext = build_extension(catalogue_pc(base), signs, [k], "n")
             assert _pairings(ext, pres.relators[0]) == (k, k), (base, signs, k)
 
 

@@ -1,5 +1,5 @@
 """The per-level consistency check against the signed-triple oracle, and
-the inherited assembly of extensions against the rule-text constructor."""
+the one-pass assembly of extensions against the rule-text constructor."""
 
 import random
 import sys
@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 import pc_oracle
 import signed_triples as oracle
 from conftest import PATTERNS
-from nilbott import towers
-from nilbott.polycyclic import PcPresentation, consistency_check, nf_to_word
+from nilbott import polycyclic, towers
+from nilbott.polycyclic import PcPresentation, nf_to_word
 from nilbott.towers import (
     ExtensionError,
     Stage,
@@ -72,22 +72,11 @@ def _deep_tower(rng, depth):
     return TowerSpec(tuple(stages))
 
 
-def test_verdicts_match_oracle_on_deep_towers(monkeypatch):
-    verdicts = []
-
-    def both(p):
-        result = consistency_check(p)
-        assert result.ok == oracle.check(p).ok, p
-        verdicts.append(result.ok)
-        return result
-
-    monkeypatch.setattr("nilbott.polycyclic.consistency_check", both)
+def test_verdicts_match_oracle_on_deep_towers():
     rng = random.Random("towers-small")
-    for depth in [4] * 12 + [5] * 12:
-        try:
-            build_tower_groups(_deep_tower(rng, depth))
-        except (ValueError, ExtensionError):
-            pass
+    with _cross_checked(triples=True) as verdicts:
+        for depth in [4] * 12 + [5] * 12:
+            _build(_deep_tower(rng, depth))
     assert True in verdicts and False in verdicts
 
 
@@ -105,7 +94,7 @@ def test_failure_names_the_rule():
         ("g", "h", "n", "m"), {(0, 2): Word(((2, -1),)), (1, 2): Word(((2, 1), (3, 1)))}
     )
     assert p._defects == []
-    result = consistency_check(p)
+    result = pc_oracle.check(p)
     assert not result.ok and not oracle.check(p).ok
     assert result.witness == (gen(0), gen(1), gen(2))
     assert result.detail == (
@@ -134,33 +123,46 @@ def _verdict(p):
     return result.ok, result.detail, result.witness
 
 
-def _same_extension(new, old):
-    """Assert that the two routes agree and return the verdict: always the
-    same names, positive rules and consistency verdict; on a consistent
-    extension also the same inverse rules, flags and conjugation images."""
-    verdict = _verdict(new)
-    assert verdict == _verdict(old)
-    assert new.names == old.names and old._defects == []
-    assert dict(new.positive_rules()) == dict(old.positive_rules())
-    if verdict[0]:
-        pc_oracle.assert_same_group(new, old)
-    return verdict[0]
-
-
 @contextmanager
-def _cross_checked():
-    """Every extension built inside is checked against _assembled; yields
-    the list of their consistency verdicts."""
+def _cross_checked(triples=False):
+    """Every extension built inside is checked against _assembled: the
+    same names and positive rules; the same verdict, message and witness
+    as pc_oracle.check, and with triples also the same verdict as the
+    signed-triple oracle (which takes about four times as long as the
+    rest); and when accepted, the same inverse rules, flags and
+    conjugation images.  Yields the list of the verdicts."""
     extend = PcPresentation._extend
+    level_break = polycyclic._level_break
     verdicts = []
+    checking = []  # the extension whose levels are being checked
+
+    def spied(p, i, images):
+        checking[:] = [p]
+        return level_break(p, i, images)
 
     def checked(cls, base, name, signs, lifts):
-        new = extend(base, name, signs, lifts)
-        verdicts.append(_same_extension(new, _assembled(base, name, signs, lifts)))
+        old = _assembled(base, name, signs, lifts)
+        ok, detail, witness = _verdict(old)
+        assert old._defects == []
+        assert not triples or ok == oracle.check(old).ok
+        verdicts.append(ok)
+        try:
+            new = extend(base, name, signs, lifts)
+        except ExtensionError as err:
+            assert not ok
+            assert str(err) == f"lift data is not a cocycle: {detail}"
+            assert err.witness == witness
+            rejected = checking[0]
+            assert rejected.names == old.names
+            assert dict(rejected.positive_rules()) == dict(old.positive_rules())
+            raise
+        assert ok
+        pc_oracle.assert_same_group(new, old)  # names and rules of both signs
         return new
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PcPresentation, "_extend", classmethod(checked))
+        mp.setattr(polycyclic, "_level_break", spied)
         towers._low_stages.cache_clear()  # so that stage 2 is built here too
         yield verdicts
 
@@ -228,7 +230,7 @@ def test_extend_rejects_inconsistent_bases_like_assembly():
     checked = 0
     while checked < 120:
         base = _random_presentation(rng)
-        if base._defects or consistency_check(base).ok:
+        if base._defects or pc_oracle.check(base).ok:
             continue
         signs = tuple(rng.choice((1, -1)) for _ in range(base.ngens))
         if any(signs[j] != _parity(w, signs) for (_, j), w in base.positive_rules()):

@@ -6,6 +6,8 @@ from math import gcd
 import pytest
 from sympy import Matrix
 
+from conftest import diagonal
+
 from nilbott.exact import (
     GaussRat,
     IntMatrix,
@@ -17,7 +19,7 @@ from nilbott.exact import (
 
 def snf_checked(m):
     d, u, v = smith_normal_form(m)
-    assert u * m * v == IntMatrix.diagonal(d, rows=m.rows, cols=m.cols)
+    assert u * m * v == diagonal(d, rows=m.rows, cols=m.cols)
     assert abs(Matrix(u.entries).det()) == 1
     assert abs(Matrix(v.entries).det()) == 1
     for i in range(len(d) - 1):
@@ -107,9 +109,9 @@ def test_snf_and_rank_against_sympy():
 
 
 def test_fixed_lattice_examples():
-    assert solve_fixed_lattice([IntMatrix.diagonal([1, -1, 1])]) == 2
+    assert solve_fixed_lattice([diagonal([1, -1, 1])]) == 2
     assert solve_fixed_lattice([IntMatrix.identity(3)]) == 3
-    assert solve_fixed_lattice([IntMatrix.diagonal([1, -1, -1])]) == 1
+    assert solve_fixed_lattice([diagonal([1, -1, -1])]) == 1
 
 
 def test_fixed_lattice_dimension_mismatch():

@@ -13,6 +13,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import diagonal
 from fraction_fixed_points import MatrixMap
 from letterwise_freeness import evaluate as letterwise_evaluate
 from letterwise_freeness import freeness_sample as letterwise_sample
@@ -62,7 +63,7 @@ def test_catalogue_reports_match_oracle(label, k):
 
 def _reflection_klein():
     """K with g a reflection (no glide): fixed lines for every g^odd h^j."""
-    g = FlatAffineMap(IntMatrix.diagonal([1, -1]), (0, 0))
+    g = FlatAffineMap(diagonal([1, -1]), (0, 0))
     h = FlatAffineMap.translation((0, 1))
     return catalogue_pc("K"), [g, h]
 
@@ -99,8 +100,8 @@ def test_non_free_reports_match_oracle(make, max_word_len):
 @pytest.mark.parametrize(
     "rep, max_word_len, n_fixed",
     [
-        ([FlatAffineMap(IntMatrix.diagonal([-1, -1]), (0, 0))], 1, 2),
-        ([FlatAffineMap(IntMatrix.diagonal([-1, -1]), (0, 0))], 2, 4),
+        ([FlatAffineMap(diagonal([-1, -1]), (0, 0))], 1, 2),
+        ([FlatAffineMap(diagonal([-1, -1]), (0, 0))], 2, 4),
         ([FlatAffineMap(IntMatrix([[0, -1], [1, 0]]), (1, 0))], 6, 12),
         ([HeisAffineMap(HeisPoint(Fraction(1, 2), GaussRat(1)), HeisAut(GaussRat(0, 1)))], 5, 10),
         ([HeisAffineMap(HeisPoint(0, GaussRat(1)), HeisAut(GaussRat(0, 1)))], 5, 0),
@@ -281,9 +282,9 @@ def _nil(x, z, aut=None):
         (FlatAffineMap.translation((2, 3)), FlatAffineMap.translation((1, 1)), []),
         (FlatAffineMap.translation((2, 2)), FlatAffineMap.translation((1, 1)), [-2]),
         # the cycle with signs -1 always closes, the +1 cycle never moves
-        (FlatAffineMap(IntMatrix.diagonal([-1, 1]), (5, 0)),
+        (FlatAffineMap(diagonal([-1, 1]), (5, 0)),
          FlatAffineMap.translation((1, 0)), list(range(-4, 5))),
-        (FlatAffineMap(IntMatrix.diagonal([-1, 1]), (5, 1)),
+        (FlatAffineMap(diagonal([-1, 1]), (5, 1)),
          FlatAffineMap.translation((1, 0)), []),
         # nil translations: g s^j is the identity at one j or none
         (_nil(2, (2, 2)), _nil(1, (1, 1)), [-2]),

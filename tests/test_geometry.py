@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CASE_DATA, case_extension
+from conftest import CASE_DATA, case_extension, diagonal
 from extension_models import extension_representation
 
 from nilbott.catalogue import catalogue_pc
-from nilbott.exact import GaussRat, IntMatrix
+from nilbott.exact import GaussRat
 from nilbott.geometry import (
     FlatAffineMap,
     HeisAffineMap,
@@ -260,16 +260,16 @@ def test_freeness_sampling():
 
 
 def test_freeness_negative_control():
-    rot = FlatAffineMap(IntMatrix.diagonal([-1, -1]), (0, 0))
+    rot = FlatAffineMap(diagonal([-1, -1]), (0, 0))
     report = freeness_sample(cyclic_pc("r"), [rot], 1)
     assert not report.is_free_sample
     assert report.fixed_points[0][1] == [0, 0]
 
 
 def test_flat_fixed_point_solver():
-    glide = FlatAffineMap(IntMatrix.diagonal([1, -1]), (Fraction(1, 2), 0))
+    glide = FlatAffineMap(diagonal([1, -1]), (Fraction(1, 2), 0))
     assert glide.fixed_point() is None
-    reflect = FlatAffineMap(IntMatrix.diagonal([1, -1]), (0, 1))
+    reflect = FlatAffineMap(diagonal([1, -1]), (0, 1))
     pt = reflect.fixed_point()
     assert pt is not None and reflect.apply(pt) == tuple(pt)
 
@@ -290,7 +290,7 @@ def test_flat_catalogue_data_golden():
     data = load_flat_catalogue()
     assert sorted(data) == ["B1", "B2", "B3", "B4", "G2", "K", "S1", "T2", "T3"]
     b1 = data["B1"]
-    assert b1["e"].lin == IntMatrix.diagonal([1, -1, 1])
+    assert b1["e"].lin == diagonal([1, -1, 1])
     assert b1["e"].trans == (Fraction(1, 2), 0, 0)
     assert data["B2"]["u"].trans == (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
-    assert data["K"]["g"].lin == IntMatrix.diagonal([1, -1])
+    assert data["K"]["g"].lin == diagonal([1, -1])

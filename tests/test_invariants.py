@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import case_extension, commutator_fiber_index, relators
+from conftest import case_extension, commutator_fiber_index, diagonal, relators
 
 from nilbott.catalogue import catalogue_pc, central_words
 from nilbott.exact import IntMatrix, smith_normal_form
@@ -42,7 +42,7 @@ def test_holonomy_examples():
     assert (order, elem) == (2, True)
     order, elem, elements = holonomy(catalogue_representation("G2"))
     assert (order, elem) == (2, True)
-    assert IntMatrix.diagonal([1, -1, -1]) in elements
+    assert diagonal([1, -1, -1]) in elements
     order, elem, _ = holonomy(catalogue_representation("B3"))
     assert (order, elem) == (4, True)
 

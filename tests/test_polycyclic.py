@@ -19,7 +19,6 @@ from nilbott.catalogue import catalogue_pc
 from nilbott.geometry import rep_evaluate
 from nilbott.polycyclic import (
     collect,
-    consistency_check,
     cyclic_pc,
     nf_invert,
     nf_multiply,
@@ -53,8 +52,8 @@ def test_collect_oracle_heisenberg_rep():
 
 
 def test_consistency_examples():
-    assert consistency_check(case_extension(2, 5)).ok
-    assert consistency_check(cyclic_pc()).ok
+    assert check(case_extension(2, 5)).ok
+    assert check(cyclic_pc()).ok
     # h n h^-1 = n^2 is not invertible: a defect of the rule-text
     # constructor, which the engine cannot build
     corrupted = pc_presentation(
@@ -83,7 +82,7 @@ def test_consistency_overlap_witness():
         },
     )
     assert p._defects == []
-    result = consistency_check(p)
+    result = check(p)
     assert not result.ok
     assert result.witness is not None and len(result.witness) == 3
 
