@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cache
 
 from .polycyclic import PcPresentation, build_extension, cyclic_pc, require_integer_k
-from .words import Word, gen, parse_word
+from .words import gen, parse_word
 
 
 FLAT_LABELS = ("T3", "G2", "B1", "B2", "B3", "B4")
@@ -182,21 +182,3 @@ def base_identification(case: int, k: int):
             return "B2", t, _w(t.names, "u^-1", "e", "v"), _w(EXT, "h", "g^-1", "n")
     raise ValueError(f"no direct identification for case {case}, k={k}")
 
-
-def central_words(label: str, k: int | None = None) -> list[Word]:
-    """Generators of the center, as words over the catalogue presentation."""
-    p = catalogue_pc(label, k)
-    texts = {
-        "S1": ("t",),
-        "T2": ("a", "b"),
-        "K": ("g^2",),
-        "T3": ("t1", "t2", "t3"),
-        "G2": ("a^2",),
-        "B1": ("e^2", "t3"),
-        "B2": ("e^2", "u^2 v"),
-        "B3": ("a^2",),
-        "B4": ("a^2",),
-        "Delta": ("a", "b", "c") if (k == 0) else ("c",),
-        "Gamma": (),
-    }[label]
-    return [parse_word(t, p.names) for t in texts]

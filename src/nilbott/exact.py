@@ -2,8 +2,8 @@
 
 Everything here works over Python ints and fractions.Fraction; nothing is
 ever rounded.  The module supplies the scalar types (Gaussian rationals)
-and the integer-matrix normal forms (Smith form, fixed-lattice rank) that
-the rest of the engine is built on.
+and the integer-matrix normal form (Smith form, rank) that the rest of
+the engine is built on.
 """
 
 from __future__ import annotations
@@ -277,20 +277,3 @@ def rank(m: IntMatrix) -> int:
     d, _, _ = smith_normal_form(m)
     return sum(1 for x in d if x)
 
-
-def solve_fixed_lattice(mats: list[IntMatrix]) -> int:
-    """Rank of the common fixed sublattice of Z^n under the given matrices.
-
-    Stacks the blocks (A - I) and returns the kernel rank n - rank.
-    """
-    if not mats:
-        raise ValueError("need at least one matrix")
-    n = mats[0].rows
-    for a in mats:
-        if a.rows != a.cols or a.rows != n:
-            raise ValueError("dimension mismatch")
-    stacked = []
-    for a in mats:
-        for i in range(n):
-            stacked.append([a.entries[i][j] - (1 if i == j else 0) for j in range(n)])
-    return n - rank(IntMatrix(stacked))

@@ -486,7 +486,7 @@ def _parse_vec(text: str):
     return [Fraction(t.strip()) for t in text.split(",")]
 
 
-def _parse_map(line: str, dim_hint=None) -> FlatAffineMap:
+def _parse_map(line: str) -> FlatAffineMap:
     # 'lin(1,0,0; 0,-1,0; 0,0,1) t(1/2,0,0)' or 'lin I t(0,1,0)'
     line = line.strip()
     if not line.startswith("lin"):

@@ -4,19 +4,12 @@ binomial bounds for the 3-dimensional catalogue manifolds."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from math import comb, prod
 
-from .catalogue import catalogue_pc, central_words, FLAT_LABELS
-from .exact import IntMatrix, smith_normal_form, solve_fixed_lattice, rank
+from .catalogue import catalogue_pc, FLAT_LABELS
+from .exact import IntMatrix, smith_normal_form, rank
 from .geometry import FlatAffineMap, HeisAffineMap, catalogue_representation
-from .polycyclic import (
-    PcPresentation,
-    collect,
-    nf_multiply,
-    pc_abelianization,
-    relation_rows,
-)
+from .polycyclic import PcPresentation, center, pc_abelianization, relation_rows
 
 
 HOLONOMY_GUARD = 64
@@ -81,76 +74,30 @@ def betti_numbers(group: PcPresentation, rep: list) -> tuple[int, int, int, int]
     return (1, b1, b2, b3)
 
 
-def center_rank(p: PcPresentation, box: int = 2) -> int:
-    """Rank of the center, by exact centralizer equations sampled on the
-    normal-form box: a vector is central iff it commutes with every
-    generator."""
-    central = []
-    units = [p._unit(i) for i in range(p.ngens)]
-    for vec in product(range(-box, box + 1), repeat=p.ngens):
-        if not any(vec):
-            continue
-        if all(nf_multiply(p, vec, u) == nf_multiply(p, u, vec) for u in units):
-            central.append(list(vec))
-    if not central:
-        return 0
-    return rank(IntMatrix(central))
-
-
-def torus_rank(group: PcPresentation, rep: list) -> int:
-    """Rank of the maximal torus action: the holonomy-fixed sublattice rank
-    for the flat groups, the center rank for the nil-type ones."""
-    if all(isinstance(m, FlatAffineMap) for m in rep):
-        return solve_fixed_lattice([m.lin for m in rep])
-    return center_rank(group)
-
-
 def _h1_free_projection(p: PcPresentation):
-    """Map from exponent vectors onto free coordinates of the
-    abelianization: returns (project, free_rank)."""
+    """The map from exponent vectors onto the free coordinates of the
+    abelianization."""
     rows = relation_rows(p)
-    m = p.ngens
     if not rows:
-        return (lambda v: list(v)), m
-    cols = IntMatrix(rows).transpose()  # columns span the relation lattice
-    d, u, _ = smith_normal_form(cols)
-    free_idx = [i for i in range(m) if i >= len(d) or d[i] == 0]
+        return list
+    d, u, _ = smith_normal_form(IntMatrix(rows).transpose())
+    free_idx = [i for i in range(p.ngens) if i >= len(d) or d[i] == 0]
 
     def project(v):
         image = u.apply(tuple(v))
         return [image[i] for i in free_idx]
 
-    return project, len(free_idx)
+    return project
 
 
 def homological_injectivity_check(group: PcPresentation, central: list) -> bool:
-    """The central lattice must inject into the first homology with image of
-    full rank; the saturated image is then a direct summand, certified by
-    an all-units Smith form."""
+    """The centre, given by a basis of normal forms, injects into the free
+    part of the first homology: the images of the basis have full rank."""
     if not central:
         return True
-    project, free_rank = _h1_free_projection(group)
-    vectors = [project(collect(group, w)) for w in central]
-    k = len(vectors)
-    if free_rank < k:
-        return False
-    f = IntMatrix(vectors)
-    if rank(f) != k:
-        return False
-    # saturate the image lattice and certify it is a summand
-    _, _, v = smith_normal_form(f)
-    vinv = _unimodular_inverse(v)
-    saturated = [vinv.entries[i] for i in range(k)]
-    ds, _, _ = smith_normal_form(IntMatrix(saturated))
-    return ds == [1] * k
-
-
-def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular matrix: u m v = I gives m^-1 = v u."""
-    d, u, v = smith_normal_form(m)
-    if any(x != 1 for x in d):
-        raise ValueError("matrix is not unimodular")
-    return v * u
+    project = _h1_free_projection(group)
+    images = [project(v) for v in central]
+    return len(images[0]) >= len(central) and rank(IntMatrix(images)) == len(central)
 
 
 def halperin_carlsson_check(betti, s: int):
@@ -203,13 +150,14 @@ def catalogue_report(label: str, k: int | None = None) -> InvariantReport:
     rank_h1, torsion = pc_abelianization(group)
     order, elem2, _ = holonomy(rep)
     betti = betti_numbers(group, rep)
-    s = torus_rank(group, rep)
+    central = center(group)
+    s = len(central)  # the rank of C(pi), the torus rank
     finite = label in FLAT_LABELS or (label == "Delta" and k == 0)
     hom_inj = None
     hc = None
     margins = []
     if finite:
-        hom_inj = homological_injectivity_check(group, central_words(label, k))
+        hom_inj = homological_injectivity_check(group, central)
         hc, margins, sum_margin = halperin_carlsson_check(betti, s)
         margins = margins + [sum_margin]
     return InvariantReport(

@@ -455,6 +455,50 @@ def pc_abelianization(p: PcPresentation) -> tuple[int, list[int]]:
     return p.ngens - len(nonzero), [x for x in nonzero if x > 1]
 
 
+def center(p: PcPresentation) -> list[NormalForm]:
+    """A basis of the centre Z(G) of p, which is free abelian, as normal
+    forms, computed one stage of the tower at a time.
+
+    G_{j+1} = G / <x_{j+1}, ...> is G_j extended by x_j.  Its centre lies
+    over the part Z' of Z(G_j) on which x_j is not inverted, of index <= 2:
+    the basis elements that keep x_j, the square of the first one that
+    inverts it, and its products with the others.  Lift b in Z' with fiber
+    exponent 0: then x_i b x_i^-1 = b x_j^(f_i(b)) for i < j, f_i is
+    additive on Z', and b x_j^c is central iff f_i(b) = (1 - phi_i) c for
+    every i, phi_i the sign of x_i on x_j.  So each stage is one integer
+    kernel, and x_j itself joins the basis when no generator inverts it.
+    """
+    m = p.ngens
+
+    def cut(v, top):
+        """v's image in G / <x_{top+1}, ...>, as a normal form of p."""
+        return v[:top + 1] + (0,) * (m - top - 1)
+
+    basis = [p._unit(0)]
+    for j in range(1, m):
+        signs = [p.rule(i, j)[j] for i in range(j)]
+        kept, flipped = [], []
+        for z in basis:
+            (kept if _word_sign(enumerate(z[:j]), signs) == 1 else flipped).append(z)
+        kept += [cut(p._mult(y, flipped[0]), j - 1) for y in flipped]
+        inverted = -1 in signs
+        gens = kept + [p._unit(j)] if inverted else kept
+        # column t: f_i(b) - (1 - phi_i) c for gens[t] = b x_j^c, one row per i < j
+        cols = [
+            [cut(p._mult(p._mult(p._unit(i), g), p._unit(i, -1)), j)[j] - g[j] for i in range(j)]
+            for g in gens
+        ]
+        kernel = []
+        if cols:
+            d, _, v = smith_normal_form(IntMatrix(list(zip(*cols))))
+            nonzero = sum(1 for x in d if x)
+            kernel = [[row[t] for row in v.entries] for t in range(nonzero, len(cols))]
+        basis = [cut(p._act(gens, a, 0), j) for a in kernel]
+        if not inverted:
+            basis.append(p._unit(j))
+    return basis
+
+
 def cyclic_pc(name: str = "g") -> PcPresentation:
     """The circle group <name>, the bottom of every tower."""
     return PcPresentation._blank((name,))

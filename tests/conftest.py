@@ -6,8 +6,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nilbott.catalogue import catalogue_pc
-from nilbott.exact import IntMatrix
-from nilbott.polycyclic import PcPresentation, collect, evaluate, nf_to_word
+from nilbott.exact import IntMatrix, rank
+from nilbott.polycyclic import (
+    PcPresentation,
+    collect,
+    evaluate,
+    nf_multiply,
+    nf_power,
+    nf_to_word,
+)
 from nilbott.towers import (
     ExtensionError,
     Stage,
@@ -276,3 +283,77 @@ def compose_maps(first, then):
     """Generator images of the composite map, as words: apply `first`, then
     `then`, by word substitution."""
     return [substitute(w, then) for w in first]
+
+
+def central_words(label, k=None):
+    """Generators of the centre of a catalogue group, typed by hand as words
+    over its presentation: the oracle for polycyclic.center."""
+    p = catalogue_pc(label, k)
+    texts = {
+        "S1": ("t",),
+        "T2": ("a", "b"),
+        "K": ("g^2",),
+        "T3": ("t1", "t2", "t3"),
+        "G2": ("a^2",),
+        "B1": ("e^2", "t3"),
+        "B2": ("e^2", "u^2 v"),
+        "B3": ("a^2",),
+        "B4": ("a^2",),
+        "Delta": ("a", "b", "c") if (k == 0) else ("c",),
+        "Gamma": (),
+    }[label]
+    return [parse_word(t, p.names) for t in texts]
+
+
+def solve_fixed_lattice(mats):
+    """Rank of the common fixed sublattice of Z^n under the given matrices:
+    n minus the rank of the stacked blocks (A - I).  On the linear parts of
+    a flat model it is the torus rank read off the model, the oracle for
+    the rank of polycyclic.center."""
+    if not mats:
+        raise ValueError("need at least one matrix")
+    n = mats[0].rows
+    for a in mats:
+        if a.rows != a.cols or a.rows != n:
+            raise ValueError("dimension mismatch")
+    stacked = []
+    for a in mats:
+        for i in range(n):
+            stacked.append([a.entries[i][j] - (1 if i == j else 0) for j in range(n)])
+    return n - rank(IntMatrix(stacked))
+
+
+def _leading(v):
+    return next(i for i, x in enumerate(v) if x)
+
+
+def echelon(p, elements):
+    """An echelon basis of the subgroup of p generated by commuting normal
+    forms: level -> the one element whose first nonzero exponent is at that
+    level, reduced by Euclid steps in the group law (the leading exponent
+    is additive on <x_l, x_(l+1), ...>).  Its size is the rank of the
+    subgroup."""
+    rows = {}
+    for g in elements:
+        while any(g):
+            lvl = _leading(g)
+            if lvl not in rows:
+                rows[lvl] = g
+                break
+            r = rows[lvl]
+            g = nf_multiply(p, g, nf_power(p, r, -(g[lvl] // r[lvl])))
+            if g[lvl]:  # a remainder smaller than r's leading exponent
+                rows[lvl], g = g, r
+    return rows
+
+
+def in_span(p, rows, v):
+    """Whether the normal form v lies in the subgroup with echelon basis
+    rows, by sifting v down the levels."""
+    while any(v):
+        lvl = _leading(v)
+        r = rows.get(lvl)
+        if r is None or v[lvl] % r[lvl]:
+            return False
+        v = nf_multiply(p, v, nf_power(p, r, -(v[lvl] // r[lvl])))
+    return True

@@ -6,15 +6,9 @@ from math import gcd
 import pytest
 from sympy import Matrix
 
-from conftest import diagonal
+from conftest import diagonal, solve_fixed_lattice
 
-from nilbott.exact import (
-    GaussRat,
-    IntMatrix,
-    rank,
-    smith_normal_form,
-    solve_fixed_lattice,
-)
+from nilbott.exact import GaussRat, IntMatrix, rank, smith_normal_form
 
 
 def snf_checked(m):

@@ -1,25 +1,28 @@
-import random
-
 import pytest
 
-from conftest import case_extension, commutator_fiber_index, diagonal, relators
+from conftest import (
+    case_extension,
+    central_words,
+    commutator_fiber_index,
+    diagonal,
+    echelon,
+    in_span,
+    relators,
+    solve_fixed_lattice,
+)
 
-from nilbott.catalogue import catalogue_pc, central_words
-from nilbott.exact import IntMatrix, smith_normal_form
+from nilbott.catalogue import catalogue_pc
+from nilbott.exact import IntMatrix
 from nilbott.geometry import FlatAffineMap, catalogue_representation
 from nilbott.invariants import (
-    _unimodular_inverse,
     betti_numbers,
     catalogue_report,
-    center_rank,
     halperin_carlsson_check,
     holonomy,
     homological_injectivity_check,
-    torus_rank,
 )
-from nilbott.polycyclic import collect, nf_multiply, pc_abelianization
+from nilbott.polycyclic import center, collect, nf_multiply, pc_abelianization
 from nilbott.towers import TowerSpec, classify_tower
-from nilbott.words import parse_word
 
 
 FINITE_LABELS = ("B1", "B2", "B3", "B4", "G2", "T3")
@@ -48,11 +51,20 @@ def test_holonomy_examples():
 
 
 def test_holonomy_guard():
-    # a 60-degree-like signed permutation of infinite closure is impossible,
-    # but a non-catalogue large closure is simulated by feeding many gens
     rot = FlatAffineMap(IntMatrix([[0, -1], [1, 0]]), (0, 0))
     order, elem, _ = holonomy([rot])
     assert order == 4 and not elem
+    # in dimension 4, a 4-cycle and one sign flip close up to the 64
+    # signed cyclic shifts, exactly the guard bound; with a transposition
+    # they give all 384 signed permutations, beyond it
+    origin = (0, 0, 0, 0)
+    cycle = FlatAffineMap(IntMatrix([[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]), origin)
+    swap = FlatAffineMap(IntMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]), origin)
+    flip = FlatAffineMap(diagonal([-1, 1, 1, 1]), origin)
+    order, elem, _ = holonomy([cycle, flip])
+    assert order == 64 and not elem
+    with pytest.raises(ValueError, match="holonomy closure exceeded guard bound"):
+        holonomy([cycle, swap, flip])
 
 
 def test_betti_examples():
@@ -71,53 +83,54 @@ def test_betti_requires_dimension_3():
 
 def test_torus_rank_examples():
     for label, (h1_rank, _, _, s, _, _) in EXPECTED.items():
-        group = catalogue_pc(label)
-        rep = catalogue_representation(label)
-        assert torus_rank(group, rep) == s, label
+        assert len(center(catalogue_pc(label))) == s, label
+        # the holonomy-fixed lattice of the flat model has the same rank
+        assert solve_fixed_lattice([m.lin for m in catalogue_representation(label)]) == s, label
         assert s == h1_rank  # maximal torus rank equals first Betti number
-    assert torus_rank(catalogue_pc("Delta", 2), catalogue_representation("Delta", 2)) == 1
-    assert torus_rank(catalogue_pc("Gamma", 2), catalogue_representation("Gamma", 2)) == 0
+    assert len(center(catalogue_pc("Delta", 2))) == 1
+    assert len(center(catalogue_pc("Gamma", 2))) == 0
+
+
+def _same_centre(p, words):
+    """center(p) and the collected words span the same subgroup of p, and
+    both are bases of it."""
+    computed = center(p)
+    typed = [collect(p, w) for w in words]
+    ours, theirs = echelon(p, computed), echelon(p, typed)
+    return (
+        len(ours) == len(computed) == len(theirs) == len(typed)
+        and all(in_span(p, ours, v) for v in typed)
+        and all(in_span(p, theirs, v) for v in computed)
+    )
 
 
 def test_center_rank_matches_catalogue_centers():
-    for label in FINITE_LABELS:
+    for label in ("S1", "T2", "K") + FINITE_LABELS:
         p = catalogue_pc(label)
-        words = central_words(label)
-        # declared central words really are central
-        for w in words:
+        # the typed central words really are central
+        for w in central_words(label):
             v = collect(p, w)
             for i in range(p.ngens):
                 u = p._unit(i)
                 assert nf_multiply(p, v, u) == nf_multiply(p, u, v), (label, w)
-        assert center_rank(p) == len(words), label
+        assert _same_centre(p, central_words(label)), label
+    for k in range(-12, 13):
+        assert _same_centre(catalogue_pc("Delta", k), central_words("Delta", k)), k
+        if k:
+            assert _same_centre(catalogue_pc("Gamma", k), central_words("Gamma", k)), k
 
 
 def test_homological_injectivity():
     for label in FINITE_LABELS:
         group = catalogue_pc(label)
-        assert homological_injectivity_check(group, central_words(label)), label
+        assert homological_injectivity_check(group, center(group)), label
     # a non-central lattice direction of the Klein-type group fails: its
     # image in first homology is torsion
     b1 = catalogue_pc("B1")
-    bad = [parse_word("t2", b1.names)]
-    assert not homological_injectivity_check(b1, bad)
-
-
-def test_unimodular_inverse():
-    # the Smith transforms of small random matrices are unimodular; keep the
-    # inputs at 4 x 4 or smaller, the transforms grow fast with size
-    rng = random.Random(2718)
-    for _ in range(100):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        m = IntMatrix([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)])
-        _, u, v = smith_normal_form(m)
-        for t in (u, v):
-            inv = _unimodular_inverse(t)
-            assert inv * t == IntMatrix.identity(t.rows) == t * inv
-    with pytest.raises(ValueError):
-        _unimodular_inverse(IntMatrix([[2, 0], [0, 1]]))
-    with pytest.raises(ValueError):
-        _unimodular_inverse(IntMatrix([[1, 2], [2, 4]]))
+    assert not homological_injectivity_check(b1, [b1._unit(1)])  # t2
+    # Delta(2)'s centre <c> maps to torsion in H_1
+    delta = catalogue_pc("Delta", 2)
+    assert not homological_injectivity_check(delta, center(delta))
 
 
 def test_halperin_carlsson():

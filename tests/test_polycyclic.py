@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -8,6 +9,9 @@ from conftest import (
     case_extension,
     collected,
     commutator_fiber_index,
+    deep_specs,
+    echelon,
+    in_span,
     relator_images_if_homomorphism,
     substitute,
 )
@@ -18,6 +22,7 @@ from pc_oracle import check, pc_presentation
 from nilbott.catalogue import catalogue_pc
 from nilbott.geometry import rep_evaluate
 from nilbott.polycyclic import (
+    center,
     collect,
     cyclic_pc,
     nf_invert,
@@ -28,6 +33,7 @@ from nilbott.polycyclic import (
     verify_homomorphism,
     verify_isomorphism,
 )
+from nilbott.towers import ExtensionError, build_tower_groups, parse_tower_spec
 from nilbott.words import Word, gen, parse_word
 
 
@@ -221,3 +227,50 @@ def test_normal_form_entry_points_reject_malformed_input(call):
     # each of these gave a wrong answer or a bare IndexError before
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize(
+    "stages, basis",
+    [
+        # a rank-2 centre: the central exponent vectors are not closed
+        # under vector addition, and a 5^3 box sample read rank 3
+        ("stage 2: phi={g:+1}\nstage 3: base=T2 phi={g:-1,h:-1} k=2", [(2, 0, 0), (-1, -1, -1)]),
+        # the generator lies outside the 5^3 box, which read rank 0
+        ("stage 2: phi={g:-1}\nstage 3: base=K phi={g:+1,h:-1} k=3", [(2, 0, -3)]),
+    ],
+    ids=["T2-mm-k2", "K-pm-k3"],
+)
+def test_center_pinned_towers(stages, basis):
+    p = build_tower_groups(parse_tower_spec(f"nilbott-tower v1\nstage 1: S1\n{stages}\n"))[-1]
+    assert center(p) == basis
+
+
+def _commutes_with_generators(p, v):
+    return all(nf_multiply(p, v, p._unit(i)) == nf_multiply(p, p._unit(i), v) for i in range(p.ngens))
+
+
+def test_center_on_deep_stages():
+    # every stage of the seeded deep towers that builds: the basis is
+    # central and independent, and every central normal form of the
+    # [-2, 2]^n box (n <= 4) lies in its span
+    stages = {}
+    for spec in deep_specs():
+        try:
+            groups = build_tower_groups(spec)
+        except (ExtensionError, ValueError):
+            continue
+        for p in groups:
+            stages.setdefault((p.names, tuple(p.positive_rules())), p)
+    assert len(stages) > 150
+    boxed = 0
+    for p in stages.values():
+        basis = center(p)
+        assert all(_commutes_with_generators(p, v) for v in basis), p
+        rows = echelon(p, basis)
+        assert len(rows) == len(basis), p
+        if p.ngens <= 4:
+            for v in product(range(-2, 3), repeat=p.ngens):
+                if _commutes_with_generators(p, v):
+                    assert in_span(p, rows, v), (p, v)
+                    boxed += 1
+    assert boxed > 1000
