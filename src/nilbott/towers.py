@@ -323,8 +323,10 @@ class ClassificationVerdict:
 def classify_tower(spec: TowerSpec) -> ClassificationVerdict:
     """Resolve a tower to its catalogue label and finite/infinite type.
 
-    Depth 3 labels are backed by generator maps that are mechanically
-    verified in both directions before being returned; deeper towers get
+    Depth 3 labels are backed by generator maps in both directions,
+    verified before being returned: the forward map is a homomorphism and
+    inverts the backward one on generators, which makes both inverse
+    isomorphisms (see verify_isomorphism); deeper towers get
     the type decision only (restriction criterion) with label
     'unclassified'.
     """

@@ -148,6 +148,23 @@ def test_verify_isomorphism_examples():
     assert not verify_isomorphism(
         case_extension(3, 0), case_extension(1, 0), ident, ident
     )
+    # the projection T2 -> S1 is onto and its section is a round trip on
+    # S1, but the Hirsch lengths are 2 and 1
+    t2, s1 = catalogue_pc("T2"), catalogue_pc("S1")
+    project, section = [(1,), (0,)], [(1, 0)]
+    assert verify_homomorphism(t2, s1, project) and verify_homomorphism(s1, t2, section)
+    assert not verify_isomorphism(t2, s1, project, section)
+    # the section S1 -> T2 is not onto
+    assert not verify_isomorphism(s1, t2, section, project)
+    # t1 -> t1^2 is an injective homomorphism of T3 that is not onto
+    t3 = catalogue_pc("T3")
+    assert not verify_isomorphism(t3, t3, [(2, 0, 0), (0, 1, 0), (0, 0, 1)], ident)
+    # the case-4/case-2 witness pair with one exponent of bwd moved by 1
+    a, b = case_extension(4, 3), case_extension(2, 3)
+    fwd = collected(b, [parse_word(t, GHN) for t in ("g h^-1", "h", "n")])
+    bwd = collected(a, [parse_word(t, GHN) for t in ("g h^2", "h", "n")])
+    assert verify_homomorphism(a, b, fwd)
+    assert not verify_isomorphism(a, b, fwd, bwd)
     with pytest.raises(ValueError):
         verify_isomorphism(p, p, ident, [(1, 0, 0), (0, 1, 0), (0, 0, 1.0)])
 

@@ -3,11 +3,12 @@
 verify_homomorphism checks each positive rule x_i x_j x_i^-1 = w of its
 pc source as a_i a_j = W a_i on the normal forms a_g of the images.  The
 oracle in conftest collects the image words and evaluates the relator
-words x_i x_j x_i^-1 w^-1 instead, and its isomorphism check maps both
-round trips back through nf_to_word.  Both must give the same verdict on
-the witness maps of classify_tower, on near misses of them (one exponent
-of one image moved by 1), on maps between built depth-3/4 groups and on
-seeded random image tuples.
+words x_i x_j x_i^-1 w^-1 instead, and its isomorphism check tests both
+maps and both round trips through nf_to_word, while verify_isomorphism
+tests fwd and one round trip.  Both must give the same
+verdict on the witness maps of classify_tower, on near misses of them (one
+exponent of one image moved by 1), at |k| = 2^64 + 1 too, on maps between
+built depth-3/4 groups and on seeded random image tuples.
 """
 
 import random
@@ -27,10 +28,11 @@ from nilbott.towers import TowerSpec, build_tower_groups, classify_tower, parse_
 from nilbott.words import gen, parse_word
 
 
-def _witnesses():
-    """(ext, target, fwd, bwd) of classify_tower on every sign pattern."""
+def _witnesses(ks):
+    """(ext, target, fwd, bwd) of classify_tower on every sign pattern, at
+    each twisting integer of ks."""
     for base, signs in PATTERNS:
-        for k in (0, 1, -3, 11):
+        for k in ks:
             spec = TowerSpec.depth3(base, signs, k)
             v = classify_tower(spec)
             ext = build_tower_groups(spec)[2]
@@ -67,7 +69,7 @@ def _cases():
         homs.append((a, b, fwd))
         homs.append((b, a, bwd))
 
-    for ext, target, fwd, bwd in _witnesses():
+    for ext, target, fwd, bwd in _witnesses((0, 1, -3, 11)):
         add_iso(ext, target, fwd, bwd)
         for _ in range(3):
             add_iso(ext, target, _near_miss(target, fwd, rng), bwd)
@@ -100,6 +102,13 @@ def _cases():
     for _ in range(60):
         a, b = rng.choice(pool), rng.choice(pool)
         add_iso(a, b, _random_images(a, b, rng), _random_images(b, a, rng))
+    # at |k| = 2^64 + 1 only bwd is moved: fwd stays a homomorphism, and
+    # only the round trip can reject
+    big = 2**64 + 1
+    for ext, target, fwd, bwd in _witnesses((big, -big)):
+        add_iso(ext, target, fwd, bwd)
+        for _ in range(3):
+            add_iso(ext, target, fwd, _near_miss(ext, bwd, rng))
     return homs, isos
 
 
@@ -116,7 +125,13 @@ def test_rule_wise_check_matches_relator_oracle():
         verdict = verify_isomorphism(a, b, fwd_nf, bwd_nf)
         assert verdict == relator_verify_isomorphism(a, b, fwd, bwd), (a, b, fwd, bwd)
         seen["iso", verdict] += 1
-        if not verdict and verify_homomorphism(a, b, fwd_nf) and verify_homomorphism(b, a, bwd_nf):
-            seen["round trip fails"] += 1
-    for key in (("hom", True), ("hom", False), ("iso", True), ("iso", False), "round trip fails"):
+        if not verdict and verify_homomorphism(a, b, fwd_nf):
+            # only the ngens test or the round trip fwd(bwd(y)) = y rejects
+            seen["fwd hom, not iso"] += 1
+            if verify_homomorphism(b, a, bwd_nf):
+                seen["round trip fails"] += 1
+    for key in (
+        ("hom", True), ("hom", False), ("iso", True), ("iso", False),
+        "fwd hom, not iso", "round trip fails",
+    ):
         assert seen[key] >= 20, (key, seen)
