@@ -9,14 +9,22 @@ stage, and build_extension builds it.  The identification checks keep
 their content because tests/test_catalogue.py compares every group with
 the one assembled from the paper's rule text by an independent
 constructor.
+
+Every witness map is a list of normal forms, one per generator of its
+source.  The case swaps and k-reductions are written as exponent
+vectors.  The identifications with the flat groups keep the paper's
+witness words as their source text; they are parsed and collected once
+per (case, k), into the target and into the case's extension over the
+shared Klein or torus base.  Delta(k) and Gamma(k) are the built
+extension with renamed generators, so their maps are the identity.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .polycyclic import PcPresentation, build_extension, cyclic_pc, require_integer_k
-from .words import gen, parse_word
+from .polycyclic import PcPresentation, build_extension, collect, cyclic_pc, require_integer_k
+from .words import parse_word
 
 
 FLAT_LABELS = ("T3", "G2", "B1", "B2", "B3", "B4")
@@ -92,18 +100,23 @@ def _prefix(names, stages) -> PcPresentation:
     return p
 
 
-def _w(names, *texts):
-    return list(_parsed(tuple(names), texts))
-
-
-@cache
-def _parsed(names, texts):
-    """Witness words, parsed once: every caller passes literal texts."""
-    return tuple(parse_word(t, names) for t in texts)
-
-
 #: extension generator names used by every built depth-3 group
 EXT = ("g", "h", "n")
+
+#: the seven tabulated depth-3 cases: number -> (base kind, twist signs);
+#: the torus twist (-1, +1) is case 6 after swapping the base generators
+CASES = {
+    1: ("klein", (1, 1)),
+    2: ("klein", (1, -1)),
+    3: ("klein", (-1, 1)),
+    4: ("klein", (-1, -1)),
+    5: ("torus", (1, 1)),
+    6: ("torus", (1, -1)),
+    7: ("torus", (-1, -1)),
+}
+
+#: the generator map of a group onto itself
+_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def reduction_maps(case: int, k: int, r: int):
@@ -111,74 +124,76 @@ def reduction_maps(case: int, k: int, r: int):
     integers k and r, where k = r modulo the torsion of the twisted H^2.
 
     Returns (fwd, bwd): images of (g, h, n) of the k-group inside the
-    r-group and back.  Valid for cases with 2-torsion (1, 2, 4 over the
-    Klein base; 6, 7 over the torus).
+    r-group and back, as normal forms.  Valid for the cases with 2-torsion
+    that base_identification covers (1, 2 over the Klein base; 6 over the
+    torus); cases 4 and 7 reach 2 and 6 through case_swap_maps.
     """
     if (k - r) % 2:
         raise ValueError("lift integers differ by an odd number")
     m = (k - r) // 2
     if case == 1:
-        # h -> n^m h
-        return [gen(0), gen(2, m) * gen(1), gen(2)], [gen(0), gen(2, -m) * gen(1), gen(2)]
+        # h -> n^m h = h n^m, since h fixes n
+        return [(1, 0, 0), (0, 1, m), (0, 0, 1)], [(1, 0, 0), (0, 1, -m), (0, 0, 1)]
     if case in (2, 6):
-        # g -> n^m g
-        return [gen(2, m) * gen(0), gen(1), gen(2)], [gen(2, -m) * gen(0), gen(1), gen(2)]
+        # g -> n^m g = g n^m, since g fixes n
+        return [(1, 0, m), (0, 1, 0), (0, 0, 1)], [(1, 0, -m), (0, 1, 0), (0, 0, 1)]
     raise ValueError(f"no reduction maps for case {case}")
 
 
 def case_swap_maps(case: int):
     """Maps between a case-4 (resp. 7) extension and the case-2 (resp. 6)
-    extension with the same lift integer."""
+    extension with the same lift integer, as normal forms."""
     if case not in (4, 7):
         raise ValueError(f"no swap maps for case {case}")
-    # fwd: case-4 (7) generators inside the case-2 (6) group; bwd the reverse
-    return _w(EXT, "g h^-1", "h", "n"), _w(EXT, "g h", "h", "n")
+    # fwd: g h^-1, h, n inside the case-2 (6) group; bwd: g h, h, n back
+    return ((1, -1, 0), (0, 1, 0), (0, 0, 1)), ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+
+
+#: (case, k) -> (flat label, images of g, h, n in it, images of its
+#: generators over g, h, n): the paper's witness words
+_IDENTIFICATIONS = {
+    (1, 0): ("B1", ("e", "t2", "t3"), ("g", "h", "n")),
+    (1, 1): ("B2", ("e", "u", "u^2 v"), ("g", "h", "h^-2 n")),
+    (2, 0): ("B3", ("e a", "e^-1", "t"), ("h g", "h^-1", "n")),
+    (2, 1): ("B4", ("t^-1 e a", "e^-1 t", "t^-1"), ("h g", "n^-1 h^-1", "n^-1")),
+    (3, 0): ("G2", ("a", "t2", "t3"), ("g", "h", "n")),
+    (5, 0): ("T3", ("t1", "t2", "t3"), ("g", "h", "n")),
+    (6, 0): ("B1", ("t3", "e", "t2"), ("h", "n", "g")),
+    (6, 1): ("B2", ("u^-1", "e", "v"), ("h", "g^-1", "n")),
+}
 
 
 def base_identification(case: int, k: int):
     """Identify the case-`case` extension with lift k with its catalogue
     group, for the values of k the catalogue realizes directly.
 
-    Returns (label, target_pc, fwd, bwd): fwd sends (g, h, n) to words over
-    the target's generators, bwd sends the target's generators back.
+    Returns (label, target_pc, fwd, bwd): fwd sends (g, h, n) to normal
+    forms of the target, bwd sends the target's generators to normal forms
+    of the case-`case` extension with lift k.  Delta(-k) and Gamma(k) are
+    that extension with its generators renamed, so their maps are the
+    identity.
     """
-    if case == 1:
-        if k == 0:
-            t = catalogue_pc("B1")
-            return "B1", t, _w(t.names, "e", "t2", "t3"), _w(EXT, "g", "h", "n")
-        if k == 1:
-            t = catalogue_pc("B2")
-            return "B2", t, _w(t.names, "e", "u", "u^2 v"), _w(EXT, "g", "h", "h^-2 n")
-    if case == 2:
-        if k == 0:
-            t = catalogue_pc("B3")
-            return "B3", t, _w(t.names, "e a", "e^-1", "t"), _w(EXT, "h g", "h^-1", "n")
-        if k == 1:
-            t = catalogue_pc("B4")
-            return (
-                "B4",
-                t,
-                _w(t.names, "t^-1 e a", "e^-1 t", "t^-1"),
-                _w(EXT, "h g", "n^-1 h^-1", "n^-1"),
-            )
-    if case == 3:
-        if k == 0:
-            t = catalogue_pc("G2")
-            return "G2", t, _w(t.names, "a", "t2", "t3"), _w(EXT, "g", "h", "n")
-        t = catalogue_pc("Gamma", k)
-        return f"Gamma({k})", t, _w(t.names, "a", "b", "n"), _w(EXT, "g", "h", "n")
-    if case == 5:
-        if k == 0:
-            t = catalogue_pc("T3")
-            return "T3", t, _w(t.names, "t1", "t2", "t3"), _w(EXT, "g", "h", "n")
-        t = catalogue_pc("Delta", -k)
-        return f"Delta({-k})", t, _w(t.names, "a", "b", "c"), _w(EXT, "g", "h", "n")
-    if case == 6:
-        if k == 0:
-            t = catalogue_pc("B1")
-            return "B1", t, _w(t.names, "t3", "e", "t2"), _w(EXT, "h", "n", "g")
-        if k == 1:
-            t = catalogue_pc("B2")
-            return "B2", t, _w(t.names, "u^-1", "e", "v"), _w(EXT, "h", "g^-1", "n")
-    raise ValueError(f"no direct identification for case {case}, k={k}")
+    if k and case == 3:
+        return f"Gamma({k})", catalogue_pc("Gamma", k), _IDENTITY, _IDENTITY
+    if k and case == 5:
+        return f"Delta({-k})", catalogue_pc("Delta", -k), _IDENTITY, _IDENTITY
+    if (case, k) not in _IDENTIFICATIONS:
+        raise ValueError(f"no direct identification for case {case}, k={k}")
+    return _flat_identification(case, k)
 
+
+@cache
+def _flat_identification(case: int, r: int):
+    """base_identification of a flat target: the witness words parsed and
+    collected once, into the target and into the case-`case` extension with
+    lift r over the shared base."""
+    label, fwd, bwd = _IDENTIFICATIONS[case, r]
+    kind, signs = CASES[case]
+    target = _fixed_pc(label)
+    source = build_extension(_fixed_pc("K" if kind == "klein" else "T2"), signs, [r], EXT[2])
+    return (
+        label,
+        target,
+        tuple(collect(target, parse_word(t, target.names)) for t in fwd),
+        tuple(collect(source, parse_word(t, EXT)) for t in bwd),
+    )

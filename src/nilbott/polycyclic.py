@@ -395,16 +395,6 @@ def _broken_rule(src: PcPresentation, dst: PcPresentation, images, lvl):
     return None
 
 
-def evaluate(p: PcPresentation, w: Word, images) -> NormalForm:
-    """Normal form in p of the image of the word w under g -> images[g],
-    where the images are normal forms of p: one collected power per
-    syllable."""
-    out = p.identity()
-    for g, e in w:
-        out = p._mult(out, images[g] if e == 1 else p._power(images[g], e))
-    return out
-
-
 def _pc_map(src, dst: PcPresentation, images) -> list[NormalForm]:
     """The images of a generator map src -> dst, checked to be one normal
     form of dst per generator of the pc group src."""

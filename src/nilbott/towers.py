@@ -8,19 +8,16 @@ import re
 from dataclasses import dataclass, field
 from functools import cache
 
-from .catalogue import base_identification, case_swap_maps, reduction_maps
+from .catalogue import CASES, base_identification, case_swap_maps, reduction_maps
 from .cohomology import class_order, restriction_nonzero
 from .polycyclic import (  # noqa: F401  (ExtensionError is re-exported)
     ExtensionError,
     PcPresentation,
     build_extension,
-    collect,
     cyclic_pc,
-    evaluate,
     require_integer_k,
     verify_isomorphism,
 )
-from .words import gen
 
 
 class VerificationError(Exception):
@@ -282,17 +279,8 @@ def _low_stages(phi) -> tuple[PcPresentation, PcPresentation]:
 # -- classification ----------------------------------------------------------
 
 
-#: the seven tabulated depth-3 cases: number -> (base kind, twist signs);
-#: the torus twist (-1, +1) is case 6 after swapping the base generators
-CASES = {
-    1: ("klein", (1, 1)),
-    2: ("klein", (1, -1)),
-    3: ("klein", (-1, 1)),
-    4: ("klein", (-1, -1)),
-    5: ("torus", (1, 1)),
-    6: ("torus", (1, -1)),
-    7: ("torus", (-1, -1)),
-}
+#: (base kind, twist signs) -> case, from CASES, the seven tabulated cases,
+#: which live in catalogue with the witness maps keyed by them
 _CASE_OF = {pattern: case for case, pattern in CASES.items()}
 #: case_swap_maps carry cases 4 and 7 onto these cases
 _SWAPPED_CASE = {4: 2, 7: 6}
@@ -323,12 +311,14 @@ class ClassificationVerdict:
 def classify_tower(spec: TowerSpec) -> ClassificationVerdict:
     """Resolve a tower to its catalogue label and finite/infinite type.
 
-    Depth 3 labels are backed by generator maps in both directions,
-    verified before being returned: the forward map is a homomorphism and
-    inverts the backward one on generators, which makes both inverse
-    isomorphisms (see verify_isomorphism); deeper towers get
-    the type decision only (restriction criterion) with label
-    'unclassified'.
+    Depth 3 labels are backed by generator maps in both directions, as
+    normal forms composed by _fold from the chain that _normalize_case,
+    reduction_maps and base_identification give, with no word built or
+    collected once the identification is cached.  They are verified before
+    being returned: the forward map is a homomorphism and inverts the
+    backward one on generators, which makes both inverse isomorphisms (see
+    verify_isomorphism); deeper towers get the type decision only
+    (restriction criterion) with label 'unclassified'.
     """
     groups = build_tower_groups(spec)
     depth = spec.depth
@@ -377,12 +367,13 @@ def classify_tower(spec: TowerSpec) -> ClassificationVerdict:
 
 def _fold(p: PcPresentation, maps):
     """Normal forms in p of the generator images of the composite of maps,
-    applied first to last; each map is a list of words, one per generator,
-    and the last map's words are over p's generators."""
-    *earlier, last = maps
-    images = [collect(p, w) for w in last]
+    applied first to last.  Each map is a list of normal forms, one per
+    generator: the last map's are normal forms of p, and each earlier
+    map's are normal forms of the next map's source, so each step is one
+    p._act per generator, with no word."""
+    *earlier, images = maps
     for step in reversed(earlier):
-        images = [evaluate(p, w, images) for w in step]
+        images = [p._act(images, v, 0) for v in step]
     return images
 
 
@@ -391,12 +382,13 @@ def _normalize_case(kind: str, signs, k: int):
     base_identification and reduction_maps cover.
 
     Returns (case, k, fwd, bwd) where fwd and bwd are the chains of
-    generator maps that carry the generators into the normalized extension
-    and back: one map, or none when no renaming applies.
+    generator maps, as normal forms, that carry the generators into the
+    normalized extension and back: one map, or none when no renaming
+    applies.
     """
     if (kind, signs) == ("torus", (-1, 1)):
         # generator swap turns this into case 6 with the lift negated
-        swap = [gen(1), gen(0), gen(2)]
+        swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
         return 6, -k, [swap], [swap]
     case = _CASE_OF[kind, signs]
     if case in _SWAPPED_CASE:

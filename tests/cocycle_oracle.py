@@ -11,12 +11,12 @@ element of the extension does.
 
 from nilbott.polycyclic import (
     PcPresentation,
-    evaluate,
     nf_invert,
     nf_multiply,
     nf_to_word,
 )
 from nilbott.words import Word, _word_sign
+from conftest import evaluate
 from pc_oracle import pc_presentation
 
 

@@ -10,7 +10,6 @@ from nilbott.exact import IntMatrix, rank
 from nilbott.polycyclic import (
     PcPresentation,
     collect,
-    evaluate,
     nf_multiply,
     nf_power,
     nf_to_word,
@@ -232,10 +231,25 @@ def relators(p):
     return rels
 
 
+def as_words(nfs):
+    """A generator map given as normal forms, read as words."""
+    return [nf_to_word(v) for v in nfs]
+
+
 def collected(p, words):
     """The normal forms in p of a list of words: a generator map's images
     as verify_homomorphism and verify_isomorphism take them."""
     return [collect(p, w) for w in words]
+
+
+def evaluate(p, w, images):
+    """Normal form in p of the image of the word w under g -> images[g],
+    where the images are normal forms of p: one collected power per
+    syllable."""
+    out = p.identity()
+    for g, e in w:
+        out = p._mult(out, images[g] if e == 1 else p._power(images[g], e))
+    return out
 
 
 def relator_images_if_homomorphism(src, dst, images):

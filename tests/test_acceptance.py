@@ -8,6 +8,7 @@ from itertools import product
 
 from conftest import (
     CASE_DATA,
+    as_words,
     base_group,
     base_presentation,
     case_extension,
@@ -70,26 +71,27 @@ def test_criterion_1_cohomology_tables():
 
 def _identify(case, k, label, target_k=None):
     """Verify the case-k extension against the named catalogue group via
-    the explicit witness maps, both directions."""
+    the explicit witness maps, both directions, composed as words by
+    substitution."""
     ext = case_extension(case, k)
     chain_case, chain_k = case, k
     fwd = [Word(((i, 1),)) for i in range(3)]
     bwd = [Word(((i, 1),)) for i in range(3)]
     if case in (4, 7):
-        sw_fwd, sw_bwd = case_swap_maps(case)
+        sw_fwd, sw_bwd = map(as_words, case_swap_maps(case))
         fwd, bwd = compose_maps(fwd, sw_fwd), compose_maps(sw_bwd, bwd)
         chain_case = 2 if case == 4 else 6
     if chain_case in (1, 2, 6):
         r = chain_k % 2
         if r != chain_k:
-            red_fwd, red_bwd = reduction_maps(chain_case, chain_k, r)
+            red_fwd, red_bwd = map(as_words, reduction_maps(chain_case, chain_k, r))
             fwd = compose_maps(fwd, red_fwd)
             bwd = compose_maps(red_bwd, bwd)
             chain_k = r
     got_label, target, id_fwd, id_bwd = base_identification(chain_case, chain_k)
     assert got_label == label, (case, k, got_label, label)
-    fwd = compose_maps(fwd, id_fwd)
-    bwd = compose_maps(id_bwd, bwd)
+    fwd = compose_maps(fwd, as_words(id_fwd))
+    bwd = compose_maps(as_words(id_bwd), bwd)
     fwd_nf, bwd_nf = collected(target, fwd), collected(ext, bwd)
     assert verify_isomorphism(ext, target, fwd_nf, bwd_nf), (case, k, label)
 
@@ -105,11 +107,11 @@ def test_criterion_2_catalogue_identifications():
             _identify(3, k, f"Gamma({k})")
         # case 4 group is the case 2 group with the same lift
         a, b = case_extension(4, k), case_extension(2, k)
-        fwd, bwd = case_swap_maps(4)
+        fwd, bwd = map(as_words, case_swap_maps(4))
         assert verify_isomorphism(a, b, collected(b, fwd), collected(a, bwd))
         # case 7 group is the case 6 group with the same lift
         a, b = case_extension(7, k), case_extension(6, k)
-        fwd, bwd = case_swap_maps(7)
+        fwd, bwd = map(as_words, case_swap_maps(7))
         assert verify_isomorphism(a, b, collected(b, fwd), collected(a, bwd))
         if k == 0:
             _identify(5, 0, "T3")

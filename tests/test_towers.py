@@ -8,6 +8,7 @@ from conftest import (
     CASE_DATA,
     GOLDEN_KS,
     PATTERNS,
+    as_words,
     base_group,
     base_presentation,
     case_extension,
@@ -347,7 +348,8 @@ def test_k_must_be_an_integer(entry, k):
 
 def _substituted_witnesses(base, signs, k):
     """(target, fwd, bwd): classify_tower's chain of case swap, k-reduction
-    and catalogue identification, composed as words by substitution."""
+    and catalogue identification, read as words through nf_to_word and
+    composed by substitution."""
     fwd, bwd = [], []
     if (base, signs) == ("T2", (-1, 1)):
         swap = [gen(1), gen(0), gen(2)]
@@ -356,13 +358,14 @@ def _substituted_witnesses(base, signs, k):
         kind = "klein" if base == "K" else "torus"
         case = next(c for c, data in CASE_DATA.items() if data == (kind, signs))
         if case in (4, 7):
-            sw_fwd, sw_bwd = case_swap_maps(case)
+            sw_fwd, sw_bwd = map(as_words, case_swap_maps(case))
             fwd, bwd, case = [sw_fwd], [sw_bwd], {4: 2, 7: 6}[case]
     if case in (1, 2, 6) and k % 2 != k:
-        red_fwd, red_bwd = reduction_maps(case, k, k % 2)
+        red_fwd, red_bwd = map(as_words, reduction_maps(case, k, k % 2))
         fwd, bwd, k = fwd + [red_fwd], [red_bwd] + bwd, k % 2
     _, target, id_fwd, id_bwd = base_identification(case, k)
-    return target, reduce(compose_maps, fwd + [id_fwd]), reduce(compose_maps, [id_bwd] + bwd)
+    fwd, bwd = fwd + [as_words(id_fwd)], [as_words(id_bwd)] + bwd
+    return target, reduce(compose_maps, fwd), reduce(compose_maps, bwd)
 
 
 @pytest.mark.parametrize("base,signs", PATTERNS)
@@ -379,3 +382,43 @@ def test_witness_fold_matches_word_substitution(base, signs):
         witness_bwd = [parse_word(v.witness_bwd[n], ext.names) for n in target.names]
         assert collected(target, fwd) == collected(target, witness_fwd), (base, signs, k)
         assert collected(ext, bwd) == collected(ext, witness_bwd), (base, signs, k)
+
+
+def test_warm_depth3_classification_builds_no_words(monkeypatch):
+    # the witness chain is composed from cached normal forms: once the
+    # identifications are collected, a depth-3 verdict calls no collect and
+    # builds no Word, so its cost is the build, the fold and the check
+    import nilbott
+    from nilbott import catalogue, polycyclic
+    from nilbott.words import Word
+
+    ks = (2**64 + 1, -(2**64 + 1))
+    specs = [TowerSpec.depth3(base, signs, k) for base, signs in PATTERNS for k in ks]
+    calls = {"collect": 0, "Word": 0}
+    original_collect, original_init = polycyclic.collect, Word.__init__
+
+    def counted_collect(*args):
+        calls["collect"] += 1
+        return original_collect(*args)
+
+    def counted_init(self, *args):
+        calls["Word"] += 1
+        original_init(self, *args)
+
+    for module in vars(nilbott).values():
+        if getattr(module, "collect", None) is original_collect:
+            monkeypatch.setattr(module, "collect", counted_collect)
+    monkeypatch.setattr(Word, "__init__", counted_init)
+    # the counters see the cold path: collecting one identification
+    catalogue._flat_identification.cache_clear()
+    classify_tower(TowerSpec.depth3("K", (1, 1), 1))
+    assert calls["collect"] > 0 and calls["Word"] > 0
+    for spec in specs:
+        classify_tower(spec)
+    calls.update(collect=0, Word=0)
+    verdicts = [classify_tower(spec) for spec in specs]
+    assert calls == {"collect": 0, "Word": 0}
+    assert {v.label for v in verdicts} == {
+        "B2", "B4", f"Gamma({ks[0]})", f"Gamma({ks[1]})",
+        f"Delta({-ks[0]})", f"Delta({-ks[1]})",
+    }
