@@ -11,12 +11,24 @@ the one assembled from the paper's rule text by an independent
 constructor.
 
 Every witness map is a list of normal forms, one per generator of its
-source.  The case swaps and k-reductions are written as exponent
-vectors.  The identifications with the flat groups keep the paper's
-witness words as their source text; they are parsed and collected once
-per (case, k), into the target and into the case's extension over the
-shared Klein or torus base.  Delta(k) and Gamma(k) are the built
-extension with renamed generators, so their maps are the identity.
+source.  The case swaps are written as exponent vectors.  The
+identifications with the flat groups keep the paper's witness words as
+their source text; they are parsed and collected once per (case, k),
+into the target and into the case's extension over the shared Klein or
+torus base.
+
+A depth-3 verdict is proved once per k-family, not once per k.  The
+extensions of one case whose lifts are r + 2m for a fixed r are one more
+circle stage: the family tower E^ is the lift-r extension extended by mu,
+with the tail mu^2 on the rule of g and h, and mu = n^m turns it into
+the lift-(r + 2m) extension (sigma_m: mu -> n^m is onto, with kernel
+<mu n^-m>).  reduction_maps gives the k-reduction on the family, with
+nu standing for n^m, and towers._family checks the whole chain once on
+E^.  Delta(k) and Gamma(k) are the built extension with renamed
+generators, so their maps are the identity; that the renaming is the
+catalogue group for every k is checked once per case, on the family
+whose mu is n^k, against the catalogue's Delta or Gamma family tower
+(nil_family).
 """
 
 from __future__ import annotations
@@ -119,24 +131,29 @@ CASES = {
 _IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def reduction_maps(case: int, k: int, r: int):
+def reduction_maps(case: int):
     """Witness the isomorphism between the case-`case` extensions with lift
-    integers k and r, where k = r modulo the torsion of the twisted H^2.
+    integers k = r + 2m and r, for every m at once, where the torsion of
+    the twisted H^2 is Z_2 (cases 1, 2 over the Klein base; 6 over the
+    torus; cases 4 and 7 reach 2 and 6 through case_swap_maps).
 
-    Returns (fwd, bwd): images of (g, h, n) of the k-group inside the
-    r-group and back, as normal forms.  Valid for the cases with 2-torsion
-    that base_identification covers (1, 2 over the Klein base; 6 over the
-    torus); cases 4 and 7 reach 2 and 6 through case_swap_maps.
+    The maps are between families, as normal forms: fwd sends (g, h, n,
+    mu) of the lift-r extension extended by mu, with mu^2 on the tail of
+    the rule of g and h, to the lift-r extension extended by nu, twisted
+    like n; bwd sends (g, h, n, nu) back.  mu and nu stand for n^m, so
+    putting n^m for them gives the maps for one k: h -> n^m h in case 1,
+    g -> n^m g in cases 2 and 6.
     """
-    if (k - r) % 2:
-        raise ValueError("lift integers differ by an odd number")
-    m = (k - r) // 2
     if case == 1:
-        # h -> n^m h = h n^m, since h fixes n
-        return [(1, 0, 0), (0, 1, m), (0, 0, 1)], [(1, 0, 0), (0, 1, -m), (0, 0, 1)]
+        # h -> n^m h = h nu, since h fixes n
+        fwd = ((1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1))
+        bwd = ((1, 0, 0, 0), (0, 1, 0, -1), (0, 0, 1, 0), (0, 0, 0, 1))
+        return fwd, bwd
     if case in (2, 6):
-        # g -> n^m g = g n^m, since g fixes n
-        return [(1, 0, m), (0, 1, 0), (0, 0, 1)], [(1, 0, -m), (0, 1, 0), (0, 0, 1)]
+        # g -> n^m g = g nu, since g fixes n
+        fwd = ((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        bwd = ((1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        return fwd, bwd
     raise ValueError(f"no reduction maps for case {case}")
 
 
@@ -163,23 +180,41 @@ _IDENTIFICATIONS = {
 }
 
 
-def base_identification(case: int, k: int):
+def base_identification(case: int, k: int, ext: PcPresentation | None = None):
     """Identify the case-`case` extension with lift k with its catalogue
     group, for the values of k the catalogue realizes directly.
 
     Returns (label, target_pc, fwd, bwd): fwd sends (g, h, n) to normal
     forms of the target, bwd sends the target's generators to normal forms
     of the case-`case` extension with lift k.  Delta(-k) and Gamma(k) are
-    that extension with its generators renamed, so their maps are the
-    identity.
+    that extension, given as ext, under the catalogue's generator names:
+    their maps are the identity and their target shares ext's rules, with
+    nothing built.  towers.classify_tower checks that naming once per case
+    for every k, on the family towers of nil_family.
     """
-    if k and case == 3:
-        return f"Gamma({k})", catalogue_pc("Gamma", k), _IDENTITY, _IDENTITY
-    if k and case == 5:
-        return f"Delta({-k})", catalogue_pc("Delta", -k), _IDENTITY, _IDENTITY
+    if k and case in (3, 5):
+        label, names, sign, _ = nil_family(case)
+        return f"{label}({sign * k})", ext.renamed(names), _IDENTITY, _IDENTITY
     if (case, k) not in _IDENTIFICATIONS:
         raise ValueError(f"no direct identification for case {case}, k={k}")
     return _flat_identification(case, k)
+
+
+@cache
+def nil_family(case: int):
+    """(label, names, sign, family) for the nil case 3 or 5: the extension
+    with lift k != 0 is the catalogue group label(sign k), whose generator
+    names are names.  family is the catalogue's family tower of label: the
+    group with top lift 0 extended by nu, twisted like the top generator
+    c, with the table's top lift as its tail, so that nu = c^k gives
+    label(k).  The extensions' own family, whose mu = n^k gives lift k,
+    has the tail 1 on mu, so mu -> nu^sign matches the two.
+    """
+    label = "Gamma" if case == 3 else "Delta"
+    names, *stages = _TOWERS[label]
+    signs, lifts = stages[-1]
+    family = build_extension(_tower(label, 0), signs + (1,), list(lifts) + [0, 0], "nu")
+    return label, tuple(names.split()), lifts[0], family
 
 
 @cache

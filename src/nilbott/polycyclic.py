@@ -40,6 +40,7 @@ is reported before any arithmetic rests on it.
 
 from __future__ import annotations
 
+from copy import copy
 from operator import add
 
 from .exact import smith_normal_form, IntMatrix
@@ -65,6 +66,14 @@ class PcPresentation:
 
     def __repr__(self):
         return f"PcPresentation(<{' '.join(self.names)}>)"
+
+    def renamed(self, names) -> "PcPresentation":
+        """This group with its generators renamed; the copy shares the rules
+        and the cached conjugation powers, so nothing is rebuilt or
+        checked."""
+        p = copy(self)
+        p.names = tuple(names)
+        return p
 
     # -- assembly ---------------------------------------------------------
 

@@ -3,9 +3,12 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from nilbott.catalogue import catalogue_pc
+from nilbott import catalogue, towers
+from nilbott.catalogue import catalogue_pc, reduction_maps
 from nilbott.exact import IntMatrix, rank
 from nilbott.polycyclic import (
     PcPresentation,
@@ -184,6 +187,30 @@ def case_extension(case, k):
     kind, signs = CASE_DATA[case]
     pres = klein_presentation() if kind == "klein" else torus_presentation()
     return build_extension(base_pc(pres), signs, [k], "n")
+
+
+def reduction_at(case, k, r):
+    """reduction_maps(case) read at one lift: the maps between the case
+    extensions with lifts k and r = k mod 2, with n^m, m = (k - r) / 2, in
+    place of mu and nu."""
+    m = (k - r) // 2
+    return tuple([v[:2] + (v[2] + m * v[3],) for v in maps[:3]] for maps in reduction_maps(case))
+
+
+@pytest.fixture
+def fresh_families():
+    """The cached witness families and identifications are built, and
+    checked, inside the test and forgotten after it, so that a test that
+    breaks a map or the check leaves no failed family behind."""
+    caches = (towers._family, towers._nil_family_holds, catalogue._flat_identification, catalogue.nil_family)
+
+    def clear():
+        for cached in caches:
+            cached.cache_clear()
+
+    clear()
+    yield clear
+    clear()
 
 
 def parse_presentation(text):

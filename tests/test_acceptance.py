@@ -15,6 +15,7 @@ from conftest import (
     collected,
     compose_maps,
     diagonal,
+    reduction_at,
 )
 import cocycle_oracle
 from cocycle_oracle import Cocycle
@@ -25,7 +26,6 @@ from nilbott.catalogue import (
     base_identification,
     case_swap_maps,
     catalogue_pc,
-    reduction_maps,
 )
 from nilbott.cohomology import (
     class_order,
@@ -84,11 +84,11 @@ def _identify(case, k, label, target_k=None):
     if chain_case in (1, 2, 6):
         r = chain_k % 2
         if r != chain_k:
-            red_fwd, red_bwd = map(as_words, reduction_maps(chain_case, chain_k, r))
+            red_fwd, red_bwd = map(as_words, reduction_at(chain_case, chain_k, r))
             fwd = compose_maps(fwd, red_fwd)
             bwd = compose_maps(red_bwd, bwd)
             chain_k = r
-    got_label, target, id_fwd, id_bwd = base_identification(chain_case, chain_k)
+    got_label, target, id_fwd, id_bwd = base_identification(chain_case, chain_k, ext)
     assert got_label == label, (case, k, got_label, label)
     fwd = compose_maps(fwd, as_words(id_fwd))
     bwd = compose_maps(as_words(id_bwd), bwd)

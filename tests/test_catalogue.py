@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from conftest import base_group, case_extension, collected
+from conftest import base_group, case_extension, collected, reduction_at
 from pc_oracle import assert_same_group, from_rule_text
 
 from nilbott.catalogue import (
@@ -20,7 +20,6 @@ from nilbott.catalogue import (
     base_identification,
     case_swap_maps,
     catalogue_pc,
-    reduction_maps,
 )
 from nilbott.polycyclic import build_extension
 from nilbott.towers import _normalize_case
@@ -93,11 +92,11 @@ def _texts(p, texts, names=EXT):
 @pytest.mark.parametrize("case", [1, 2, 6])
 def test_reduction_maps_are_the_collected_words(case):
     # h -> n^m h (case 1) or g -> n^m g (cases 2, 6), from the k-group into
-    # the r-group, and n^-m back
+    # the r-group, and n^-m back: the family maps with n^m for mu and nu
     for k in MAP_KS:
         r = k % 2
         m = (k - r) // 2
-        fwd, bwd = reduction_maps(case, k, r)
+        fwd, bwd = reduction_at(case, k, r)
         moved = 1 if case == 1 else 0
         words = [gen(0), gen(1), gen(2)]
         words[moved] = gen(2, m) * gen(moved)
@@ -117,7 +116,8 @@ def test_case_swap_maps_are_the_collected_words(case, swapped):
 def test_torus_swap_is_the_collected_words():
     # the torus pattern (-1, +1) becomes case 6 with the lift negated
     for k in MAP_KS:
-        case, k6, (fwd,), (bwd,) = _normalize_case("torus", (-1, 1), k)
+        case, sign, (fwd,), (bwd,) = _normalize_case("torus", (-1, 1))
+        k6 = sign * k
         assert (case, k6) == (6, -k)
         assert list(fwd) == _texts(case_extension(6, -k), ("h", "g", "n")), k
         ext = build_extension(base_group(5), (-1, 1), [k], "n")
@@ -154,7 +154,7 @@ def test_nil_identifications_are_the_identity(case, label):
     for k in MAP_KS:
         if k == 0:
             continue
-        got_label, target, fwd, bwd = base_identification(case, k)
+        got_label, target, fwd, bwd = base_identification(case, k, case_extension(case, k))
         kt = k if case == 3 else -k
         assert got_label == f"{label}({kt})"
         assert list(target.positive_rules()) == list(catalogue_pc(label, kt).positive_rules())

@@ -236,7 +236,8 @@ def test_classify_reads_phi_by_name(tmp_path, capsys):
     assert "label: Gamma(3)" in out
 
 
-def test_classify_failed_witness_exits_1(tmp_path, capsys, monkeypatch):
+def test_classify_failed_witness_exits_1(tmp_path, capsys, monkeypatch, fresh_families):
+    # the failing check is the one on the Gamma family, made in this test
     monkeypatch.setattr("nilbott.towers.verify_isomorphism", lambda *args: False)
     spec = tmp_path / "tower.txt"
     spec.write_text(TOWER_TEXT)

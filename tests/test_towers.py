@@ -16,11 +16,12 @@ from conftest import (
     classify_witnesses_text,
     collected,
     compose_maps,
+    reduction_at,
 )
 import cocycle_oracle
 from cocycle_oracle import Cocycle
 
-from nilbott.catalogue import base_identification, case_swap_maps, catalogue_pc, reduction_maps
+from nilbott.catalogue import base_identification, case_swap_maps, catalogue_pc
 from nilbott.cohomology import (
     class_order,
     relator_pairing,
@@ -361,9 +362,9 @@ def _substituted_witnesses(base, signs, k):
             sw_fwd, sw_bwd = map(as_words, case_swap_maps(case))
             fwd, bwd, case = [sw_fwd], [sw_bwd], {4: 2, 7: 6}[case]
     if case in (1, 2, 6) and k % 2 != k:
-        red_fwd, red_bwd = map(as_words, reduction_maps(case, k, k % 2))
+        red_fwd, red_bwd = map(as_words, reduction_at(case, k, k % 2))
         fwd, bwd, k = fwd + [red_fwd], [red_bwd] + bwd, k % 2
-    _, target, id_fwd, id_bwd = base_identification(case, k)
+    _, target, id_fwd, id_bwd = base_identification(case, k, case_extension(case, k))
     fwd, bwd = fwd + [as_words(id_fwd)], [as_words(id_bwd)] + bwd
     return target, reduce(compose_maps, fwd), reduce(compose_maps, bwd)
 
@@ -384,12 +385,12 @@ def test_witness_fold_matches_word_substitution(base, signs):
         assert collected(ext, bwd) == collected(ext, witness_bwd), (base, signs, k)
 
 
-def test_warm_depth3_classification_builds_no_words(monkeypatch):
-    # the witness chain is composed from cached normal forms: once the
-    # identifications are collected, a depth-3 verdict calls no collect and
-    # builds no Word, so its cost is the build, the fold and the check
+def test_warm_depth3_classification_builds_no_words(monkeypatch, fresh_families):
+    # the witness maps are read off cached normal forms: once the families
+    # are built, a depth-3 verdict calls no collect and builds no Word, so
+    # its cost is the build and the specialisation
     import nilbott
-    from nilbott import catalogue, polycyclic
+    from nilbott import polycyclic
     from nilbott.words import Word
 
     ks = (2**64 + 1, -(2**64 + 1))
@@ -410,7 +411,7 @@ def test_warm_depth3_classification_builds_no_words(monkeypatch):
             monkeypatch.setattr(module, "collect", counted_collect)
     monkeypatch.setattr(Word, "__init__", counted_init)
     # the counters see the cold path: collecting one identification
-    catalogue._flat_identification.cache_clear()
+    fresh_families()
     classify_tower(TowerSpec.depth3("K", (1, 1), 1))
     assert calls["collect"] > 0 and calls["Word"] > 0
     for spec in specs:
