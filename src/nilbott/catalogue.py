@@ -68,8 +68,9 @@ _TOWERS = {
 def catalogue_pc(label: str, k: int | None = None) -> PcPresentation:
     """Canonical polycyclic presentation of a catalogue group.
 
-    The groups that do not depend on k are built on first use and shared;
-    Delta(k) and Gamma(k) are built on every call, over a shared base.
+    The groups that do not depend on k are built on first use and shared,
+    and take no k; Delta(k) and Gamma(k) are built on every call, over a
+    shared base.
     """
     if label == "Delta":
         if k is None:
@@ -82,7 +83,10 @@ def catalogue_pc(label: str, k: int | None = None) -> PcPresentation:
         if not k:
             raise ValueError("Gamma needs a nonzero twisting integer k")
         return _tower(label, k)
-    return _fixed_pc(label)
+    p = _fixed_pc(label)
+    if k is not None:
+        raise ValueError(f"{label} takes no twisting integer k")
+    return p
 
 
 @cache

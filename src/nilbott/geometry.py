@@ -1,9 +1,10 @@
 """Exact geometric models: affine isometries of flat n-space whose linear
 parts are signed permutations, and affine maps of the 3-dimensional nil
-geometry (the product R x C with twisted multiplication), plus the
-catalogue representations, relation verification, bounded freeness
-certificates, Euler numbers and the quotient-action check for the nil
-lattices.
+geometry (the product R x C with twisted multiplication), plus the flat
+model of a finite-type tower by the Seifert construction, the catalogue
+representations (that model for the flat groups, lattice generators for
+the nil ones), relation verification, bounded freeness certificates,
+Euler numbers and the quotient-action check for the nil lattices.
 
 All arithmetic is exact and nothing is ever rounded.  A map holds Python
 integers over one positive denominator (the nil rotation over its own), so
@@ -20,14 +21,14 @@ solved.
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd, lcm
 
 from .catalogue import catalogue_pc
-from .exact import GaussRat, IntMatrix
-from .polycyclic import PcPresentation, nf_to_word, require_integer_k
+from .exact import GaussRat, IntMatrix, smith_normal_form
+from .polycyclic import NormalForm, PcPresentation, nf_to_word, require_integer_k
 from .words import Word
 
 
@@ -482,72 +483,6 @@ def _reduced_heis(x, r, i, d, ur, ui, ud, conj) -> HeisAffineMap:
 # -- representations ---------------------------------------------------------
 
 
-def _parse_vec(text: str):
-    return [Fraction(t.strip()) for t in text.split(",")]
-
-
-def _parse_map(line: str) -> FlatAffineMap:
-    # 'lin(1,0,0; 0,-1,0; 0,0,1) t(1/2,0,0)' or 'lin I t(0,1,0)'
-    line = line.strip()
-    if not line.startswith("lin"):
-        raise ValueError(f"bad map line {line!r}")
-    rest = line[3:].strip()
-    if rest.startswith("I"):
-        lin = None
-        rest = rest[1:].strip()
-    else:
-        if not rest.startswith("("):
-            raise ValueError(f"bad linear part in {line!r}")
-        close = rest.index(")")
-        rows = [
-            [int(x) for x in row.split(",")]
-            for row in rest[1:close].split(";")
-        ]
-        lin = IntMatrix(rows)
-        rest = rest[close + 1:].strip()
-    if not (rest.startswith("t(") and rest.endswith(")")):
-        raise ValueError(f"bad translation part in {line!r}")
-    trans = _parse_vec(rest[2:-1])
-    if lin is None:
-        lin = IntMatrix.identity(len(trans))
-    return FlatAffineMap(lin, trans)
-
-
-def load_flat_catalogue() -> dict[str, dict[str, FlatAffineMap]]:
-    """Parse the packaged flat-model data file: per label, one exact affine
-    map per polycyclic generator."""
-    text = (
-        importlib.resources.files("nilbott")
-        .joinpath("data/flat_catalogue.txt")
-        .read_text()
-    )
-    out: dict[str, dict[str, FlatAffineMap]] = {}
-    label = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            label = line[1:-1]
-            out[label] = {}
-            continue
-        name, _, rhs = line.partition("=")
-        if label is None or not rhs:
-            raise ValueError(f"bad catalogue line {raw!r}")
-        out[label][name.strip()] = _parse_map(rhs)
-    return out
-
-
-_FLAT_CACHE: dict | None = None
-
-
-def _flat_data() -> dict:
-    global _FLAT_CACHE
-    if _FLAT_CACHE is None:
-        _FLAT_CACHE = load_flat_catalogue()
-    return _FLAT_CACHE
-
-
 def delta_generators(k: int) -> list[HeisAffineMap]:
     """Nil lattice generators (a, b, c) with [a, b] = c^-k, c central."""
     require_integer_k(k)
@@ -571,29 +506,99 @@ def gamma_generators(k: int) -> list[HeisAffineMap]:
     ]
 
 
+def seifert_model(p: PcPresentation) -> list[FlatAffineMap]:
+    """The flat model of a finite-type tower by the Seifert construction
+    (Lee & Raymond, *Seifert Fiberings*, 2010; Charlap, *Bieberbach Groups
+    and Flat Manifolds*, 1986), one map per generator of p.
+
+    Coordinate j is the fiber x_j of stage j + 1.  On it x_i acts by
+    y -> s_ij y + c_ij for i < j, with s_ij the sign of x_j in the rule of
+    (i, j); x_j acts by y -> y + 1 and every later generator trivially.
+    So the linear parts are diagonal, and the maps of stage j only see
+    rules below it: one row per rule (a, b), a < b < j, says that the
+    translations of x_a x_b x_a^-1 and of the rule's normal form cut at j
+    agree.  The rows are linear in the c_ij with integer coefficients and
+    are solved over Q by one Smith form.  They have no solution exactly
+    when the stage's extension class has infinite order; then ValueError
+    names the stage.
+
+    A nonidentity normal form with first nonzero exponent e_i translates
+    coordinate i by e_i, with linear part +1 there, so the model is
+    faithful and moves every point.
+    """
+    n = p.ngens
+    signs = [[p.rule(i, j)[j] if i < j else 1 for j in range(n)] for i in range(n)]
+    trans = [[int(i == j) for j in range(n)] for i in range(n)]
+    for j in range(2, n):
+        s = [signs[i][j] for i in range(j)] + [1]
+        rows, rhs = [], []
+        for a in range(j):
+            for b in range(a + 1, j):
+                # x_a x_b x_a^-1 translates coordinate j by (1 - s_b) c_a + s_a c_b
+                row = [-x for x in _translation_form(p.rule(a, b), s, j)]
+                row[a] += 1 - s[b]
+                row[b] += s[a]
+                rows.append(row[:j])
+                rhs.append(-row[j])
+        c = _solve_rational(rows, rhs)
+        if c is None:
+            raise ValueError(
+                f"stage {j + 1}: the extension class has infinite order, "
+                "so the tower has no flat model"
+            )
+        for i in range(j):
+            trans[i][j] = c[i]
+    return [
+        FlatAffineMap._make(tuple(range(n)), tuple(signs[i]), *_over_common_den(trans[i]))
+        for i in range(n)
+    ]
+
+
+def _translation_form(w: NormalForm, s, j: int) -> list[int]:
+    """The translation on coordinate j of the normal form w cut at j, as
+    integer coefficients of (c_0j, ..., c_{j-1,j}, 1): x_i^e translates by
+    e c_ij when s_i = 1 and by c_ij when s_i = -1 and e is odd."""
+    form = [0] * (j + 1)
+    lin = 1
+    for i, e in enumerate(w[:j + 1]):
+        if s[i] == 1:
+            form[i] += lin * e
+        elif e % 2:
+            form[i] += lin
+            lin = -lin
+    return form
+
+
+def _solve_rational(rows, rhs) -> tuple | None:
+    """One rational solution c of rows c = rhs, or None if there is none:
+    with u rows v = diag(d) from the Smith form, c = v z for z_i =
+    (u rhs)_i / d_i, and z_i = 0 where d_i = 0."""
+    d, u, v = smith_normal_form(IntMatrix(rows))
+    z = [0] * len(rows[0])
+    for i, t in enumerate(u.apply(rhs)):
+        if i < len(d) and d[i]:
+            z[i] = Fraction(t, d[i])
+        elif t:
+            return None
+    return v.apply(z)
+
+
 def catalogue_representation(label: str, k: int | None = None) -> list:
     """Exact generator maps for a catalogue group, aligned with the
-    generator order of catalogue_pc(label, k)."""
-    if label == "Delta":
+    generator order of catalogue_pc(label, k): the nil lattice generators
+    for Delta(k != 0) and Gamma(k), and otherwise the group's Seifert model,
+    solved once per label.  Each call returns a fresh list."""
+    if label == "Gamma" or (label == "Delta" and k != 0):
         if k is None:
-            raise ValueError("Delta needs k")
-        gens = delta_generators(k)  # checks that k is an integer
-        if k == 0:
-            # degenerate lattice: three commuting unit translations
-            return [
-                FlatAffineMap.translation(v)
-                for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-            ]
-        return gens
-    if label == "Gamma":
-        if k is None:
-            raise ValueError("Gamma needs k")
-        return gamma_generators(k)
-    data = _flat_data()
-    if label not in data:
-        raise ValueError(f"unknown catalogue label {label!r}")
-    p = catalogue_pc(label)
-    return [data[label][name] for name in p.names]
+            raise ValueError(f"{label} needs k")
+        return (gamma_generators if label == "Gamma" else delta_generators)(k)
+    catalogue_pc(label, k)  # refuses an unknown label and a k it does not take
+    return list(_flat_model(label, k))
+
+
+@cache
+def _flat_model(label: str, k: int | None) -> tuple:
+    return tuple(seifert_model(catalogue_pc(label, k)))
 
 
 def _power(m, e: int):

@@ -1,5 +1,14 @@
-"""Holonomy, Betti numbers, torus rank, homological injectivity and the
-binomial bounds for the 3-dimensional catalogue manifolds."""
+"""Holonomy, orientation, Betti numbers, torus rank, homological
+injectivity and the binomial bounds for the 3-dimensional catalogue
+manifolds.
+
+Holonomy and orientation are read off the tower's twist signs, with no
+model: in the Seifert model (geometry.seifert_model) generator x_i acts on
+each later fiber x_j by the sign s_ij of its rule and fixes the others,
+so the linear parts are the diagonal sign matrices, which commute and
+square to the identity.  For Delta(k) and Gamma(k) the same count gives
+the order of the rotation parts of their nil models, 1 and 2.
+"""
 
 from __future__ import annotations
 
@@ -8,68 +17,43 @@ from math import comb, prod
 
 from .catalogue import catalogue_pc, FLAT_LABELS
 from .exact import IntMatrix, smith_normal_form, rank
-from .geometry import FlatAffineMap, HeisAffineMap, catalogue_representation
 from .polycyclic import PcPresentation, center, pc_abelianization, relation_rows
 
 
-HOLONOMY_GUARD = 64
+def _stage_signs(group: PcPresentation):
+    """Per generator x_i, the signs s_ij of the later fibers x_j in its
+    rules x_i x_j x_i^-1."""
+    n = group.ngens
+    return [[group.rule(i, j)[j] for j in range(i + 1, n)] for i in range(n)]
 
 
-def holonomy(rep: list):
-    """Closure of the linear (or rotation) parts of the generator maps.
-
-    Returns (order, elementary-2 flag, elements).  The closure is finite
-    for catalogue inputs; exceeding the guard bound signals garbage.
-    """
-    if all(isinstance(m, FlatAffineMap) for m in rep):
-        gens = [m.lin for m in rep]
-        ident = IntMatrix.identity(rep[0].dim)
-    elif all(isinstance(m, HeisAffineMap) for m in rep):
-        gens = [m.aut for m in rep]
-        ident = rep[0].aut * rep[0].aut.inverse()
-    else:
-        raise ValueError("mixed or unknown representation kind")
-    closure = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in closure:
-                    closure.add(y)
-                    nxt.append(y)
-                    if len(closure) > HOLONOMY_GUARD:
-                        raise ValueError("holonomy closure exceeded guard bound")
-        frontier = nxt
-    elementary = all(x * x == ident for x in closure)
-    return len(closure), elementary, sorted(closure, key=repr)
+def holonomy_order(group: PcPresentation) -> int:
+    """The order of the holonomy group, elementary abelian of order 2^r
+    with r the F2 rank of the generators' sign vectors."""
+    basis = []
+    for signs in _stage_signs(group):
+        # the sign vector as a bit mask of its -1 entries, last fiber lowest
+        v = 0
+        for s in signs:
+            v = 2 * v + (s < 0)
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return 2 ** len(basis)
 
 
-def _orientable(rep: list) -> bool:
-    if all(isinstance(m, HeisAffineMap) for m in rep):
-        return True  # nil-type quotients in scope preserve orientation
-    return all(_orientation(m) == 1 for m in rep)
+def orientable(group: PcPresentation) -> bool:
+    """Every generator's stage signs multiply to +1."""
+    return all(prod(signs) == 1 for signs in _stage_signs(group))
 
 
-def _orientation(m: FlatAffineMap) -> int:
-    """The determinant of m's linear part, a signed permutation: the
-    product of its signs times the sign of the permutation,
-    (-1)^(inversions)."""
-    perm = m.perm
-    inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
-    return prod(m.signs) * (-1) ** inversions
-
-
-def betti_numbers(group: PcPresentation, rep: list) -> tuple[int, int, int, int]:
+def betti_numbers(group: PcPresentation) -> tuple[int, int, int, int]:
     """Integral Betti numbers (b0..b3) of the closed 3-manifold quotient."""
-    if not (
-        all(isinstance(m, HeisAffineMap) for m in rep)
-        or all(m.dim == 3 for m in rep)
-    ):
-        raise ValueError("betti numbers need a 3-dimensional representation")
+    if group.ngens != 3:
+        raise ValueError("betti numbers need a 3-dimensional group")
     b1, _ = pc_abelianization(group)
-    b3 = 1 if _orientable(rep) else 0
+    b3 = 1 if orientable(group) else 0
     b2 = b1 + b3 - 1  # Euler characteristic zero pins the remaining number
     return (1, b1, b2, b3)
 
@@ -144,12 +128,10 @@ class InvariantReport:
 def catalogue_report(label: str, k: int | None = None) -> InvariantReport:
     """Full invariant bundle for a 3-dimensional catalogue entry."""
     group = catalogue_pc(label, k)
-    rep = catalogue_representation(label, k)
     if group.ngens != 3:
         raise ValueError("invariant reports cover the 3-dimensional entries")
     rank_h1, torsion = pc_abelianization(group)
-    order, elem2, _ = holonomy(rep)
-    betti = betti_numbers(group, rep)
+    betti = betti_numbers(group)
     central = center(group)
     s = len(central)  # the rank of C(pi), the torus rank
     finite = label in FLAT_LABELS or (label == "Delta" and k == 0)
@@ -165,9 +147,9 @@ def catalogue_report(label: str, k: int | None = None) -> InvariantReport:
         k=k,
         type="finite" if finite else "infinite",
         h1=(rank_h1, tuple(torsion)),
-        holonomy_order=order,
-        holonomy_is_elementary_2=elem2,
-        orientable=_orientable(rep),
+        holonomy_order=holonomy_order(group),
+        holonomy_is_elementary_2=True,  # diagonal signs, see the module docstring
+        orientable=orientable(group),
         betti=betti,
         center_rank=s,
         hom_inj_pass=hom_inj,

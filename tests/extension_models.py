@@ -1,6 +1,9 @@
 """Exact geometric models of the built depth-3 extensions, one per twist
-case: an oracle for collection and freeness in the tests.  The engine
-models only the catalogue groups (geometry.catalogue_representation)."""
+case: an oracle for collection and freeness in the tests.  The flat
+cases are written by hand, fiber coordinate first, apart from the engine,
+which models any finite-type tower (geometry.seifert_model); cases 3 and
+5 are the catalogue groups G2, Delta and Gamma, modelled by
+geometry.catalogue_representation."""
 
 from fractions import Fraction
 

@@ -20,6 +20,7 @@ from conftest import (
 import cocycle_oracle
 from cocycle_oracle import Cocycle
 from extension_models import extension_representation
+from flat_catalogue_oracle import holonomy
 from sympy import Matrix
 
 from nilbott.catalogue import (
@@ -46,7 +47,6 @@ from nilbott.geometry import (
 from nilbott.invariants import (
     catalogue_report,
     halperin_carlsson_check,
-    holonomy,
     homological_injectivity_check,
 )
 from nilbott.polycyclic import center, collect, cyclic_pc, nf_to_word, verify_isomorphism
@@ -158,6 +158,7 @@ def test_criterion_5_holonomy_elementary_2():
         order, elementary, _ = holonomy(catalogue_representation(label))
         assert elementary, label
         assert order == 2 ** s, (label, order)
+        assert catalogue_report(label).holonomy_order == order, label
     report(5, "finite-type holonomy is elementary abelian 2-group with "
               "s = 0 (T3), 1 (G2, B1, B2), 2 (B3, B4)")
 

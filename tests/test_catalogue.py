@@ -21,6 +21,7 @@ from nilbott.catalogue import (
     case_swap_maps,
     catalogue_pc,
 )
+from nilbott.invariants import catalogue_report
 from nilbott.polycyclic import build_extension
 from nilbott.towers import _normalize_case
 from nilbott.words import gen, parse_word
@@ -68,10 +69,15 @@ def test_nil_group_is_the_rule_text_group(label):
         assert_same_group(catalogue_pc(label, k), from_rule_text(*nil_rule_text(label, k)))
 
 
-@pytest.mark.parametrize("label,k", [("Delta", None), ("Gamma", None), ("Gamma", 0), ("B5", None)])
+@pytest.mark.parametrize(
+    "label,k",
+    [("Delta", None), ("Gamma", None), ("Gamma", 0), ("B5", None), ("B2", 9), ("T3", "junk"),
+     ("B1", 0)],
+)
 def test_catalogue_refuses_missing_k_and_unknown_labels(label, k):
-    with pytest.raises(ValueError):
-        catalogue_pc(label, k)
+    for build in (catalogue_pc, catalogue_report):
+        with pytest.raises(ValueError):
+            build(label, k)
 
 
 #: lift integers of the witness map checks: a seeded range, the 64-bit

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CASE_DATA, case_extension, diagonal
+from conftest import CASE_DATA, PATTERNS, case_extension, deep_specs, diagonal
 from extension_models import extension_representation
+from flat_catalogue_oracle import holonomy, load_flat_catalogue
 
 from nilbott.catalogue import catalogue_pc
 from nilbott.exact import GaussRat
@@ -21,11 +22,13 @@ from nilbott.geometry import (
     freeness_sample,
     gamma_generators,
     klein_quotient_check,
-    load_flat_catalogue,
     rep_evaluate,
+    seifert_model,
     verify_relations_in_rep,
 )
-from nilbott.polycyclic import collect, cyclic_pc
+from nilbott.invariants import holonomy_order
+from nilbott.polycyclic import ExtensionError, collect, cyclic_pc
+from nilbott.towers import Stage, TowerSpec, build_tower_groups, classify_tower
 from nilbott.words import Word, parse_word
 
 
@@ -173,10 +176,12 @@ def test_delta_zero_is_translations():
 
 
 def test_catalogue_representation_errors():
-    with pytest.raises(ValueError):
-        catalogue_representation("X9")
-    with pytest.raises(ValueError):
-        catalogue_representation("Gamma", 0)
+    # unknown labels, a missing or zero k for the nil groups, and a k for
+    # a label that takes none
+    for label, k in [("X9", None), ("Gamma", 0), ("Gamma", None), ("Delta", None),
+                     ("B2", 9), ("T3", "junk"), ("K", 0)]:
+        with pytest.raises(ValueError):
+            catalogue_representation(label, k)
 
 
 @pytest.mark.parametrize("k", [2.5, 2.0, Fraction(2), "3", True, False])
@@ -294,3 +299,62 @@ def test_flat_catalogue_data_golden():
     assert b1["e"].trans == (Fraction(1, 2), 0, 0)
     assert data["B2"]["u"].trans == (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
     assert data["K"]["g"].lin == diagonal([1, -1])
+
+
+# -- the Seifert construction ---------------------------------------------------
+
+@pytest.mark.parametrize(
+    "label, k",
+    [(label, None) for label in ("S1", "T2", "K", "T3", "G2", "B1", "B2", "B3", "B4")]
+    + [("Delta", 0)],
+)
+def test_seifert_models_of_the_flat_labels(label, k):
+    p = catalogue_pc(label, k)
+    model = seifert_model(p)
+    assert verify_relations_in_rep(p, model) == (True, None)
+    assert freeness_sample(p, model, 6).is_free_sample
+    order = holonomy_order(p)
+    assert holonomy(model)[0] == order
+    if k is None:
+        hand_typed = load_flat_catalogue()[label]
+        assert holonomy([hand_typed[name] for name in p.names])[0] == order
+    # catalogue_representation hands out the cached model in a fresh list
+    rep = catalogue_representation(label, k)
+    assert rep == model and rep is not catalogue_representation(label, k)
+
+
+def _accepted_towers():
+    """Every depth-3 sign pattern at k in [-3, 3] and the accepted towers
+    of deep_specs, with classify_tower's type and the top stage's group."""
+    specs = [TowerSpec.depth3(base, signs, k) for base, signs in PATTERNS for k in range(-3, 4)]
+    for spec in specs + deep_specs():
+        try:
+            verdict = classify_tower(spec)
+        except (ExtensionError, ValueError):
+            continue
+        yield spec, verdict.type, build_tower_groups(spec)[-1]
+
+
+def test_seifert_model_exists_iff_finite():
+    seen = {"finite": 0, "infinite": 0}
+    for spec, kind, p in _accepted_towers():
+        seen[kind] += 1
+        try:
+            model = seifert_model(p)
+        except ValueError:
+            assert kind == "infinite", spec
+            continue
+        assert kind == "finite", spec
+        assert verify_relations_in_rep(p, model) == (True, None), spec
+        assert holonomy(model)[0] == holonomy_order(p), spec
+    assert min(seen.values()) > 20, seen
+
+
+def test_seifert_model_names_the_infinite_stage():
+    with pytest.raises(ValueError, match="^stage 3: the extension class has infinite order"):
+        seifert_model(catalogue_pc("Delta", 1))
+    # a Heisenberg stage over the 3-torus: finite up to stage 3, not at 4
+    torus = TowerSpec.depth3("T2", (1, 1), 0)
+    spec = TowerSpec(torus.stages + (Stage(4, (1, 1, 1), (1, 0, 0)),))
+    with pytest.raises(ValueError, match="^stage 4: "):
+        seifert_model(build_tower_groups(spec)[-1])

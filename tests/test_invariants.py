@@ -11,14 +11,14 @@ from conftest import (
     solve_fixed_lattice,
 )
 
+from flat_catalogue_oracle import holonomy
+
 from nilbott.catalogue import catalogue_pc
-from nilbott.exact import IntMatrix
-from nilbott.geometry import FlatAffineMap, catalogue_representation
+from nilbott.geometry import catalogue_representation
 from nilbott.invariants import (
     betti_numbers,
     catalogue_report,
     halperin_carlsson_check,
-    holonomy,
     homological_injectivity_check,
 )
 from nilbott.polycyclic import center, collect, nf_multiply, pc_abelianization
@@ -50,35 +50,17 @@ def test_holonomy_examples():
     assert (order, elem) == (4, True)
 
 
-def test_holonomy_guard():
-    rot = FlatAffineMap(IntMatrix([[0, -1], [1, 0]]), (0, 0))
-    order, elem, _ = holonomy([rot])
-    assert order == 4 and not elem
-    # in dimension 4, a 4-cycle and one sign flip close up to the 64
-    # signed cyclic shifts, exactly the guard bound; with a transposition
-    # they give all 384 signed permutations, beyond it
-    origin = (0, 0, 0, 0)
-    cycle = FlatAffineMap(IntMatrix([[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]), origin)
-    swap = FlatAffineMap(IntMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]), origin)
-    flip = FlatAffineMap(diagonal([-1, 1, 1, 1]), origin)
-    order, elem, _ = holonomy([cycle, flip])
-    assert order == 64 and not elem
-    with pytest.raises(ValueError, match="holonomy closure exceeded guard bound"):
-        holonomy([cycle, swap, flip])
-
-
 def test_betti_examples():
     for label, (_, _, _, _, betti, _) in EXPECTED.items():
         group = catalogue_pc(label)
-        rep = catalogue_representation(label)
-        assert betti_numbers(group, rep) == betti, label
+        assert betti_numbers(group) == betti, label
         assert betti[0] == 1
         assert betti[0] - betti[1] + betti[2] - betti[3] == 0
 
 
 def test_betti_requires_dimension_3():
     with pytest.raises(ValueError):
-        betti_numbers(catalogue_pc("K"), catalogue_representation("K"))
+        betti_numbers(catalogue_pc("K"))
 
 
 def test_torus_rank_examples():
@@ -161,11 +143,14 @@ def test_nil_reports():
     for k in (1, 2, -3):
         rd = catalogue_report("Delta", k)
         assert rd.betti == (1, 2, 2, 1) and rd.center_rank == 1
+        # the order read off the signs is that of the nil models' rotations
+        assert rd.holonomy_order == holonomy(catalogue_representation("Delta", k))[0] == 1
         assert rd.h1[0] == 2  # rank stays 2 for every nonzero twisting
         assert rd.type == "infinite"
         rg = catalogue_report("Gamma", k)
         assert rg.betti == (1, 1, 1, 1) and rg.center_rank == 0
         assert rg.holonomy_order == 2 and rg.holonomy_is_elementary_2
+        assert holonomy(catalogue_representation("Gamma", k))[:2] == (2, True)
         assert rg.type == "infinite"
 
 
