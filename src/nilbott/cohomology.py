@@ -133,19 +133,25 @@ def _carries_holonomy(ext: PcPresentation, i: int) -> bool:
 def restriction_nonzero(ext: PcPresentation) -> bool:
     """True iff the restriction of the extension class to the translation
     lattice of the base is nonzero, i.e. the commutator of some pair of
-    lattice generators pairs to a nonzero fiber power.  The lattice is
-    generated by the squares of the holonomy-carrying base generators and
-    the others unsquared.  Decides infinite type."""
-    gens = [
-        gen(i, 2 if _carries_holonomy(ext, i) else 1) for i in range(ext.ngens - 1)
-    ]
+    lattice generators is a nonzero fiber power.  The lattice is generated
+    by the squares of the holonomy-carrying base generators and the others
+    unsquared.  Each commutator a b a^-1 b^-1 is a product of normal forms
+    of ext; ValueError if one does not land in the fiber.  Decides
+    infinite type."""
+    fiber = ext.ngens - 1
+    gens = [ext._unit(i, 2 if _carries_holonomy(ext, i) else 1) for i in range(fiber)]
     # every pair is paired before any() reads them, so a lattice that does
     # not commute in the base is refused rather than passed over
-    pairings = [
-        relator_pairing(ext, a * b * a.inverse() * b.inverse())
-        for s, a in enumerate(gens)
-        for b in gens[s + 1:]
-    ]
+    pairings = []
+    for s, a in enumerate(gens):
+        for b in gens[s + 1:]:
+            comm = ext._mult(ext._mult(ext._mult(a, b), ext._invert(a)), ext._invert(b))
+            if any(comm[:fiber]):
+                raise ValueError(
+                    f"lattice generators {ext.nf_str(a)} and {ext.nf_str(b)} "
+                    f"do not commute in the base"
+                )
+            pairings.append(comm[fiber])
     return any(pairings)
 
 

@@ -35,7 +35,9 @@ fiber at a time by build_extension in one pass over the levels
 tail, with no collection, and closes its levels from the top down.  Each
 level is checked (conjugation by x_i must respect the rules of
 <x_{i+1}, ...>) before its inverse rules are computed, so a broken level
-is reported before any arithmetic rests on it.
+is reported before any arithmetic rests on it.  Only the base's rules are
+checked there: the fiber rules hold at every level once the twist is a
+homomorphism of the base, which twist_signs checks once per extension.
 """
 
 from __future__ import annotations
@@ -116,7 +118,10 @@ class PcPresentation:
         one conjugation x_i v x_i^-1 = x_j z^c.  Nothing is collected or
         solved.  The levels are closed from the top down, and each is
         checked by _level_break before its inverse rules are computed: the
-        first broken rule raises ExtensionError.
+        first broken rule raises ExtensionError.  signs must be a twist of
+        the base (twist_signs), which settles the fiber rules x_j z x_j^-1
+        = z^(signs[j]) at every level, so each level checks only the base's
+        rules, each with its fiber tail.
         """
         p = cls._blank(base.names + (name,))
         m = base.ngens
@@ -358,7 +363,8 @@ def build_extension(base: PcPresentation, phi, lifts, fiber_name: str) -> PcPres
 
 def _level_break(p: PcPresentation, i, images):
     """The per-level automorphism test (Sims, *Computation with Finitely
-    Presented Groups*, 1994, ch. 9): None if conjugation by x_i, the
+    Presented Groups*, 1994, ch. 9) on an extension p of _extend, with
+    fiber z = x_m, m = p.ngens - 1: None if conjugation by x_i, the
     generator map x_j -> images[j - i - 1] of H_i = <x_{i+1}, ...>,
     respects every rule of H_i, else (witness, detail) for the first rule
     it breaks.  The levels above i must be closed and consistent.
@@ -369,13 +375,24 @@ def _level_break(p: PcPresentation, i, images):
     the fiber goes to z^(+-1)) show phi_i onto, so it suffices that phi_i
     respects each rule x_j x_k x_j^-1 = w_jk of H_i (an onto endomorphism
     of a polycyclic group is an automorphism); the inverse rules are then
-    its inverse and need no check.  The rule loop is the one that also
-    checks generator maps; a broken rule is reported as
+    its inverse and need no check.
+
+    Only the base's rules, i < j < k < m, can break.  A fiber rule
+    x_j z x_j^-1 = z^(s_j) is respected as soon as the twist s is a
+    homomorphism of the base, which twist_signs has checked: phi_i sends
+    x_j to a_j = w z^c, w the base rule of x_i x_j x_i^-1, and z to
+    z^(s_i), so a_j z^(s_i) a_j^-1 = z^(s_i s(w)) = z^(s_i s_j), the image
+    of the right-hand side.  So the fiber rules are skipped, and a level
+    with no base rule above it, as every level of a depth-3 tower, checks
+    nothing.  The rules are checked in the order of the full check, so
+    the first broken rule is the same.  The rule loop is the one that
+    also checks generator maps; a broken rule is reported as
     phi_i(x_j x_k x_j^-1) vs phi_i(w_jk).
     """
-    if all(a == p._unit(j) for j, a in enumerate(images, i + 1)):
+    fiber = p.ngens - 1
+    if i + 2 >= fiber or all(a == p._unit(j) for j, a in enumerate(images, i + 1)):
         return None
-    broken = _broken_rule(p, p, images, i + 1)
+    broken = _broken_rule(p, p, images, i + 1, fiber)
     if broken is None:
         return None
     j, k = broken
@@ -388,16 +405,17 @@ def _level_break(p: PcPresentation, i, images):
     )
 
 
-def _broken_rule(src: PcPresentation, dst: PcPresentation, images, lvl):
-    """The first rule x_j x_k x_j^-1 = w of src with lvl <= j < k that the
-    generator map x_j -> a_j = images[j - lvl] into dst does not respect,
-    as (j, k), or None (von Dyck).  The rule holds iff a_j a_k = W a_j,
-    where W is the product of the a_g^(w_g) in generator order; every
-    product is collected at level lvl of dst.
+def _broken_rule(src: PcPresentation, dst: PcPresentation, images, lvl, top):
+    """The first rule x_j x_k x_j^-1 = w of src with lvl <= j < k < top
+    that the generator map x_j -> a_j = images[j - lvl] into dst does not
+    respect, as (j, k), or None (von Dyck, when top is src.ngens).  The
+    rule holds iff a_j a_k = W a_j, where W is the product of the
+    a_g^(w_g) in generator order; every product is collected at level lvl
+    of dst.
     """
-    for j in range(lvl, src.ngens):
+    for j in range(lvl, top):
         a = images[j - lvl]
-        for k in range(j + 1, src.ngens):
+        for k in range(j + 1, top):
             lhs = dst._mult(a, images[k - lvl], lvl)
             if lhs != dst._mult(dst._act(images, src.rule(j, k), lvl), a, lvl):
                 return j, k
@@ -417,7 +435,7 @@ def _pc_map(src, dst: PcPresentation, images) -> list[NormalForm]:
 def verify_homomorphism(src: PcPresentation, dst: PcPresentation, images) -> bool:
     """True iff the generator map src -> dst respects every defining rule
     of src; images are normal forms of dst, one per src generator."""
-    return _broken_rule(src, dst, _pc_map(src, dst, images), 0) is None
+    return _broken_rule(src, dst, _pc_map(src, dst, images), 0, src.ngens) is None
 
 
 def verify_isomorphism(a: PcPresentation, b: PcPresentation, fwd, bwd) -> bool:
@@ -437,7 +455,7 @@ def verify_isomorphism(a: PcPresentation, b: PcPresentation, fwd, bwd) -> bool:
     fwd(bwd(y)) = y, and bwd is therefore the homomorphism fwd^-1.
     """
     fwd, bwd = _pc_map(a, b, fwd), _pc_map(b, a, bwd)
-    if a.ngens != b.ngens or _broken_rule(a, b, fwd, 0) is not None:
+    if a.ngens != b.ngens or _broken_rule(a, b, fwd, 0, a.ngens) is not None:
         return False
     return all(b._act(fwd, v, 0) == b._unit(j) for j, v in enumerate(bwd))
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 from .catalogue import CASES, base_identification, case_swap_maps, nil_family, reduction_maps
 from .cohomology import class_order, restriction_nonzero
@@ -291,13 +291,32 @@ _BASE = {"klein": "K", "torus": "T2"}
 
 @dataclass
 class ClassificationVerdict:
+    """A tower's label and type; at depth 3 also its case, lift and witness
+    maps.  maps holds the maps as normal forms, (source, target group,
+    fwd, bwd); witness_fwd and witness_bwd are them as text, formatted on
+    first read and kept, since printing an exponent of thousands of digits
+    costs more than the rest of a verdict."""
+
     label: str
     type: str  # "finite" | "infinite"
     case: int | None = None
     k: int | None = None
-    witness_fwd: dict = field(default_factory=dict)
-    witness_bwd: dict = field(default_factory=dict)
     target: str = ""
+    maps: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def witness_fwd(self) -> dict:
+        if self.maps is None:
+            return {}
+        ext, target, fwd, _ = self.maps
+        return {name: target.nf_str(v) for name, v in zip(ext.names, fwd)}
+
+    @cached_property
+    def witness_bwd(self) -> dict:
+        if self.maps is None:
+            return {}
+        ext, target, _, bwd = self.maps
+        return {name: ext.nf_str(v) for name, v in zip(target.names, bwd)}
 
     def to_dict(self):
         return {
@@ -363,9 +382,8 @@ def classify_tower(spec: TowerSpec) -> ClassificationVerdict:
         type="finite" if finite else "infinite",
         case=case,
         k=k,
-        witness_fwd={name: target.nf_str(v) for name, v in zip(ext.names, fwd)},
-        witness_bwd={name: ext.nf_str(v) for name, v in zip(target.names, bwd)},
         target=label.split("(")[0],
+        maps=(ext, target, fwd, bwd),
     )
 
 

@@ -13,7 +13,7 @@ as a defect, which check reports before the engine's per-level check.
 
 from dataclasses import dataclass
 
-from nilbott.polycyclic import PcPresentation, _level_break
+from nilbott.polycyclic import PcPresentation
 from nilbott.words import Word, gen, parse_word
 
 
@@ -92,8 +92,8 @@ def _solve_inverse(p, i, j):
 
 def check(p) -> ConsistencyResult:
     """The first assembly defect of p, if any; else the first level, from
-    the top, that the engine's per-level check finds broken.  A
-    presentation the engine built has no defects."""
+    the top, whose conjugation breaks a rule above it, reported as the
+    engine reports it.  A presentation the engine built has no defects."""
     defects = getattr(p, "_defects", ())
     if defects:
         i, j, msg = defects[0]
@@ -103,6 +103,30 @@ def check(p) -> ConsistencyResult:
         if broken is not None:
             return ConsistencyResult(False, *broken)
     return ConsistencyResult(True)
+
+
+def _level_break(p, i, images):
+    """The per-level check with every rule of <x_{i+1}, ...>, the fiber
+    rules x_j z x_j^-1 included: None if conjugation by x_i, the map
+    x_j -> images[j - i - 1], respects each rule x_j x_k x_j^-1 = w
+    (a_j a_k = W a_j, W the product of the a_g^(w_g)), else (witness,
+    detail) for the first one it breaks, in the engine's words.  It makes
+    no use of twist signs, so it also judges presentations whose twist is
+    not a homomorphism."""
+    lvl = i + 1
+    for j in range(lvl, p.ngens):
+        a = images[j - lvl]
+        for k in range(j + 1, p.ngens):
+            lhs = p._mult(a, images[k - lvl], lvl)
+            if lhs == p._mult(p._act(images, p.rule(j, k), lvl), a, lvl):
+                continue
+            lhs = p._mult(lhs, p._invert(a, lvl), lvl)
+            rhs = p._act(images, p.rule(j, k), lvl)
+            return (gen(i), gen(j), gen(k)), (
+                f"conjugation by {p.names[i]} does not respect "
+                f"{p.rule_str(j, k)}: {p.nf_str(lhs)} vs {p.nf_str(rhs)}"
+            )
+    return None
 
 
 def assert_same_group(new, old):

@@ -167,11 +167,12 @@ def test_broken_families_are_refused(mutate, monkeypatch, fresh_families):
 
 
 def test_warm_depth3_verdict_runs_no_per_k_check(monkeypatch):
-    # once the families are built, a verdict composes no chain (_fold) and
-    # checks no generator map between two groups (verify_isomorphism, or a
-    # von Dyck pass of _broken_rule from one group into another); the
-    # level check of the extension's own build, _broken_rule of the group
-    # into itself, still runs on every verdict
+    # once the families are built, a verdict composes no chain (_fold),
+    # checks no generator map between two groups (verify_isomorphism) and
+    # evaluates no rule (_broken_rule): the von Dyck passes run once per
+    # family, and the level check of the extension's own build has no base
+    # rule above any level of a depth-3 tower, where the fiber rules
+    # follow from the twist
     specs = [TowerSpec.depth3(base, signs, k) for base, signs in PATTERNS for k in BIG_KS]
     for spec in specs:
         classify_tower(spec)
@@ -185,9 +186,9 @@ def test_warm_depth3_verdict_runs_no_per_k_check(monkeypatch):
 
         return wrapper
 
-    def counted_broken(src, dst, images, lvl):
-        calls["_broken_rule"] += src is not dst
-        return original_broken(src, dst, images, lvl)
+    def counted_broken(*args):
+        calls["_broken_rule"] += 1
+        return original_broken(*args)
 
     monkeypatch.setattr(towers, "verify_isomorphism", counted("verify_isomorphism", verify_isomorphism))
     monkeypatch.setattr(towers, "_fold", counted("_fold", towers._fold))

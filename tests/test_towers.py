@@ -241,6 +241,38 @@ def test_deep_twisting_integers_are_bounded():
         build_tower_groups(depth4)
 
 
+def _accepted_deep_tower(bits):
+    """The slowest accepted depth-5 tower of finite type in a seeded search
+    over towers whose stage-3 lift and each stage's lifts are one magnitude
+    a few below 2^bits, with random signs; one in two hundred is accepted."""
+    top = 2**bits
+    return TowerSpec(
+        (
+            Stage(1),
+            Stage(2, (-1,), (), "S1"),
+            Stage(3, (1, 1), (top - 14,), "K"),
+            Stage(4, (-1, -1, 1), (-(top - 11),) * 3),
+            Stage(5, (1, 1, -1, 1), tuple(e * (top - 9) for e in (1, 1, -1, 1, -1, 1))),
+        )
+    )
+
+
+def test_accepted_deep_tower_at_the_bound():
+    # every stage is a cocycle at 128 bits, so both deep restrictions are
+    # decided on commutators with 128-bit exponents
+    spec = _accepted_deep_tower(DEEP_LIFT_BITS)
+    assert {x.bit_length() for s in spec.stages for x in s.lifts} == {DEEP_LIFT_BITS}
+    start = time.perf_counter()
+    v = classify_tower(spec)
+    assert time.perf_counter() - start < 1
+    assert (v.label, v.type) == ("unclassified", "finite")
+    # one lift off by one breaks the stage-5 cocycle
+    *low, top = spec.stages
+    lifts = (top.lifts[0] + 1,) + top.lifts[1:]
+    with pytest.raises(ExtensionError, match="^lift data is not a cocycle"):
+        classify_tower(TowerSpec((*low, Stage(5, top.phi, lifts))))
+
+
 def test_twisting_integers_have_a_digit_bound():
     # the largest k of MAX_LIFT_DIGITS digits is classified and printed
     top = 10**MAX_LIFT_DIGITS - 1
