@@ -8,7 +8,7 @@ collected, and the inverse rules x_i^-1 x_j x_i are found by a triangular
 solve, since the conjugation action preserves the chain and so its
 leading coefficients must be units (Sims, *Computation with Finitely
 Presented Groups*, 1994, ch. 9).  A rule that does not solve is recorded
-as a defect, which check reports before the engine's per-level check.
+as a defect, which check reports before its per-level check.
 """
 
 from dataclasses import dataclass

