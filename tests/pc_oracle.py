@@ -118,10 +118,10 @@ def _level_break(p, i, images):
         a = images[j - lvl]
         for k in range(j + 1, p.ngens):
             lhs = p._mult(a, images[k - lvl], lvl)
-            if lhs == p._mult(p._act(images, p.rule(j, k), lvl), a, lvl):
+            rhs = p._act(images, p.rule(j, k), lvl)
+            if lhs == p._mult(rhs, a, lvl):
                 continue
             lhs = p._mult(lhs, p._invert(a, lvl), lvl)
-            rhs = p._act(images, p.rule(j, k), lvl)
             return (gen(i), gen(j), gen(k)), (
                 f"conjugation by {p.names[i]} does not respect "
                 f"{p.rule_str(j, k)}: {p.nf_str(lhs)} vs {p.nf_str(rhs)}"
