@@ -12,11 +12,15 @@ products, inverses and most fixed-point solves use integer arithmetic only;
 Fraction and Gaussian rational values are built for the public views
 (`trans`, `g`, `aut`) and for the fixed points that are returned.
 
-A freeness certificate walks the l1 ball of normal forms by rows, one per
-head (e_0, ..., e_{n-2}); when the last generator is a translation, the
-last exponents of a row whose maps can have a fixed point are found in
-closed form (`fixed_point_candidates`), so only those maps are built and
-solved.
+A freeness certificate walks the l1 ball of normal forms by heads
+(e_0, ..., e_{i-1}).  A head whose product shifts a coordinate that every
+later generator fixes pointwise (`coordinate_shifts`) has no fixed point
+anywhere in its subtree, which is counted and skipped at once; on the
+catalogue models that settles every head with a nonzero exponent.  The
+rows left, one per head (e_0, ..., e_{n-2}), find in closed form the last
+exponents whose maps can have a fixed point (`fixed_point_candidates`,
+when the last generator is a translation), so only those maps are built
+and solved.
 """
 
 from __future__ import annotations
@@ -163,6 +167,15 @@ class FlatAffineMap:
             else cls._make(m.perm, m.signs, tuple(n * (d // m.den) for n in m.num), d)
             for m in maps
         ]
+
+    def coordinate_shifts(self) -> tuple:
+        """For each coordinate c, the numerator t with (A x + b)_c = x_c +
+        t/den for every x, or None when that coordinate is not moved by a
+        translation alone (perm[c] != c or signs[c] == -1)."""
+        return tuple(
+            b if p == c and s == 1 else None
+            for c, (p, s, b) in enumerate(zip(self.perm, self.signs, self.num))
+        )
 
     def fixed_point_candidates(self, tau: "FlatAffineMap", lo: int, hi: int) -> range:
         """The j in [lo, hi] for which self * tau^j can have a fixed point,
@@ -409,6 +422,16 @@ class HeisAffineMap:
     def over_one_den(cls, maps) -> list:
         """maps as they are: nil maps are kept reduced."""
         return list(maps)
+
+    def coordinate_shifts(self) -> tuple:
+        """The shifts of the coordinates (x, re z, im z), as numerators over
+        gd, in the sense of `FlatAffineMap.coordinate_shifts`.  With rotation
+        1, re z goes to re z + gr/gd, and im z to im z + gi/gd unless the
+        map conjugates; x, and every coordinate under another rotation, get
+        None."""
+        if self.ur != self.ud:
+            return (None, None, None)
+        return (None, self.gr, None if self.conj else self.gi)
 
     def fixed_point_candidates(self, tau: "HeisAffineMap", lo: int, hi: int) -> range:
         """The j in [lo, hi] for which self * tau^j can have a fixed point,
@@ -674,24 +697,31 @@ def _power_table(m, bound: int) -> dict:
     return table
 
 
-def _l1_ball(powers: list, budget: int, prefix=None, head=()):
+def _l1_ball(powers: list, kept: list, budget: int, prefix=None, head=()):
     """Yield (head, m_0^e_0 ... m_{i-1}^e_{i-1}, budget - |head|_1) for the
-    heads (e_0, ..., e_{i-1}), i = len(powers), with l1 norm at most
-    budget, in lexicographic order; the product is None for the all-zero
-    head."""
+    heads (e_0, ..., e_{i-1}) with l1 norm at most budget, in lexicographic
+    order: every row, i = len(powers), and every shorter head whose product
+    shifts one of the coordinates kept[i] by a nonzero amount, whose
+    subtree is then not walked.  The product is None for an all-zero head."""
     i = len(head)
-    if i == len(powers):
+    if i == len(powers) or (prefix is not None and _shifts_one_of(prefix, kept[i])):
         yield head, prefix, budget
         return
     for e in range(-budget, budget + 1):
         if e:
             step = powers[i][e]
             yield from _l1_ball(
-                powers, budget - abs(e),
+                powers, kept, budget - abs(e),
                 step if prefix is None else prefix * step, head + (e,),
             )
         else:
-            yield from _l1_ball(powers, budget, prefix, head + (0,))
+            yield from _l1_ball(powers, kept, budget, prefix, head + (0,))
+
+
+def _shifts_one_of(m, coords) -> bool:
+    """Whether m shifts one of coords by a nonzero amount."""
+    shifts = m.coordinate_shifts()
+    return any(shifts[c] for c in coords)
 
 
 def _require_one_geometry(rep: list) -> None:
@@ -720,16 +750,28 @@ def freeness_sample(p: PcPresentation, rep: list, max_word_len: int) -> Freeness
     The vectors are visited in lexicographic order of (e_0, ..., e_{n-1}),
     each e_i ascending from its most negative value; fixed points are
     reported in that order.  Each generator's powers are tabulated once,
-    over one denominator, and the walk goes by rows: a head
-    (e_0, ..., e_{n-2}) with its prefix product P and the budget b left
-    for e_{n-1} in [-b, b].  When the last generator m is a translation,
-    `P.fixed_point_candidates(m, -b, b)` names the e for which P m^e can
-    have a fixed point (all, none or one), and only those maps are built
-    and solved; otherwise, and for the all-zero head, whose maps are
-    powers of m from the table, every e_{n-1} is solved.  A ball of more than FREENESS_LIMIT normal forms is
-    rejected before any map product is taken, and a representation that
-    mixes flat and nil maps, or flat dimensions, is rejected with
-    ValueError.
+    over one denominator, and the walk goes by heads (e_0, ..., e_{i-1})
+    with their prefix product P and the budget b left.
+
+    A shorter head, i < n-1, is ruled out with its whole subtree when P
+    shifts a coordinate c by a nonzero amount (`coordinate_shifts`) and
+    each of m_i, ..., m_{n-1} fixes c pointwise: then every completion
+    P Q moves coordinate c of every point by that amount, so none has a
+    fixed point.  The test is exact, and it counts the head and its
+    l1_ball_size(n - i, b) nonzero completions as checked.  On the
+    catalogue models every head with a nonzero exponent is ruled out at
+    its first nonzero position, as in the Seifert construction.
+
+    The other heads, i = n-1, are rows: e_{n-1} in [-b, b].  When the last
+    generator m is a translation, `P.fixed_point_candidates(m, -b, b)`
+    names the e for which P m^e can have a fixed point (all, none or
+    one), and only those maps are built and solved; otherwise, and for
+    the all-zero head, whose maps are powers of m from the table, every
+    e_{n-1} is solved.
+
+    A ball of more than FREENESS_LIMIT normal forms is rejected before any
+    map product is taken, and a representation that mixes flat and nil
+    maps, or flat dimensions, is rejected with ValueError.
     """
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
@@ -742,12 +784,24 @@ def freeness_sample(p: PcPresentation, rep: list, max_word_len: int) -> Freeness
             f"above the limit of {FREENESS_LIMIT}"
         )
     _require_one_geometry(rep)
-    powers = [_power_table(m, max_word_len) for m in type(rep[0]).over_one_den(rep)]
+    n = p.ngens
+    maps = type(rep[0]).over_one_den(rep)
+    powers = [_power_table(m, max_word_len) for m in maps]
+    # kept[i]: the coordinates that each of m_i, ..., m_{n-1} fixes pointwise
+    kept = [None] * n
+    common = range(maps[0].dim)
+    for i in reversed(range(n)):
+        shifts = maps[i].coordinate_shifts()
+        common = kept[i] = [c for c in common if shifts[c] == 0]
     last = powers[-1]
     filtered = last[1].is_translation()
     checked = 0
     fixed = []
-    for head, prefix, b in _l1_ball(powers[:-1], max_word_len):
+    for head, prefix, b in _l1_ball(powers[:-1], kept, max_word_len):
+        if len(head) < n - 1:
+            # a ruled-out subtree: the head and its nonzero completions
+            checked += 1 + l1_ball_size(n - len(head), b)
+            continue
         checked += 2 * b + (prefix is not None)
         if prefix is None or not filtered:
             exponents = range(-b, b + 1)

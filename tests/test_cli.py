@@ -368,6 +368,12 @@ GOLDEN_RUNS = [
     (["verify", "--suite", "freeness", "--maxlen", "12"],
      "verify_freeness_maxlen12.stdout",
      {"verify_freeness.json": "verify_freeness_maxlen12.json"}),
+    # the largest ball the limit accepts, 988440 forms per 3-generator
+    # entry: almost every form is counted in a ruled-out subtree, so a
+    # miscounted words_checked shows here
+    (["verify", "--suite", "freeness", "--maxlen", "90"],
+     "verify_freeness_maxlen90.stdout",
+     {"verify_freeness.json": "verify_freeness_maxlen90.json"}),
 ]
 
 #: `cohomology --json` on all eight sign forms: stdout and the written JSON
@@ -384,7 +390,7 @@ GOLDEN_RUNS += [
      {f"cohomology_{base}.json": f"cohomology_{base}_{tag}.json"})
     for base, (x, y), tag, s, t in _COHOMOLOGY_FORMS
 ]
-GOLDEN_IDS = ["tables", "verify-all", "verify-freeness"] + [
+GOLDEN_IDS = ["tables", "verify-all", "verify-freeness", "verify-freeness-maxlen90"] + [
     f"cohomology-{base}-{tag}" for base, _, tag, _, _ in _COHOMOLOGY_FORMS
 ]
 

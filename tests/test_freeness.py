@@ -1,8 +1,10 @@
-"""The row walk of freeness_sample against the letter-by-letter oracle
-(and, on the non-free representations, the Fraction-matrix kernel), on the
-catalogue and on random representations; its closed-form candidates for
-each row's last exponent; its cost in map products; and rep_evaluate at
-huge twisting integers."""
+"""The walk of freeness_sample against the letter-by-letter oracle (and,
+on the non-free representations, the Fraction-matrix kernel), on the
+catalogue, on random representations and on representations built so that
+whole subtrees are ruled out; its closed-form candidates for each row's
+last exponent; its cost in map products, which on the catalogue is the
+power tables alone, since every head with a nonzero exponent is ruled out
+before a product is taken; and rep_evaluate at huge twisting integers."""
 
 import random
 import time
@@ -180,6 +182,9 @@ class CountedMap:
     def is_translation(self):
         return self.m.is_translation()
 
+    def coordinate_shifts(self):
+        return self.m.coordinate_shifts()
+
     def fixed_point_candidates(self, tau, lo, hi):
         return self.m.fixed_point_candidates(tau.m, lo, hi)
 
@@ -187,19 +192,21 @@ class CountedMap:
         return self.m.fixed_point()
 
 
-@pytest.mark.parametrize("label, k", [("B4", None), ("Gamma", 2), ("T2", None)])
+@pytest.mark.parametrize("label, k", CATALOGUE)
 def test_one_product_per_normal_form(label, k):
-    # beyond the power tables, a free sample takes at most one product per
-    # row prefix (e_0, ..., e_{n-2}), far fewer than one per normal form:
-    # the last exponent is decided in closed form
+    # beyond the power tables, a free catalogue sample takes no product at
+    # all: a head whose first nonzero exponent is e_i shifts coordinate i by
+    # a nonzero amount that no later generator touches, so its subtree is
+    # ruled out before any product is taken, and the rows left, (0, ..., 0,
+    # e_{n-2}), have a tabulated power as their prefix and decide their last
+    # exponent in closed form
     max_word_len = 6
     counter = [0]
     p = catalogue_pc(label, k)
     rep = [CountedMap(m, counter) for m in catalogue_representation(label, k)]
     report = freeness_sample(p, rep, max_word_len)
     assert report.is_free_sample and report.words_checked == ball_size(p.ngens, max_word_len)
-    tables = p.ngens * 2 * (max_word_len - 1)
-    assert counter[0] - tables <= l1_ball_size(p.ngens - 1, max_word_len)
+    assert counter[0] == p.ngens * 2 * (max_word_len - 1)
     # the letter-by-letter walk takes about five products per normal form
     counter[0] = 0
     letterwise_sample(p, rep, max_word_len)
@@ -263,6 +270,68 @@ def test_rows_match_letterwise_on_random_representations(data):
         rep = [_nil_map(draw) for _ in range(ngens)]
     # most cases have a generator that fixes a point, so fixed points show
     fixer = draw(st.sampled_from([None] + list(range(ngens))))
+    if fixer is not None:
+        rep[fixer] = _fixing(rep[fixer], draw)
+    p = pc_presentation(tuple(f"x{i}" for i in range(ngens)))
+    report = assert_matches_oracle(p, rep, max_word_len)
+    if fixer is not None:
+        assert report.fixed_points
+
+
+def _levelled_flat(draw, ngens):
+    """Flat maps where coordinate c is fixed pointwise by every generator
+    from a drawn level t_c on; below it, the generators permute, flip and
+    translate the coordinates not yet fixed among themselves."""
+    dim = draw(st.integers(1, 3))
+    levels = [draw(st.integers(1, ngens - 1)) for _ in range(dim)]
+    rep = []
+    for j in range(ngens):
+        free = [c for c in range(dim) if levels[c] > j]
+        image = draw(st.permutations(free))
+        perm = list(range(dim))
+        signs = [1] * dim
+        trans = [0] * dim
+        for c, pc, t in zip(free, image, _rationals(draw, len(free))):
+            perm[c], signs[c], trans[c] = pc, draw(st.sampled_from([1, 1, -1])), t
+        lin = IntMatrix([[signs[i] if k == perm[i] else 0 for k in range(dim)]
+                         for i in range(dim)])
+        rep.append(FlatAffineMap(lin, trans))
+    return rep
+
+
+def _levelled_nil(draw, ngens):
+    """Nil maps where re z, and im z, is fixed pointwise by every generator
+    from a drawn level on: those generators have rotation 1, a zero shift
+    there, and no conjugation once im z is fixed."""
+    re_level, im_level = draw(st.integers(1, ngens - 1)), draw(st.integers(1, ngens - 1))
+    rep = []
+    for j in range(ngens):
+        x, re, im = _rationals(draw, 3)
+        keeps_re, keeps_im = j >= re_level, j >= im_level
+        if keeps_re or keeps_im or draw(st.booleans()):
+            u = GaussRat(1)
+        else:
+            u = draw(st.sampled_from(UNITS))
+        conj = not keeps_im and draw(st.booleans())
+        rep.append(HeisAffineMap(
+            HeisPoint(x, GaussRat(0 if keeps_re else re, 0 if keeps_im else im)),
+            HeisAut(u, conj),
+        ))
+    return rep
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_ruled_out_subtrees_match_letterwise(data):
+    # representations built so that whole subtrees of the walk are ruled
+    # out: a head's product shifts a coordinate that every later generator
+    # fixes pointwise.  In half the cases one generator is changed to fix a
+    # point; that keeps the coordinates it fixes pointwise, so fixed points
+    # and ruled-out subtrees meet in the same ball
+    draw = data.draw
+    ngens, max_word_len = draw(st.integers(3, 4)), draw(st.integers(1, 4))
+    rep = (_levelled_flat if draw(st.booleans()) else _levelled_nil)(draw, ngens)
+    fixer = draw(st.integers(0, ngens - 1)) if draw(st.booleans()) else None
     if fixer is not None:
         rep[fixer] = _fixing(rep[fixer], draw)
     p = pc_presentation(tuple(f"x{i}" for i in range(ngens)))
