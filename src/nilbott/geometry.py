@@ -15,12 +15,10 @@ Fraction and Gaussian rational values are built for the public views
 A freeness certificate walks the l1 ball of normal forms by heads
 (e_0, ..., e_{i-1}).  A head whose product shifts a coordinate that every
 later generator fixes pointwise (`coordinate_shifts`) has no fixed point
-anywhere in its subtree, which is counted and skipped at once; on the
-catalogue models that settles every head with a nonzero exponent.  The
-rows left, one per head (e_0, ..., e_{n-2}), find in closed form the last
-exponents whose maps can have a fixed point (`fixed_point_candidates`,
-when the last generator is a translation), so only those maps are built
-and solved.
+anywhere in its subtree, which is counted and skipped at once; a row
+(e_0, ..., e_{n-2}) is ruled out by the same test against the last
+generator.  On the catalogue models that settles every head with a nonzero
+exponent, so only the all-zero row's maps are solved.
 """
 
 from __future__ import annotations
@@ -32,8 +30,7 @@ from math import comb, gcd, lcm
 
 from .catalogue import catalogue_pc
 from .exact import GaussRat, IntMatrix, smith_normal_form
-from .polycyclic import NormalForm, PcPresentation, nf_to_word, require_integer_k
-from .words import Word
+from .polycyclic import NormalForm, PcPresentation, require_integer_k
 
 
 # -- flat affine maps --------------------------------------------------------
@@ -152,10 +149,11 @@ class FlatAffineMap:
         )
 
     def is_identity(self) -> bool:
-        return self.is_translation() and not any(self.num)
-
-    def is_translation(self) -> bool:
-        return self.perm == tuple(range(self.dim)) and all(s == 1 for s in self.signs)
+        return (
+            self.perm == tuple(range(self.dim))
+            and all(s == 1 for s in self.signs)
+            and not any(self.num)
+        )
 
     @classmethod
     def over_one_den(cls, maps) -> list:
@@ -176,34 +174,6 @@ class FlatAffineMap:
             b if p == c and s == 1 else None
             for c, (p, s, b) in enumerate(zip(self.perm, self.signs, self.num))
         )
-
-    def fixed_point_candidates(self, tau: "FlatAffineMap", lo: int, hi: int) -> range:
-        """The j in [lo, hi] for which self * tau^j can have a fixed point,
-        for a translation tau: all of them, none or exactly one.
-
-        self * tau^j is x -> A x + b + j A t.  Walking a cycle as
-        `fixed_point` does, the cycle sum is c0 + j c1, with c1 the same
-        walk over A t; a cycle whose signs multiply to +1 closes only if
-        that sum vanishes, and a cycle with product -1 always closes.
-        """
-        perm, signs, num, t = self.perm, self.signs, self.num, tau.num
-        d, dt = self.den, tau.den
-        seen = [False] * len(perm)
-        conditions = []
-        for top in range(len(perm)):
-            if seen[top]:
-                continue
-            coef, c0, c1, j = 1, 0, 0, top
-            while not seen[j]:
-                seen[j] = True
-                s = signs[j]
-                c0 += coef * num[j]
-                c1 += coef * s * t[perm[j]]
-                coef *= s
-                j = perm[j]
-            if coef == 1:
-                conditions.append((c0 * dt, c1 * d))
-        return _linear_roots(conditions, lo, hi)
 
     def fixed_point(self):
         """Exact solution of A x + b = x as a list of Fraction, or None.
@@ -237,23 +207,6 @@ class FlatAffineMap:
                 y[i] = signs[i] * y[perm[i]] + 2 * num[i]
         den2 = 2 * self.den
         return [Fraction(v, den2) for v in y]
-
-
-def _linear_roots(conditions, lo: int, hi: int) -> range:
-    """The integers j in [lo, hi] with a + j b = 0 for every (a, b) in
-    conditions: all of them, none or exactly one."""
-    root = None
-    for a, b in conditions:
-        if not b:
-            if a:
-                return range(0)
-        elif a % b or (root is not None and root != -a // b):
-            return range(0)
-        else:
-            root = -a // b
-    if root is None:
-        return range(lo, hi + 1)
-    return range(root, root + 1) if lo <= root <= hi else range(0)
 
 
 # -- nil geometry ------------------------------------------------------------
@@ -413,10 +366,7 @@ class HeisAffineMap:
         return self.g * self.aut.apply(p)
 
     def is_identity(self) -> bool:
-        return self.is_translation() and not (self.gx or self.gr or self.gi)
-
-    def is_translation(self) -> bool:
-        return not self.conj and self.ur == self.ud
+        return not (self.conj or self.gx or self.gr or self.gi) and self.ur == self.ud
 
     @classmethod
     def over_one_den(cls, maps) -> list:
@@ -432,26 +382,6 @@ class HeisAffineMap:
         if self.ur != self.ud:
             return (None, None, None)
         return (None, self.gr, None if self.conj else self.gi)
-
-    def fixed_point_candidates(self, tau: "HeisAffineMap", lo: int, hi: int) -> range:
-        """The j in [lo, hi] for which self * tau^j can have a fixed point,
-        for a translation tau: p -> s p: all of them, none or exactly one.
-
-        self * tau^j is p -> g aut(s^j) aut(p), with s^j = (j s_x, j s_z).
-        With rotation 1 and conjugation it fixes a point only if
-        re(g_z + j conj(s_z)) = 0.  With rotation 1 and no conjugation it
-        fixes a point only if g s^j = (g_x + j s_x - j im(conj(g_z) s_z),
-        g_z + j s_z) is the identity; once g_z = -j s_z the im term is 0, so
-        that is three conditions linear in j.  Every other rotation is left
-        to `fixed_point`.
-        """
-        if self.ur != self.ud:
-            return range(lo, hi + 1)
-        x, r, i, d = self.gx, self.gr, self.gi, self.gd
-        sx, sr, si, sd = tau.gx, tau.gr, tau.gi, tau.gd
-        if self.conj:
-            return _linear_roots([(r * sd, sr * d)], lo, hi)
-        return _linear_roots([(r * sd, sr * d), (i * sd, si * d), (x * sd, sx * d)], lo, hi)
 
     def fixed_point(self):
         """Exact fixed point (x, z), or None.
@@ -638,18 +568,18 @@ def _power(m, e: int):
         base = base * base
 
 
-def rep_evaluate(rep: list, w: Word):
-    """Evaluate a word (or normal-form vector) in the representation,
-    raising each syllable by repeated squaring."""
-    if not isinstance(w, Word):
-        w = nf_to_word(w)
+def rep_evaluate(rep: list, v: NormalForm):
+    """The map of the normal form x_0^v_0 ... x_{n-1}^v_{n-1}, one exponent
+    per map of rep, each power by repeated squaring."""
+    if len(v) != len(rep):
+        raise ValueError("need one exponent per map")
     out = None
-    for g, e in w:
-        step = _power(rep[g], e)
-        out = step if out is None else out * step
+    for m, e in zip(rep, v):
+        if e:
+            step = _power(m, e)
+            out = step if out is None else out * step
     if out is None:
-        ident = rep[0] * rep[0].inverse()
-        return ident
+        return rep[0] * rep[0].inverse()
     return out
 
 
@@ -664,7 +594,7 @@ def verify_relations_in_rep(p: PcPresentation, rep: list):
     _require_one_geometry(rep)
     for (i, j), w in p.positive_rules():
         lhs = rep[i] * rep[j] * rep[i].inverse()
-        rhs = rep_evaluate(rep, nf_to_word(w))
+        rhs = rep_evaluate(rep, w)
         if lhs != rhs:
             rule = f"{p.names[i]} {p.names[j]} {p.names[i]}^-1 = {p.nf_str(w)}"
             return False, (rule, lhs, rhs)
@@ -702,7 +632,8 @@ def _l1_ball(powers: list, kept: list, budget: int, prefix=None, head=()):
     heads (e_0, ..., e_{i-1}) with l1 norm at most budget, in lexicographic
     order: every row, i = len(powers), and every shorter head whose product
     shifts one of the coordinates kept[i] by a nonzero amount, whose
-    subtree is then not walked.  The product is None for an all-zero head."""
+    subtree is then not walked.  The caller puts a row to the same test
+    against kept[len(powers)].  The product is None for an all-zero head."""
     i = len(head)
     if i == len(powers) or (prefix is not None and _shifts_one_of(prefix, kept[i])):
         yield head, prefix, budget
@@ -753,21 +684,19 @@ def freeness_sample(p: PcPresentation, rep: list, max_word_len: int) -> Freeness
     over one denominator, and the walk goes by heads (e_0, ..., e_{i-1})
     with their prefix product P and the budget b left.
 
-    A shorter head, i < n-1, is ruled out with its whole subtree when P
-    shifts a coordinate c by a nonzero amount (`coordinate_shifts`) and
-    each of m_i, ..., m_{n-1} fixes c pointwise: then every completion
-    P Q moves coordinate c of every point by that amount, so none has a
-    fixed point.  The test is exact, and it counts the head and its
-    l1_ball_size(n - i, b) nonzero completions as checked.  On the
-    catalogue models every head with a nonzero exponent is ruled out at
-    its first nonzero position, as in the Seifert construction.
+    A head is ruled out with its whole subtree when P shifts a coordinate
+    c by a nonzero amount (`coordinate_shifts`) and each of m_i, ...,
+    m_{n-1} fixes c pointwise: then every completion P Q moves coordinate
+    c of every point by that amount, so none has a fixed point.  The test
+    is exact for any representation.  A shorter head, i < n-1, counts
+    itself and its l1_ball_size(n - i, b) nonzero completions as checked;
+    a row, i = n-1, counts its 2b + 1 forms P m_{n-1}^e, e in [-b, b].
+    On the catalogue models every head with a nonzero exponent is ruled
+    out at its first nonzero position, as in the Seifert construction.
 
-    The other heads, i = n-1, are rows: e_{n-1} in [-b, b].  When the last
-    generator m is a translation, `P.fixed_point_candidates(m, -b, b)`
-    names the e for which P m^e can have a fixed point (all, none or
-    one), and only those maps are built and solved; otherwise, and for
-    the all-zero head, whose maps are powers of m from the table, every
-    e_{n-1} is solved.
+    Every other row, the all-zero one included (its maps are powers of
+    m_{n-1} from the table), has the map of each e solved by
+    `fixed_point`.
 
     A ball of more than FREENESS_LIMIT normal forms is rejected before any
     map product is taken, and a representation that mixes flat and nil
@@ -794,7 +723,6 @@ def freeness_sample(p: PcPresentation, rep: list, max_word_len: int) -> Freeness
         shifts = maps[i].coordinate_shifts()
         common = kept[i] = [c for c in common if shifts[c] == 0]
     last = powers[-1]
-    filtered = last[1].is_translation()
     checked = 0
     fixed = []
     for head, prefix, b in _l1_ball(powers[:-1], kept, max_word_len):
@@ -803,11 +731,9 @@ def freeness_sample(p: PcPresentation, rep: list, max_word_len: int) -> Freeness
             checked += 1 + l1_ball_size(n - len(head), b)
             continue
         checked += 2 * b + (prefix is not None)
-        if prefix is None or not filtered:
-            exponents = range(-b, b + 1)
-        else:
-            exponents = prefix.fixed_point_candidates(last[1], -b, b)
-        for e in exponents:
+        if prefix is not None and _shifts_one_of(prefix, kept[n - 1]):
+            continue  # a ruled-out row
+        for e in range(-b, b + 1):
             if e:
                 m = last[e] if prefix is None else prefix * last[e]
             elif prefix is None:

@@ -13,12 +13,15 @@ from nilbott.geometry import FreenessReport
 
 
 def evaluate(rep, syllables):
-    """Product of rep[g]^e over the (g, e) syllables, |e| letters each."""
+    """Product of rep[g]^e over the (g, e) syllables, |e| letters each;
+    the identity for no syllables."""
     out = None
     for g, e in syllables:
         step = rep[g] if e > 0 else rep[g].inverse()
         for _ in range(abs(e)):
             out = step if out is None else out * step
+    if out is None:
+        return rep[0] * rep[0].inverse()
     return out
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from nilbott.cli import main, tables_data
 from nilbott.polycyclic import nf_multiply
 from nilbott.towers import TowerSpec, classify_tower
 
+GOLDEN = Path(__file__).parent / "golden"
 
 TOWER_TEXT = (
     "nilbott-tower v1\n"
@@ -307,11 +309,19 @@ def test_verify_rejects_out_of_range_bounds(capsys, argv, message):
     assert (code, out, err) == (2, "", message)
 
 
-def test_verify_paper_at_kmax_limit(capsys):
+def test_verify_paper_at_kmax_limit(tmp_path, capsys, monkeypatch):
+    # the only command that checks the relations in the exact models
+    # (verify_relations_in_rep): stdout byte for byte, and the written
+    # verify_paper.json, 477 KB, by its sha256
+    monkeypatch.setenv("NILBOTT_OUTPUT_DIR", str(tmp_path))
     code, out, err = run(capsys, ["verify", "--suite", "paper", "--kmax", "100"])
     assert (code, err) == (0, "")
     assert "FAIL" not in out
     assert out.endswith("1633/1633 certificates passed\n")
+    assert out == (GOLDEN / "verify_paper_kmax100.stdout").read_text()
+    assert [p.name for p in tmp_path.iterdir()] == ["verify_paper.json"]
+    digest = hashlib.sha256((tmp_path / "verify_paper.json").read_bytes()).hexdigest()
+    assert digest == json.loads((GOLDEN / "verify_paper_kmax100_sha256.json").read_text())["sha256"]
 
 
 def test_verify_paper_small(capsys):
@@ -354,9 +364,6 @@ def test_tables_data_structure():
             assert set(col) == {
                 "phi", "case", "h2", "class_zero", "nonzero_torsion", "torsionfree"
             }
-
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 GOLDEN_RUNS = [

@@ -1,10 +1,11 @@
 """The walk of freeness_sample against the letter-by-letter oracle (and,
 on the non-free representations, the Fraction-matrix kernel), on the
 catalogue, on random representations and on representations built so that
-whole subtrees are ruled out; its closed-form candidates for each row's
-last exponent; its cost in map products, which on the catalogue is the
-power tables alone, since every head with a nonzero exponent is ruled out
-before a product is taken; and rep_evaluate at huge twisting integers."""
+whole subtrees and rows are ruled out; its cost in map products and
+fixed-point solves, which on the catalogue is the power tables and the
+all-zero row alone, since every head with a nonzero exponent, rows
+included, is ruled out before a product is taken; and rep_evaluate on
+normal forms, at huge twisting integers too."""
 
 import random
 import time
@@ -35,7 +36,7 @@ from nilbott.geometry import (
     rep_evaluate,
     verify_relations_in_rep,
 )
-from nilbott.polycyclic import cyclic_pc
+from nilbott.polycyclic import collect, cyclic_pc
 from nilbott.words import Word
 
 CATALOGUE = [
@@ -158,7 +159,8 @@ def test_freeness_rejects_huge_balls_up_front():
 
 
 class CountedMap:
-    """A map that counts the products taken through it."""
+    """A map that counts the products taken through it, in counter[0], and
+    its fixed-point solves, in counter[1]."""
 
     def __init__(self, m, counter):
         self.m, self.counter = m, counter
@@ -179,16 +181,11 @@ class CountedMap:
     def inverse(self):
         return CountedMap(self.m.inverse(), self.counter)
 
-    def is_translation(self):
-        return self.m.is_translation()
-
     def coordinate_shifts(self):
         return self.m.coordinate_shifts()
 
-    def fixed_point_candidates(self, tau, lo, hi):
-        return self.m.fixed_point_candidates(tau.m, lo, hi)
-
     def fixed_point(self):
+        self.counter[1] += 1
         return self.m.fixed_point()
 
 
@@ -197,16 +194,18 @@ def test_one_product_per_normal_form(label, k):
     # beyond the power tables, a free catalogue sample takes no product at
     # all: a head whose first nonzero exponent is e_i shifts coordinate i by
     # a nonzero amount that no later generator touches, so its subtree is
-    # ruled out before any product is taken, and the rows left, (0, ..., 0,
-    # e_{n-2}), have a tabulated power as their prefix and decide their last
-    # exponent in closed form
+    # ruled out before any product is taken.  That holds for the rows
+    # (0, ..., 0, e_{n-2}) too, whose prefix is a tabulated power, so the
+    # only maps solved are the 2L powers of the last generator on the
+    # all-zero row
     max_word_len = 6
-    counter = [0]
+    counter = [0, 0]
     p = catalogue_pc(label, k)
     rep = [CountedMap(m, counter) for m in catalogue_representation(label, k)]
     report = freeness_sample(p, rep, max_word_len)
     assert report.is_free_sample and report.words_checked == ball_size(p.ngens, max_word_len)
     assert counter[0] == p.ngens * 2 * (max_word_len - 1)
+    assert counter[1] == 2 * max_word_len
     # the letter-by-letter walk takes about five products per normal form
     counter[0] = 0
     letterwise_sample(p, rep, max_word_len)
@@ -281,9 +280,11 @@ def test_rows_match_letterwise_on_random_representations(data):
 def _levelled_flat(draw, ngens):
     """Flat maps where coordinate c is fixed pointwise by every generator
     from a drawn level t_c on; below it, the generators permute, flip and
-    translate the coordinates not yet fixed among themselves."""
+    translate the coordinates not yet fixed among themselves.  At level
+    ngens no generator fixes c, so the last one can move a coordinate that
+    a row's prefix shifts."""
     dim = draw(st.integers(1, 3))
-    levels = [draw(st.integers(1, ngens - 1)) for _ in range(dim)]
+    levels = [draw(st.integers(1, ngens)) for _ in range(dim)]
     rep = []
     for j in range(ngens):
         free = [c for c in range(dim) if levels[c] > j]
@@ -302,8 +303,9 @@ def _levelled_flat(draw, ngens):
 def _levelled_nil(draw, ngens):
     """Nil maps where re z, and im z, is fixed pointwise by every generator
     from a drawn level on: those generators have rotation 1, a zero shift
-    there, and no conjugation once im z is fixed."""
-    re_level, im_level = draw(st.integers(1, ngens - 1)), draw(st.integers(1, ngens - 1))
+    there, and no conjugation once im z is fixed.  At level ngens no
+    generator fixes that coordinate, as in `_levelled_flat`."""
+    re_level, im_level = draw(st.integers(1, ngens)), draw(st.integers(1, ngens))
     rep = []
     for j in range(ngens):
         x, re, im = _rationals(draw, 3)
@@ -323,11 +325,13 @@ def _levelled_nil(draw, ngens):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_ruled_out_subtrees_match_letterwise(data):
-    # representations built so that whole subtrees of the walk are ruled
-    # out: a head's product shifts a coordinate that every later generator
-    # fixes pointwise.  In half the cases one generator is changed to fix a
-    # point; that keeps the coordinates it fixes pointwise, so fixed points
-    # and ruled-out subtrees meet in the same ball
+    # representations built so that whole subtrees of the walk, and rows,
+    # are ruled out: a head's product shifts a coordinate that every later
+    # generator fixes pointwise.  Some draws leave a coordinate that the
+    # last generator moves, so a row whose prefix shifts only that one
+    # must still be solved.  In half the cases one generator is changed to
+    # fix a point; that keeps the coordinates it fixes pointwise, so fixed
+    # points and ruled-out subtrees meet in the same ball
     draw = data.draw
     ngens, max_word_len = draw(st.integers(3, 4)), draw(st.integers(1, 4))
     rep = (_levelled_flat if draw(st.booleans()) else _levelled_nil)(draw, ngens)
@@ -340,84 +344,26 @@ def test_ruled_out_subtrees_match_letterwise(data):
         assert report.fixed_points
 
 
-def _nil(x, z, aut=None):
-    return HeisAffineMap(HeisPoint(x, GaussRat(*z)), aut)
-
-
-@pytest.mark.parametrize(
-    "q, tau, expected",
-    [
-        # two cycles whose sums vanish at different j, and at the same j
-        (FlatAffineMap.translation((2, 3)), FlatAffineMap.translation((1, 1)), []),
-        (FlatAffineMap.translation((2, 2)), FlatAffineMap.translation((1, 1)), [-2]),
-        # the cycle with signs -1 always closes, the +1 cycle never moves
-        (FlatAffineMap(diagonal([-1, 1]), (5, 0)),
-         FlatAffineMap.translation((1, 0)), list(range(-4, 5))),
-        (FlatAffineMap(diagonal([-1, 1]), (5, 1)),
-         FlatAffineMap.translation((1, 0)), []),
-        # nil translations: g s^j is the identity at one j or none
-        (_nil(2, (2, 2)), _nil(1, (1, 1)), [-2]),
-        (_nil(1, (2, 2)), _nil(1, (1, 1)), []),
-        (_nil(0, (2, 3)), _nil(0, (1, 1)), []),
-        # rotation 1 with conjugation: only re z counts
-        (_nil(3, (1, 5), TAU), _nil(7, (1, 7)), [-1]),
-        (_nil(3, (1, 5), TAU), _nil(7, (0, 7)), []),
-        # a quarter turn is left to fixed_point
-        (_nil(0, (1, 0), HeisAut(GaussRat(0, 1))), _nil(1, (0, 0)), list(range(-4, 5))),
-    ],
-)
-def test_candidates_in_closed_form(q, tau, expected):
-    assert list(q.fixed_point_candidates(tau, -4, 4)) == expected
-    fixed = [j for j in range(-4, 5)
-             if (q * rep_evaluate([tau], Word([(0, j)])) if j else q).fixed_point() is not None]
-    assert set(fixed) <= set(expected)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_candidates_hold_every_fixed_point(data):
-    # mostly Q = F tau^-j0 with F fixing a point, so that Q tau^j0 has a
-    # fixed point; the filter may keep extra j only for a nil rotation
-    # other than 1
-    draw = data.draw
-    if draw(st.booleans()):
-        dim = draw(st.integers(1, 3))
-        f = _flat_map(draw, dim)
-        tau = FlatAffineMap.translation(_rationals(draw, dim))
-    else:
-        f = _nil_map(draw)
-        x, re, im = _rationals(draw, 3)
-        tau = HeisAffineMap(HeisPoint(x, GaussRat(re, im)))
-    fixes = draw(st.integers(0, 3)) > 0
-    if fixes:
-        f = _fixing(f, draw)
-    exact = isinstance(f, FlatAffineMap) or f.aut.u == GaussRat(1)
-    j0 = draw(st.sampled_from(range(-4, 5)))
-    q = f * rep_evaluate([tau], Word([(0, -j0)])) if j0 else f
-    lo = draw(st.integers(-5, 5))
-    hi = lo + draw(st.integers(0, 8))
-    fixed = [j for j in range(lo, hi + 1)
-             if (q * rep_evaluate([tau], Word([(0, j)])) if j else q).fixed_point() is not None]
-    candidates = q.fixed_point_candidates(tau, lo, hi)
-    assert list(candidates) in ([], list(range(lo, hi + 1))) or len(candidates) == 1
-    assert set(fixed) <= set(candidates)
-    if exact:
-        assert fixed == list(candidates)
-    if fixes and lo <= j0 <= hi:
-        assert j0 in fixed
-
-
 def test_rep_evaluate_matches_letterwise():
+    # a word letter by letter against its collected normal form
     rng = random.Random(314159)
     for label, k in [("B4", None), ("G2", None), ("Delta", -3), ("Gamma", 2)]:
+        p = catalogue_pc(label, k)
         rep = catalogue_representation(label, k)
         for _ in range(30):
             syllables = [(rng.randrange(3), rng.choice([-1, 1]) * rng.randint(1, 13))
                          for _ in range(rng.randint(1, 4))]
             w = Word(syllables)
-            if not w.syllables:
-                continue
-            assert rep_evaluate(rep, w) == letterwise_evaluate(rep, w.syllables), (label, w)
+            expected = letterwise_evaluate(rep, w.syllables)
+            assert rep_evaluate(rep, collect(p, w)) == expected, (label, w)
+
+
+def test_rep_evaluate_needs_one_exponent_per_map():
+    rep = catalogue_representation("B1")
+    assert rep_evaluate(rep, (0, 0, 0)) == rep[0] * rep[0].inverse()
+    for bad in ((1, 0), (1, 0, 0, 0), ()):
+        with pytest.raises(ValueError, match="need one exponent per map"):
+            rep_evaluate(rep, bad)
 
 
 @pytest.mark.parametrize("label", ["Delta", "Gamma"])

@@ -17,6 +17,7 @@ from conftest import (
 )
 
 from extension_models import extension_representation
+from letterwise_freeness import evaluate as letterwise_evaluate
 from pc_oracle import check, pc_presentation
 
 from nilbott.catalogue import catalogue_pc
@@ -28,7 +29,6 @@ from nilbott.polycyclic import (
     nf_invert,
     nf_multiply,
     nf_power,
-    nf_to_word,
     pc_abelianization,
     verify_homomorphism,
     verify_isomorphism,
@@ -49,12 +49,13 @@ def test_collect_examples():
 
 
 def test_collect_oracle_heisenberg_rep():
-    # evaluate both sides in the faithful nil model and compare
+    # evaluate both sides in the faithful nil model and compare: the word
+    # letter by letter, its collected normal form by rep_evaluate
     p = case_extension(3, 1)
     rep = extension_representation(3, 1)
     w = parse_word("h g", GHN)
     nf = collect(p, w)
-    assert rep_evaluate(rep, w) == rep_evaluate(rep, nf_to_word(nf))
+    assert letterwise_evaluate(rep, w.syllables) == rep_evaluate(rep, nf)
 
 
 def test_consistency_examples():
