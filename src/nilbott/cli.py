@@ -299,7 +299,7 @@ def _suite_paper(kmax: int) -> list[Certificate]:
                     verdict="pass" if ok else "fail",
                 )
             )
-    # nil-geometry relations, euler numbers, quotient action
+    # relations in the Delta and Gamma models, euler numbers, quotient action
     for k in ks:
         euler = abs(euler_number(k))
         ok = euler == abs(k)

@@ -1,92 +1,11 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here works over Python ints and fractions.Fraction; nothing is
-ever rounded.  The module supplies the scalar types (Gaussian rationals)
-and the integer-matrix normal form (Smith form, rank) that the rest of
-the engine is built on.
+Everything here works over Python ints; nothing is ever rounded.  The
+module supplies the integer matrix and its normal form (Smith form, rank)
+that the rest of the engine is built on.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-
-class GaussRat:
-    """Gaussian rational re + im*i with exact Fraction components."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __repr__(self):
-        return f"GaussRat({self.re}, {self.im})"
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        return f"{self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}i"
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussRat(other)
-        if not isinstance(other, GaussRat):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __add__(self, other):
-        other = _coerce(other)
-        return GaussRat(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        return GaussRat(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return GaussRat(-self.re, -self.im)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def conj(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
-
-    def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def inverse(self) -> "GaussRat":
-        n = self.norm_sq()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussRat(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        return self * _coerce(other).inverse()
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def is_unit(self) -> bool:
-        return self.norm_sq() == 1
-
-
-def _coerce(x) -> GaussRat:
-    if isinstance(x, GaussRat):
-        return x
-    return GaussRat(x)
 
 
 class IntMatrix:

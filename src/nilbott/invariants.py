@@ -3,11 +3,12 @@ injectivity and the binomial bounds for the 3-dimensional catalogue
 manifolds.
 
 Holonomy and orientation are read off the tower's twist signs, with no
-model: in the Seifert model (geometry.seifert_model) generator x_i acts on
-each later fiber x_j by the sign s_ij of its rule and fixes the others,
-so the linear parts are the diagonal sign matrices, which commute and
-square to the identity.  For Delta(k) and Gamma(k) the same count gives
-the order of the rotation parts of their nil models, 1 and 2.
+model: in the triangular model (geometry.seifert_model) generator x_i acts
+on each later fiber x_j with the sign s_ij of its rule on the diagonal, so
+the diagonal sign matrices, which commute and square to the identity, are
+the holonomy; for a finite-type tower they are the whole linear parts.
+For Delta(k) and Gamma(k) the same count gives the order of the group of
+diagonal signs of their models, 1 and 2.
 """
 
 from __future__ import annotations

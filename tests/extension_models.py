@@ -1,20 +1,16 @@
 """Exact geometric models of the built depth-3 extensions, one per twist
 case: an oracle for collection and freeness in the tests.  The flat
 cases are written by hand, fiber coordinate first, apart from the engine,
-which models any finite-type tower (geometry.seifert_model); cases 3 and
-5 are the catalogue groups G2, Delta and Gamma, modelled by
-geometry.catalogue_representation."""
+which models any tower (geometry.seifert_model); cases 3 and 5 are the
+catalogue groups G2, T3, Delta and Gamma: the flat ones are modelled by
+geometry.catalogue_representation, the nil lattices by heis_oracle."""
 
 from fractions import Fraction
 
 from conftest import diagonal
+from heis_oracle import delta_generators, gamma_generators
 from nilbott.exact import IntMatrix
-from nilbott.geometry import (
-    FlatAffineMap,
-    catalogue_representation,
-    delta_generators,
-    gamma_generators,
-)
+from nilbott.geometry import FlatAffineMap, catalogue_representation
 
 _HALF = Fraction(1, 2)
 

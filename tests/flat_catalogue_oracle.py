@@ -1,13 +1,15 @@
 """Hand-typed exact affine models of the flat catalogue groups, their
 parser, and the holonomy as the closure of the linear parts: an oracle
-for the engine, which solves its flat models from the tower
+for the engine, which solves its models from the tower
 (geometry.seifert_model) and reads holonomy off the tower's signs.
 """
 
 from fractions import Fraction
 
+from heis_oracle import HeisAffineMap
+
 from nilbott.exact import IntMatrix
-from nilbott.geometry import FlatAffineMap, HeisAffineMap
+from nilbott.geometry import FlatAffineMap
 
 # One generator per line, aligned with the polycyclic generator order.
 # lin(rows separated by ';') is the orthogonal sign matrix, t(...) the
@@ -106,14 +108,19 @@ def load_flat_catalogue() -> dict[str, dict[str, FlatAffineMap]]:
 
 
 def holonomy(rep: list):
-    """Closure of the linear (or rotation) parts of the generator maps.
+    """Closure of the rotation parts of the generator maps: the linear
+    parts of the flat maps, the diagonal sign matrices of the triangular
+    ones (their linear parts modulo the unipotent shears) and the
+    automorphisms of the nil maps.
 
     Returns (order, elementary-2 flag, elements).  The walk stops only if
     the closure is finite.
     """
     if all(isinstance(m, FlatAffineMap) for m in rep):
-        gens = [m.lin for m in rep]
-        ident = IntMatrix.identity(rep[0].dim)
+        n = rep[0].dim
+        gens = [IntMatrix([[s if i == j else 0 for j in range(n)] for i, s in enumerate(m.signs)])
+                for m in rep]
+        ident = IntMatrix.identity(n)
     elif all(isinstance(m, HeisAffineMap) for m in rep):
         gens = [m.aut for m in rep]
         ident = rep[0].aut * rep[0].aut.inverse()

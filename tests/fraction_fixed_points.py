@@ -1,19 +1,21 @@
-"""The earlier value form of the geometry kernel, kept only as a test oracle.
+"""The earlier value form of the affine-map kernel, kept only as a test
+oracle.
 
-The engine stores a flat map's linear part as a signed permutation and its
-translation as integers over one denominator, reads fixed points off the
-permutation's cycles, and keeps a nil map as integers over one denominator.
-Here a flat map is composed by integer matrix products of its Fraction
-translation, a nil map by the HeisPoint / HeisAut group laws on Fraction
-and Gaussian rational values, and every fixed point comes from Gaussian
-elimination over the rationals on the Fraction matrix of the fixed-point
-system, as the engine did before.
+The engine stores a map's lower-triangular linear part as its diagonal
+signs and strictly-lower rows, its translation as integers over one
+denominator, and solves fixed points in closed form (diagonal maps) or by
+one Smith form.  Here a map is composed by integer matrix products of its
+Fraction translation, inverted by Gaussian elimination, and every fixed
+point comes from Gaussian elimination over the rationals on the Fraction
+matrix of the fixed-point system, as the engine did before.  A map of any
+other type (the nil maps of heis_oracle, which are already in value form)
+is composed by its own product.
 """
 
 from fractions import Fraction
 
-from nilbott.exact import GaussRat
-from nilbott.geometry import FlatAffineMap, HeisAffineMap, HeisPoint
+from nilbott.exact import IntMatrix
+from nilbott.geometry import FlatAffineMap
 
 
 def solve_rational(a, b):
@@ -59,44 +61,18 @@ def flat_fixed_point(m):
     return solve_rational(a, [-t for t in m.trans])
 
 
-def heis_fixed_point(m):
-    """Exact fixed point (x, z) of a nil map, or None."""
-    a, c = m.g.x, m.g.z
-    u = m.aut.u
-    if not m.aut.conj:
-        if u == GaussRat(1):
-            if c.is_zero() and a == 0:
-                return HeisPoint(0, GaussRat(0))
-            return None
-        z = c / (GaussRat(1) - u)
-        if (c.conj() * (u * z)).im != a:
-            return None
-        return HeisPoint(0, z)
-    # conjugating case: solve z = c + u * conj(z) componentwise
-    u1, u2 = u.re, u.im
-    rows = [[1 - u1, -u2], [-u2, 1 + u1]]
-    sol = solve_rational([[Fraction(x) for x in row] for row in rows], [c.re, c.im])
-    if sol is None:
-        return None
-    z = GaussRat(sol[0], sol[1])
-    x = (a - (c.conj() * m.aut.apply(HeisPoint(0, z)).z).im) / 2
-    return HeisPoint(x, z)
-
-
-def heis_product(a, b):
-    """a * b: p -> a.g * a.aut(b.g * b.aut(p)), on the value types."""
-    return HeisAffineMap(a.g * a.aut.apply(b.g), a.aut * b.aut)
-
-
-def heis_inverse(a):
-    inv = a.aut.inverse()
-    return HeisAffineMap(inv.apply(a.g).inverse(), inv)
+def matrix_inverse(lin: IntMatrix) -> IntMatrix:
+    """The inverse of a unimodular integer matrix, column by column."""
+    n = lin.rows
+    rows = [list(r) for r in lin.entries]
+    cols = [solve_rational(rows, [int(i == j) for i in range(n)]) for j in range(n)]
+    return IntMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
 class MatrixMap:
-    """A flat or nil map whose flat products and inverses go through
-    integer matrices, whose nil ones go through the value types, and whose
-    fixed points come from solve_rational."""
+    """A map whose flat products and inverses go through integer matrices
+    and whose fixed points come from solve_rational; any other map goes
+    through its own product, inverse and fixed point."""
 
     def __init__(self, m):
         self.m = m
@@ -106,16 +82,16 @@ class MatrixMap:
         if isinstance(a, FlatAffineMap):
             trans = tuple(x + y for x, y in zip(a.lin.apply(b.trans), a.trans))
             return MatrixMap(FlatAffineMap(a.lin * b.lin, trans))
-        return MatrixMap(heis_product(a, b))
+        return MatrixMap(a * b)
 
     def inverse(self):
         a = self.m
         if isinstance(a, FlatAffineMap):
-            inv = a.lin.transpose()
+            inv = matrix_inverse(a.lin)
             return MatrixMap(FlatAffineMap(inv, tuple(-t for t in inv.apply(a.trans))))
-        return MatrixMap(heis_inverse(a))
+        return MatrixMap(a.inverse())
 
     def fixed_point(self):
         if isinstance(self.m, FlatAffineMap):
             return flat_fixed_point(self.m)
-        return heis_fixed_point(self.m)
+        return self.m.fixed_point()

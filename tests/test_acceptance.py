@@ -21,6 +21,7 @@ import cocycle_oracle
 from cocycle_oracle import Cocycle
 from extension_models import extension_representation
 from flat_catalogue_oracle import holonomy
+from heis_oracle import delta_generators, gamma_generators
 from letterwise_freeness import evaluate as letterwise_evaluate
 from sympy import Matrix
 
@@ -39,11 +40,10 @@ from nilbott.exact import IntMatrix, smith_normal_form
 from nilbott.geometry import (
     FlatAffineMap,
     catalogue_representation,
-    delta_generators,
     euler_number,
     freeness_sample,
-    gamma_generators,
     rep_evaluate,
+    verify_relations_in_rep,
 )
 from nilbott.invariants import (
     catalogue_report,
@@ -124,9 +124,13 @@ def test_criterion_2_catalogue_identifications():
 
 
 def test_criterion_3_nil_relations_exact():
+    # the hand-written nil lattices, and the engine's triangular models
     names = ("a", "b", "n")
     for k in range(-5, 6):
         if k != 0:
+            for label in ("Delta", "Gamma"):
+                model = catalogue_representation(label, k)
+                assert verify_relations_in_rep(catalogue_pc(label, k), model) == (True, None)
             a, b, n = gamma_generators(k)
             assert a * n * a.inverse() == n.inverse()
             assert a * b * a.inverse() == letterwise_evaluate(

@@ -7,8 +7,9 @@ import pytest
 from sympy import Matrix
 
 from conftest import diagonal, solve_fixed_lattice
+from heis_oracle import GaussRat
 
-from nilbott.exact import GaussRat, IntMatrix, rank, smith_normal_form
+from nilbott.exact import IntMatrix, rank, smith_normal_form
 
 
 def snf_checked(m):

@@ -1,11 +1,12 @@
 """The walk of freeness_sample against the letter-by-letter oracle (and,
 on the non-free representations, the Fraction-matrix kernel), on the
-catalogue, on random representations and on representations built so that
-whole subtrees and rows are ruled out; its cost in map products and
-fixed-point solves, which on the catalogue is the power tables and the
-all-zero row alone, since every head with a nonzero exponent, rows
-included, is ruled out before a product is taken; and rep_evaluate on
-normal forms, at huge twisting integers too."""
+catalogue, on random triangular representations and on representations
+built so that whole subtrees and rows are ruled out, and on the nil
+oracle's maps, which claim no shifted coordinate; its cost in map products
+and fixed-point solves, which on the catalogue is none at all, since every
+nonidentity normal form, the all-zero row's included, is ruled out from
+one generator before a product is taken or a map solved; and rep_evaluate
+on normal forms, at huge twisting integers too."""
 
 import random
 import time
@@ -18,18 +19,15 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import diagonal
 from fraction_fixed_points import MatrixMap
+from heis_oracle import TAU, GaussRat, HeisAffineMap, HeisAut, HeisPoint
 from letterwise_freeness import evaluate as letterwise_evaluate
 from letterwise_freeness import freeness_sample as letterwise_sample
 from pc_oracle import from_rule_text, pc_presentation
 
 from nilbott.catalogue import catalogue_pc
-from nilbott.exact import GaussRat, IntMatrix
+from nilbott.exact import IntMatrix
 from nilbott.geometry import (
-    TAU,
     FlatAffineMap,
-    HeisAffineMap,
-    HeisAut,
-    HeisPoint,
     catalogue_representation,
     freeness_sample,
     l1_ball_size,
@@ -72,16 +70,26 @@ def _reflection_klein():
 
 
 def _signed_permutation_torus():
-    """Z^3 acting through a quarter turn with a translation, a vertical
-    translation and the square of the quarter turn."""
-    x = FlatAffineMap(IntMatrix([[0, -1, 0], [1, 0, 0], [0, 0, 1]]), (1, Fraction(1, 3), 0))
+    """Z^3 acting through a half turn (a diagonal signed permutation) with
+    a translation, a vertical translation and the square of the half
+    turn."""
+    x = FlatAffineMap(diagonal([-1, -1, 1]), (1, Fraction(1, 3), 0))
+    y = FlatAffineMap.translation((0, 0, 1))
+    return catalogue_pc("T3"), [x, y, x * x]
+
+
+def _sheared_torus():
+    """Z^3 acting through a shear with a translation along its fixed
+    direction, a vertical translation and the square of the shear; every
+    power of the shear fixes a line."""
+    x = FlatAffineMap(IntMatrix([[1, 0, 0], [1, 1, 0], [0, 0, 1]]), (0, Fraction(1, 3), 0))
     y = FlatAffineMap.translation((0, 0, 1))
     return catalogue_pc("T3"), [x, y, x * x]
 
 
 def _conjugating_nil():
-    """a = z -> conj(z), x -> -x inverts the lattice <b, n> of the nil
-    geometry and fixes the real axis."""
+    """The nil oracle's a = z -> conj(z), x -> -x inverts the lattice
+    <b, n> of the nil geometry and fixes the real axis."""
     p = from_rule_text(("a", "b", "n"), {(0, 1): "b^-1", (0, 2): "n^-1"})
     a = HeisAffineMap(HeisPoint.identity(), TAU)
     b = HeisAffineMap(HeisPoint(0, GaussRat(0, 2)))
@@ -89,15 +97,24 @@ def _conjugating_nil():
     return p, [a, b, n]
 
 
-@pytest.mark.parametrize("make", [_reflection_klein, _signed_permutation_torus, _conjugating_nil])
+@pytest.mark.parametrize(
+    "make", [_reflection_klein, _signed_permutation_torus, _conjugating_nil, _sheared_torus]
+)
 @pytest.mark.parametrize("max_word_len", [3, 5])
 def test_non_free_reports_match_oracle(make, max_word_len):
     p, rep = make()
     assert verify_relations_in_rep(p, rep) == (True, None)
     report = assert_matches_oracle(p, rep, max_word_len)
     assert len(report.fixed_points) >= 3
-    # matrix products and Fraction eliminations give the same exact points
-    assert report == letterwise_sample(p, [MatrixMap(m) for m in rep], max_word_len)
+    # matrix products and Fraction eliminations fix the same normal forms,
+    # at the same exact points unless a map is sheared
+    oracle = letterwise_sample(p, [MatrixMap(m) for m in rep], max_word_len)
+    if make is _sheared_torus:
+        assert [v for v, _ in report.fixed_points] == [v for v, _ in oracle.fixed_points]
+        for v, pt in report.fixed_points:
+            assert rep_evaluate(rep, v).apply(pt) == tuple(pt)
+    else:
+        assert report == oracle
 
 
 @pytest.mark.parametrize(
@@ -105,16 +122,19 @@ def test_non_free_reports_match_oracle(make, max_word_len):
     [
         ([FlatAffineMap(diagonal([-1, -1]), (0, 0))], 1, 2),
         ([FlatAffineMap(diagonal([-1, -1]), (0, 0))], 2, 4),
-        ([FlatAffineMap(IntMatrix([[0, -1], [1, 0]]), (1, 0))], 6, 12),
+        ([FlatAffineMap(IntMatrix([[-1, 0], [1, 1]]), (2, -1))], 6, 12),
         ([HeisAffineMap(HeisPoint(Fraction(1, 2), GaussRat(1)), HeisAut(GaussRat(0, 1)))], 5, 10),
         ([HeisAffineMap(HeisPoint(0, GaussRat(1)), HeisAut(GaussRat(0, 1)))], 5, 0),
         ([FlatAffineMap.translation((Fraction(1, 2), 0))], 6, 0),
+        ([FlatAffineMap(IntMatrix([[-1, 0], [1, 1]]), (0, 1))], 5, 0),
     ],
 )
 def test_cyclic_controls_match_oracle(rep, max_word_len, n_fixed):
-    # the flat rotations and the first nil quarter turn fix a point at every
-    # power (their fourth powers are the identity); the second nil quarter
-    # turn is a screw motion and the half translation moves every point
+    # the half turn, the sheared involution and the nil oracle's quarter
+    # turn fix a point at every power (their squares or fourth powers are
+    # the identity); the nil oracle's second quarter turn is a screw
+    # motion, the half translation moves every point, and the sheared
+    # glide has no fixed point although it shifts no coordinate alone
     report = assert_matches_oracle(cyclic_pc("r"), rep, max_word_len)
     assert len(report.fixed_points) == n_fixed
     assert [vec for vec, _ in report.fixed_points] == sorted(vec for vec, _ in report.fixed_points)
@@ -130,18 +150,19 @@ def test_freeness_needs_one_map_per_generator():
 
 @pytest.mark.parametrize("first", ["flat", "nil"])
 def test_mixed_representations_are_rejected(first):
-    flat = FlatAffineMap.translation((1, 0, 0))
+    # a plane map and a nil oracle map differ in dimension
+    flat = FlatAffineMap.translation((1, 0))
     nil = HeisAffineMap(HeisPoint(0, GaussRat(1)))
     rep = [flat, nil] if first == "flat" else [nil, flat]
     p = catalogue_pc("T2")
-    match = "all flat maps of one dimension or all nil maps"
+    match = "a representation must be maps of one dimension"
     with pytest.raises(ValueError, match=match):
         freeness_sample(p, rep, 2)
     with pytest.raises(ValueError, match=match):
         verify_relations_in_rep(p, rep)
     # flat maps of two dimensions do not mix either
     with pytest.raises(ValueError, match=match):
-        freeness_sample(p, [flat, FlatAffineMap.translation((1, 0))], 2)
+        freeness_sample(p, [flat, FlatAffineMap.translation((1, 0, 0))], 2)
 
 
 def test_freeness_rejects_huge_balls_up_front():
@@ -191,21 +212,18 @@ class CountedMap:
 
 @pytest.mark.parametrize("label, k", CATALOGUE)
 def test_one_product_per_normal_form(label, k):
-    # beyond the power tables, a free catalogue sample takes no product at
-    # all: a head whose first nonzero exponent is e_i shifts coordinate i by
-    # a nonzero amount that no later generator touches, so its subtree is
-    # ruled out before any product is taken.  That holds for the rows
-    # (0, ..., 0, e_{n-2}) too, whose prefix is a tabulated power, so the
-    # only maps solved are the 2L powers of the last generator on the
-    # all-zero row
+    # a free catalogue sample takes no product at all and solves no map:
+    # x_i shifts coordinate i by a nonzero amount that no later generator
+    # touches, so every head whose first nonzero exponent is at i is ruled
+    # out from m_i alone, before any power of it is tabulated.  At i = n-1
+    # that is the all-zero row
     max_word_len = 6
     counter = [0, 0]
     p = catalogue_pc(label, k)
     rep = [CountedMap(m, counter) for m in catalogue_representation(label, k)]
     report = freeness_sample(p, rep, max_word_len)
     assert report.is_free_sample and report.words_checked == ball_size(p.ngens, max_word_len)
-    assert counter[0] == p.ngens * 2 * (max_word_len - 1)
-    assert counter[1] == 2 * max_word_len
+    assert counter == [0, 0]
     # the letter-by-letter walk takes about five products per normal form
     counter[0] = 0
     letterwise_sample(p, rep, max_word_len)
@@ -214,46 +232,40 @@ def test_one_product_per_normal_form(label, k):
 
 # -- the row walk against the letterwise oracle on random representations ------
 
-UNITS = [GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1),
-         GaussRat(Fraction(3, 5), Fraction(4, 5))]
-
-
 def _rationals(draw, size):
     den = draw(st.sampled_from([1, 2, 3]))
     return [Fraction(draw(st.sampled_from(range(-2, 3))), den) for _ in range(size)]
 
 
+def _lower_rows(draw, dim, signs, shear):
+    """The rows of a lower-triangular matrix with signs on its diagonal and,
+    with shear, drawn entries below it."""
+    rows = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        rows[i][i] = signs[i]
+        for j in range(i):
+            if shear:
+                rows[i][j] = draw(st.sampled_from([0, 0, 1, -1, 2]))
+    return rows
+
+
 def _flat_map(draw, dim, order=None):
-    """A flat map of dimension dim; order 1, 2 or 4 fixes the order of its
-    holonomy, None draws any signed permutation."""
-    perm = list(draw(st.permutations(range(dim))))
+    """A triangular map of dimension dim; order 1 or 2 fixes the order of
+    its linear part with no shear, None draws any signs and any shear."""
     signs = draw(st.lists(st.sampled_from([1, -1]), min_size=dim, max_size=dim))
+    shear = order is None and draw(st.booleans())
     if order == 1:
-        perm, signs = list(range(dim)), [1] * dim
+        signs = [1] * dim
     elif order == 2:
-        perm, signs[0] = list(range(dim)), -1
-    elif order == 4 and dim >= 2:
-        # a quarter turn of the first two coordinates
-        perm, signs[:2] = [1, 0] + list(range(2, dim)), [-1, 1]
-    lin = IntMatrix([[signs[i] if j == perm[i] else 0 for j in range(dim)] for i in range(dim)])
-    return FlatAffineMap(lin, _rationals(draw, dim))
-
-
-def _nil_map(draw):
-    x, re, im = _rationals(draw, 3)
-    aut = HeisAut(draw(st.sampled_from(UNITS)), draw(st.booleans()))
-    return HeisAffineMap(HeisPoint(x, GaussRat(re, im)), aut)
+        signs[0] = -1
+    return FlatAffineMap(IntMatrix(_lower_rows(draw, dim, signs, shear)), _rationals(draw, dim))
 
 
 def _fixing(m, draw):
     """m with its translation part changed so that it fixes a drawn point."""
-    if isinstance(m, FlatAffineMap):
-        p = _rationals(draw, m.dim)
-        lin_p = [y - t for y, t in zip(m.apply(p), m.trans)]
-        return FlatAffineMap(m.lin, [a - b for a, b in zip(p, lin_p)])
-    x, re, im = _rationals(draw, 3)
-    p = HeisPoint(x, GaussRat(re, im))
-    return HeisAffineMap(p * m.aut.apply(p).inverse(), m.aut)
+    p = _rationals(draw, m.dim)
+    lin_p = [y - t for y, t in zip(m.apply(p), m.trans)]
+    return FlatAffineMap(m.lin, [a - b for a, b in zip(p, lin_p)])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -261,12 +273,9 @@ def _fixing(m, draw):
 def test_rows_match_letterwise_on_random_representations(data):
     draw = data.draw
     ngens, max_word_len = draw(st.integers(1, 3)), draw(st.integers(1, 6))
-    if draw(st.booleans()):
-        dim = draw(st.integers(1, 3))
-        order = draw(st.sampled_from([1, 2, 4, None]))
-        rep = [_flat_map(draw, dim) for _ in range(ngens - 1)] + [_flat_map(draw, dim, order)]
-    else:
-        rep = [_nil_map(draw) for _ in range(ngens)]
+    dim = draw(st.integers(1, 3))
+    order = draw(st.sampled_from([1, 2, None]))
+    rep = [_flat_map(draw, dim) for _ in range(ngens - 1)] + [_flat_map(draw, dim, order)]
     # most cases have a generator that fixes a point, so fixed points show
     fixer = draw(st.sampled_from([None] + list(range(ngens))))
     if fixer is not None:
@@ -277,48 +286,26 @@ def test_rows_match_letterwise_on_random_representations(data):
         assert report.fixed_points
 
 
-def _levelled_flat(draw, ngens):
-    """Flat maps where coordinate c is fixed pointwise by every generator
-    from a drawn level t_c on; below it, the generators permute, flip and
-    translate the coordinates not yet fixed among themselves.  At level
-    ngens no generator fixes c, so the last one can move a coordinate that
-    a row's prefix shifts."""
+def _levelled(draw, ngens):
+    """Triangular maps where coordinate c is fixed pointwise by every
+    generator from a drawn level t_c on; below it, the generators flip,
+    translate and (in half the draws) shear the coordinates not yet fixed.
+    At level ngens no generator fixes c, so the last one can move a
+    coordinate that a row's prefix shifts."""
     dim = draw(st.integers(1, 3))
     levels = [draw(st.integers(1, ngens)) for _ in range(dim)]
+    shear = draw(st.booleans())
     rep = []
     for j in range(ngens):
-        free = [c for c in range(dim) if levels[c] > j]
-        image = draw(st.permutations(free))
-        perm = list(range(dim))
-        signs = [1] * dim
-        trans = [0] * dim
-        for c, pc, t in zip(free, image, _rationals(draw, len(free))):
-            perm[c], signs[c], trans[c] = pc, draw(st.sampled_from([1, 1, -1])), t
-        lin = IntMatrix([[signs[i] if k == perm[i] else 0 for k in range(dim)]
-                         for i in range(dim)])
-        rep.append(FlatAffineMap(lin, trans))
-    return rep
-
-
-def _levelled_nil(draw, ngens):
-    """Nil maps where re z, and im z, is fixed pointwise by every generator
-    from a drawn level on: those generators have rotation 1, a zero shift
-    there, and no conjugation once im z is fixed.  At level ngens no
-    generator fixes that coordinate, as in `_levelled_flat`."""
-    re_level, im_level = draw(st.integers(1, ngens)), draw(st.integers(1, ngens))
-    rep = []
-    for j in range(ngens):
-        x, re, im = _rationals(draw, 3)
-        keeps_re, keeps_im = j >= re_level, j >= im_level
-        if keeps_re or keeps_im or draw(st.booleans()):
-            u = GaussRat(1)
-        else:
-            u = draw(st.sampled_from(UNITS))
-        conj = not keeps_im and draw(st.booleans())
-        rep.append(HeisAffineMap(
-            HeisPoint(x, GaussRat(0 if keeps_re else re, 0 if keeps_im else im)),
-            HeisAut(u, conj),
-        ))
+        free = [levels[c] > j for c in range(dim)]
+        signs = [draw(st.sampled_from([1, 1, -1])) if f else 1 for f in free]
+        rows = _lower_rows(draw, dim, signs, shear)
+        trans = _rationals(draw, dim)
+        for c in range(dim):
+            if not free[c]:
+                rows[c] = [int(c == l) for l in range(dim)]
+                trans[c] = 0
+        rep.append(FlatAffineMap(IntMatrix(rows), trans))
     return rep
 
 
@@ -334,7 +321,7 @@ def test_ruled_out_subtrees_match_letterwise(data):
     # points and ruled-out subtrees meet in the same ball
     draw = data.draw
     ngens, max_word_len = draw(st.integers(3, 4)), draw(st.integers(1, 4))
-    rep = (_levelled_flat if draw(st.booleans()) else _levelled_nil)(draw, ngens)
+    rep = _levelled(draw, ngens)
     fixer = draw(st.integers(0, ngens - 1)) if draw(st.booleans()) else None
     if fixer is not None:
         rep[fixer] = _fixing(rep[fixer], draw)

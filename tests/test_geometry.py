@@ -6,22 +6,27 @@ import pytest
 from conftest import CASE_DATA, PATTERNS, case_extension, deep_specs, diagonal
 from extension_models import extension_representation
 from flat_catalogue_oracle import holonomy, load_flat_catalogue
-from letterwise_freeness import evaluate as letterwise_evaluate
-
-from nilbott.catalogue import catalogue_pc
-from nilbott.exact import GaussRat
-from nilbott.geometry import (
-    FlatAffineMap,
+import heis_oracle
+from heis_oracle import (
+    TAU,
+    GaussRat,
     HeisAffineMap,
     HeisAut,
     HeisPoint,
-    TAU,
-    catalogue_representation,
     check_quotient_action,
     delta_generators,
+    gamma_generators,
+)
+from letterwise_freeness import evaluate as letterwise_evaluate
+
+from nilbott.catalogue import catalogue_pc
+from nilbott.exact import IntMatrix
+from nilbott.geometry import (
+    FlatAffineMap,
+    _klein_quotient_action,
+    catalogue_representation,
     euler_number,
     freeness_sample,
-    gamma_generators,
     klein_quotient_check,
     rep_evaluate,
     seifert_model,
@@ -151,6 +156,14 @@ def test_klein_quotient_check():
     a, b, n = gamma_generators(2)
     tampered = HeisAffineMap(a.g)  # drop the conjugating part
     assert not check_quotient_action(n, tampered, b)
+    # the same on the engine's model: a without its reflection, or with b's
+    # direction sheared into the first, or the fiber moving the plane
+    a, b, n = catalogue_representation("Gamma", 2)
+    assert _klein_quotient_action(a, b, n)
+    assert not _klein_quotient_action(FlatAffineMap.translation((1, 0, 0)), b, n)
+    sheared = FlatAffineMap(IntMatrix([[1, 0, 0], [1, -1, 0], [0, 2, -1]]), (1, 0, 0))
+    assert not _klein_quotient_action(sheared, b, n)
+    assert not _klein_quotient_action(a, b, b)
 
 
 def test_catalogue_representations_satisfy_relations():
@@ -205,18 +218,17 @@ def test_k_must_be_an_integer(build, k):
 
 @pytest.mark.parametrize("k", [1, -1, 2, -3, 7, 10**30, -(10**30) - 1])
 def test_nil_generators_from_integers(k):
-    # built from integers, equal in value and reduced integers to the maps
-    # the validating constructor builds
-    assert delta_generators(k) == [
-        HeisAffineMap(HeisPoint(0, GaussRat(k))),
-        HeisAffineMap(HeisPoint(0, GaussRat(0, k))),
-        HeisAffineMap(HeisPoint(2 * k, GaussRat(0))),
-    ]
-    assert gamma_generators(k) == [
-        HeisAffineMap(HeisPoint(0, GaussRat(Fraction(k, 2))), TAU),
-        HeisAffineMap(HeisPoint(0, GaussRat(0, k))),
-        HeisAffineMap(HeisPoint(k, GaussRat(0))),
-    ]
+    # the engine's models of the nil lattices are integer maps: x_i shifts
+    # coordinate i by 1, and a shears the fiber along b by -k (Delta) or
+    # reflects both and shears by k (Gamma), as the validating constructor
+    # builds them
+    unit = [FlatAffineMap.translation(row) for row in IntMatrix.identity(3).entries]
+    shear = {"Delta": [[1, 0, 0], [0, 1, 0], [0, -k, 1]],
+             "Gamma": [[1, 0, 0], [0, -1, 0], [0, k, -1]]}
+    for label, lin in shear.items():
+        a, b, c = catalogue_representation(label, k)
+        assert a == FlatAffineMap(IntMatrix(lin), (1, 0, 0)) and a.den == 1
+        assert [b, c] == unit[1:]
 
 
 def test_verify_relations_detects_tampering():
@@ -282,7 +294,8 @@ def test_flat_fixed_point_solver():
 
 
 def test_heis_fixed_point_solver():
-    # a rotation by i around the origin fixes the whole central axis
+    # the oracle's nil maps: a rotation by i around the origin fixes the
+    # whole central axis
     rot = HeisAffineMap(HeisPoint.identity(), HeisAut(GaussRat(0, 1)))
     pt = rot.fixed_point()
     assert pt is not None and rot.apply(pt) == pt
@@ -337,26 +350,50 @@ def _accepted_towers():
         yield spec, verdict.type, build_tower_groups(spec)[-1]
 
 
-def test_seifert_model_exists_iff_finite():
+def test_seifert_model_is_diagonal_iff_finite():
+    # every accepted tower has a model; it satisfies every rule, has the
+    # triangular shape (x_i shifts coordinate i by a nonzero amount and
+    # every later generator fixes that coordinate pointwise), and is flat
+    # exactly for the finite-type towers
     seen = {"finite": 0, "infinite": 0}
     for spec, kind, p in _accepted_towers():
         seen[kind] += 1
-        try:
-            model = seifert_model(p)
-        except ValueError:
-            assert kind == "infinite", spec
-            continue
-        assert kind == "finite", spec
+        model = seifert_model(p)
         assert verify_relations_in_rep(p, model) == (True, None), spec
+        for i, m in enumerate(model):
+            assert m.coordinate_shifts()[i], spec
+            assert all(later.coordinate_shifts()[i] == 0 for later in model[i + 1:]), spec
+        assert all(m.low is None for m in model) == (kind == "finite"), spec
         assert holonomy(model)[0] == holonomy_order(p), spec
     assert min(seen.values()) > 20, seen
 
 
-def test_seifert_model_names_the_infinite_stage():
-    with pytest.raises(ValueError, match="^stage 3: the extension class has infinite order"):
-        seifert_model(catalogue_pc("Delta", 1))
-    # a Heisenberg stage over the 3-torus: finite up to stage 3, not at 4
+def test_seifert_model_solves_the_infinite_stages():
+    # degree 0 has no solution at an infinite-type stage; degree 1 does
+    p = catalogue_pc("Delta", 1)
+    model = seifert_model(p)
+    assert verify_relations_in_rep(p, model) == (True, None)
+    assert model[0].low == ((), (0,), (0, -1))
+    # a Heisenberg stage over the 3-torus: flat up to stage 3, sheared at 4
     torus = TowerSpec.depth3("T2", (1, 1), 0)
     spec = TowerSpec(torus.stages + (Stage(4, (1, 1, 1), (1, 0, 0)),))
-    with pytest.raises(ValueError, match="^stage 4: "):
-        seifert_model(build_tower_groups(spec)[-1])
+    p = build_tower_groups(spec)[-1]
+    model = seifert_model(p)
+    assert verify_relations_in_rep(p, model) == (True, None)
+    assert [m.low is None for m in model] == [False, True, True, True]
+    assert all(m.low is None for m in seifert_model(build_tower_groups(spec)[-2]))
+
+
+@pytest.mark.parametrize("k", [1, -1, 2, 3, -7, 64, 10**30])
+def test_nil_models_agree_with_the_oracle_lattices(k):
+    # the engine's triangular models and the hand-written nil lattices:
+    # both satisfy every rule, give the same Euler number and freeness
+    # report, and pass the quotient-action check
+    for label, lattice in (("Delta", delta_generators(k)), ("Gamma", gamma_generators(k))):
+        p = catalogue_pc(label, k)
+        model = catalogue_representation(label, k)
+        assert verify_relations_in_rep(p, model) == (True, None)
+        assert verify_relations_in_rep(p, lattice) == (True, None)
+        assert freeness_sample(p, model, 6) == freeness_sample(p, lattice, 6)
+    assert euler_number(k) == heis_oracle.euler_number(k) == -k
+    assert klein_quotient_check(k) and heis_oracle.klein_quotient_check(k)
