@@ -51,12 +51,11 @@ class FlatAffineMap:
 
     A is stored as its diagonal `signs` and its strictly-lower rows `low`,
     low[i] holding the i entries left of the diagonal in row i, or None when
-    A is diagonal; so products of diagonal maps, the flat models', stay an
-    O(n) loop.  b is stored as integer numerators over one positive
-    denominator, b_i = num[i] / den; a product keeps den when both factors
-    share it and uses the lcm otherwise.  Only the constructor checks its
-    input; products and inverses of checked maps are built directly.
-    `trans` gives b as a tuple of Fraction.
+    A is diagonal, the flat models' case.  b is stored as integer numerators
+    over one positive denominator, b_i = num[i] / den; a product keeps den
+    when both factors share it and uses the lcm otherwise.  Only the
+    constructor checks its input; products and inverses of checked maps are
+    built directly.  `trans` gives b as a tuple of Fraction.
     """
 
     __slots__ = ("signs", "low", "num", "den")
@@ -131,16 +130,8 @@ class FlatAffineMap:
             fa, fb = den // self.den, den // other.den
             a = [n * fa for n in a]
             b = [n * fb for n in b]
-        if low is None and olow is None:
-            # one loop for both parts: cheaper than two comprehensions
-            out_signs, out_num = [], []
-            for s, t, os, u in zip(signs, a, osigns, b):
-                out_signs.append(s * os)
-                out_num.append(s * u + t)
-            return FlatAffineMap._make(tuple(out_signs), None, tuple(out_num), den)
         # row i of A B is s_i (row i of B) plus A_im (row m of B) for m < i
         out_signs, out_low, out_num = [], [], []
-        sheared = False
         for i, s in enumerate(signs):
             t = a[i] + s * b[i]
             row = [s * y for y in olow[i]] if olow else [0] * i
@@ -152,21 +143,15 @@ class FlatAffineMap:
                                 row[l] += x * y
                         row[m] += x * osigns[m]
                         t += x * b[m]
-            if any(row):
-                sheared = True
             out_signs.append(s * osigns[i])
             out_low.append(tuple(row))
             out_num.append(t)
         return FlatAffineMap._make(
-            tuple(out_signs), tuple(out_low) if sheared else None, tuple(out_num), den
+            tuple(out_signs), _lower(tuple(out_low)), tuple(out_num), den
         )
 
     def inverse(self) -> "FlatAffineMap":
         signs, low, num = self.signs, self.low, self.num
-        if low is None:
-            return FlatAffineMap._make(
-                signs, None, tuple(-s * b for s, b in zip(signs, num)), self.den
-            )
         # row i of A^-1 is -s_i (A_im (row m of A^-1) summed over m < i),
         # with s_i on the diagonal; the translation t solves A t = -b, so
         # t_i = -s_i (b_i + A_im t_m summed over m < i)
@@ -174,7 +159,7 @@ class FlatAffineMap:
         for i, s in enumerate(signs):
             acc = [0] * i
             t = num[i]
-            for m, x in enumerate(low[i]):
+            for m, x in enumerate(low[i] if low else ()):
                 if x:
                     for l, y in enumerate(rows[m]):
                         acc[l] += x * y
@@ -182,7 +167,7 @@ class FlatAffineMap:
                     t += x * out_num[m]
             rows.append(tuple([-s * y for y in acc]))
             out_num.append(-s * t)
-        return FlatAffineMap._make(signs, tuple(rows), tuple(out_num), self.den)
+        return FlatAffineMap._make(signs, _lower(tuple(rows)), tuple(out_num), self.den)
 
     def apply(self, point):
         low = self.low
@@ -215,23 +200,11 @@ class FlatAffineMap:
         )
 
     def fixed_point(self):
-        """Exact solution of A x + b = x as a list of Fraction, or None.
-
-        A diagonal A gives each coordinate on its own: x_i = -x_i + b_i has
-        x_i = b_i/2, and x_i = x_i + b_i needs b_i = 0 and takes x_i = 0.
-        Otherwise (A - I) den x = -num is solved by one Smith form.
-        """
+        """Exact solution of A x + b = x as a list of Fraction, or None:
+        (A - I) den x = -num solved by `_solve_rational`.  On a diagonal A
+        the solution is unique, x_i = b_i/2 where A flips coordinate i and
+        0 where it keeps it."""
         den = self.den
-        if self.low is None:
-            y = []
-            for s, b in zip(self.signs, self.num):
-                if s == -1:
-                    y.append(b)
-                elif b:
-                    return None
-                else:
-                    y.append(0)
-            return [Fraction(v, 2 * den) for v in y]
         rows = [list(r) for r in self.lin.entries]
         for i, row in enumerate(rows):
             row[i] -= 1
@@ -383,9 +356,9 @@ def _solve_stage(p, signs, lows, nums, dens, j):
         m = base[i]
         columns.append(column(i, FlatAffineMap._make(
             m.signs, m.low, m.num[:j] + (m.num[j] + den,), den)))
-    # degree 0: the constant of each rule alone
-    picked = range(j, len(rhs), j + 1)
-    sol = _solve_rational([[c[r] for c in columns] for r in picked], [rhs[r] for r in picked])
+    # degree 0: row j of every product has a zero lower part, so only the
+    # constant rows are nonzero, and _solve_rational drops the rest
+    sol = _solve_rational(list(zip(*columns)), rhs)
     if sol is not None:
         return sol[0], [], sol[1]
     for i in range(j):  # a_ijl = 1

@@ -3,11 +3,11 @@ oracle.
 
 The engine stores a map's lower-triangular linear part as its diagonal
 signs and strictly-lower rows, its translation as integers over one
-denominator, and solves fixed points in closed form (diagonal maps) or by
-one Smith form.  Here a map is composed by integer matrix products of its
-Fraction translation, inverted by Gaussian elimination, and every fixed
-point comes from Gaussian elimination over the rationals on the Fraction
-matrix of the fixed-point system, as the engine did before.  A map of any
+denominator, and solves every fixed point by one Smith form.  Here a map
+is composed by integer matrix products of its Fraction translation,
+inverted by Gaussian elimination, and every fixed point comes from
+Gaussian elimination over the rationals on the Fraction matrix of the
+fixed-point system, as the engine did before.  A map of any
 other type (the nil maps of heis_oracle, which are already in value form)
 is composed by its own product.
 """

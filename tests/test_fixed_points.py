@@ -2,8 +2,8 @@
 Fraction-matrix oracle, the nil oracle's value maps, equality across
 denominators, and the checks of the validating constructor.
 
-On a diagonal map the engine's closed form and the oracle's elimination
-give the same point; otherwise both solve a singular system, so the engine's
+On a diagonal map the engine's Smith form and the oracle's elimination
+give the same point, the unique one; otherwise both solve a singular system, so the engine's
 point is checked by applying the map, and it must be None exactly when the
 oracle's is."""
 
