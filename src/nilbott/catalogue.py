@@ -33,7 +33,7 @@ whose mu is n^k, against the catalogue's Delta or Gamma family tower
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 
 from .polycyclic import PcPresentation, build_extension, collect, cyclic_pc, require_integer_k
 from .words import parse_word
@@ -69,24 +69,29 @@ def catalogue_pc(label: str, k: int | None = None) -> PcPresentation:
     """Canonical polycyclic presentation of a catalogue group.
 
     The groups that do not depend on k are built on first use and shared,
-    and take no k; Delta(k) and Gamma(k) are built on every call, over a
-    shared base.
+    and take no k; Delta(k) and Gamma(k) are built over a shared base on
+    first use and shared per (label, k), the most recent 1024 of them.
     """
     if label == "Delta":
         if k is None:
             raise ValueError("Delta needs the twisting integer k")
-        require_integer_k(k)
-        return _tower(label, k)
+        require_integer_k(k)  # before the cache, which would take 2.0 for 2
+        return _nil_pc(label, k)
     if label == "Gamma":
         if k is not None:
             require_integer_k(k)
         if not k:
             raise ValueError("Gamma needs a nonzero twisting integer k")
-        return _tower(label, k)
+        return _nil_pc(label, k)
     p = _fixed_pc(label)
     if k is not None:
         raise ValueError(f"{label} takes no twisting integer k")
     return p
+
+
+@lru_cache(maxsize=1024)
+def _nil_pc(label: str, k: int) -> PcPresentation:
+    return _tower(label, k)
 
 
 @cache

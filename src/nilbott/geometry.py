@@ -17,9 +17,12 @@ A freeness certificate walks the l1 ball of normal forms by heads
 later generator fixes pointwise (`coordinate_shifts`) has no fixed point
 anywhere in its subtree, which is counted and skipped at once; a row
 (e_0, ..., e_{n-2}) is ruled out by the same test against the last
-generator, and the all-zero row when the last generator shifts a
-coordinate.  On the catalogue models that settles every normal form, so
-no map is solved.
+generator.  A level i is settled when x_i itself shifts such a
+coordinate: then every normal form whose first nonzero exponent is at i
+is ruled out, and they are counted in one closed form, with no head of
+them visited.  On the catalogue models every level is settled, as in the
+Seifert construction, so a sample reads each generator's shifts once,
+takes no map product, solves no map and costs O(n) at any word length.
 """
 
 from __future__ import annotations
@@ -472,35 +475,42 @@ def _power_table(m, bound: int) -> dict:
     return table
 
 
-def _l1_ball(maps: list, power, kept: list, budget: int, prefix=None, head=()):
-    """Yield (head, product, budget - |head|_1) in lexicographic order of
-    the heads (e_0, ..., e_{i-1}) with l1 norm at most budget: every head
-    that is ruled out with its subtree, with product None, and every
-    nonidentity normal form (i = len(maps)) that is not, with its map.
+def _l1_ball(maps: list, power, kept: list, settled: list, budget: int,
+             prefix=None, head=()):
+    """Yield (head, product, count) for the heads (e_0, ..., e_{i-1}) with
+    l1 norm at most budget: every ruled-out head with product None and
+    count the normal forms it covers, and every nonidentity normal form
+    (i = len(maps)) that is not ruled out, with its map and count 1.  The
+    normal forms with a map come in lexicographic order.
 
     A head is ruled out when its product shifts one of the coordinates
-    kept[i] by a nonzero amount.  A head whose first nonzero exponent is
-    e_i is ruled out, with no product taken, when m_i shifts one of
-    kept[i + 1]: m_i^e_i then shifts it e_i times as far.  power(i, e) is
-    m_i^e; the product is None for an all-zero head."""
-    i = len(head)
+    kept[i] by a nonzero amount; it covers itself and its
+    l1_ball_size(n - i, b) nonzero completions, b the budget it leaves.
+    On the all-zero spine, a settled level i (m_i shifts one of
+    kept[i + 1], so m_i^e_i shifts it e_i times as far) is one record with
+    no product taken: the l1_ball_size(n - i, b) - l1_ball_size(n - i - 1,
+    b) normal forms whose first nonzero exponent is at i.  The spine then
+    goes on at i + 1.  power(i, e) is m_i^e; the product is None for an
+    all-zero head."""
+    i, n = len(head), len(maps)
     if prefix is not None and _shifts_one_of(prefix, kept[i]):
-        yield head, None, budget
+        yield head, None, 1 + l1_ball_size(n - i, budget)
         return
-    if i == len(maps):
+    if i == n:
         if prefix is not None:
-            yield head, prefix, budget
+            yield head, prefix, 1
         return
-    settled = prefix is None and _shifts_one_of(maps[i], kept[i + 1])
+    if prefix is None and settled[i]:
+        yield head, None, l1_ball_size(n - i, budget) - l1_ball_size(n - i - 1, budget)
+        yield from _l1_ball(maps, power, kept, settled, budget, None, head + (0,))
+        return
     for e in range(-budget, budget + 1):
         if not e:
-            yield from _l1_ball(maps, power, kept, budget, prefix, head + (0,))
-        elif settled:
-            yield head + (e,), None, budget - abs(e)
+            yield from _l1_ball(maps, power, kept, settled, budget, prefix, head + (0,))
         else:
             step = power(i, e)
             yield from _l1_ball(
-                maps, power, kept, budget - abs(e),
+                maps, power, kept, settled, budget - abs(e),
                 step if prefix is None else prefix * step, head + (e,),
             )
 
@@ -541,15 +551,23 @@ def freeness_sample(p: PcPresentation, rep: list, max_word_len: int) -> Freeness
     A head is ruled out with its whole subtree when P shifts a coordinate
     c by a nonzero amount (`coordinate_shifts`) and each of m_i, ...,
     m_{n-1} fixes c pointwise: then every completion P Q moves coordinate
-    c of every point by that amount, so none has a fixed point.  When P is
-    a power m_i^e of one generator, the test is read off m_i, so every
-    head whose first nonzero exponent is at i is ruled out at once, with
-    no power taken; at i = n-1 that is the all-zero row, when m_{n-1}
-    shifts any coordinate.  The test is exact for any representation.  A
-    ruled-out head counts itself and its l1_ball_size(n - i, b) nonzero
-    completions as checked.  On the catalogue models every nonidentity
-    normal form is ruled out at its first nonzero position, as in the
-    Seifert construction, so no product is taken and no map is solved.
+    c of every point by that amount, so none has a fixed point.  It counts
+    itself and its l1_ball_size(n - i, b) nonzero completions as checked.
+    The test is exact for any representation.
+
+    Each generator's shifts are read once.  Level i is settled when m_i
+    shifts a coordinate that each of m_{i+1}, ..., m_{n-1} fixes
+    pointwise: m_i^e then shifts it e times as far, so every normal form
+    whose first nonzero exponent is at i is ruled out, with no power
+    taken.  On the all-zero spine a settled level is counted in one step,
+    l1_ball_size(n - i, b) - l1_ball_size(n - i - 1, b) normal forms, and
+    the spine goes on at i + 1; at i = n-1 that is the all-zero row, when
+    m_{n-1} shifts any coordinate.  An unsettled level is walked exponent
+    by exponent, its e_i = 0 subtree between the negative and positive
+    exponents, so fixed points stay in order.  On the catalogue models
+    every level is settled, as in the Seifert construction, so a sample
+    reads n shifts, takes no product, solves no map and costs O(n) at any
+    max_word_len.
 
     Every other normal form has its map solved by `fixed_point`.
 
@@ -578,16 +596,17 @@ def freeness_sample(p: PcPresentation, rep: list, max_word_len: int) -> Freeness
         return tables[i][e]
 
     # kept[i]: the coordinates that each of m_i, ..., m_{n-1} fixes
-    # pointwise; kept[n] is every coordinate
+    # pointwise, kept[n] every coordinate; settled[i]: m_i shifts one of
+    # kept[i + 1]
+    shifts = [m.coordinate_shifts() for m in maps]
     kept = [None] * n + [range(maps[0].dim)]
     for i in reversed(range(n)):
-        shifts = maps[i].coordinate_shifts()
-        kept[i] = [c for c in kept[i + 1] if shifts[c] == 0]
+        kept[i] = [c for c in kept[i + 1] if shifts[i][c] == 0]
+    settled = [any(shifts[i][c] for c in kept[i + 1]) for i in range(n)]
     checked = 0
     fixed = []
-    for head, m, b in _l1_ball(maps, power, kept, max_word_len):
-        # a ruled-out head and its nonzero completions, or one normal form
-        checked += 1 + l1_ball_size(n - len(head), b)
+    for head, m, count in _l1_ball(maps, power, kept, settled, max_word_len):
+        checked += count
         if m is not None:
             pt = m.fixed_point()
             if pt is not None:

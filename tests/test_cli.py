@@ -423,10 +423,12 @@ def test_output_matches_golden_bytes(tmp_path, capsys, monkeypatch, argv,
 
 
 def test_shared_groups_carry_no_state(tmp_path, capsys, monkeypatch):
-    # the k-free catalogue groups are built once and shared; work at huge
-    # exponents fills their caches of squared conjugation actions, which
-    # must not change any later answer
+    # the k-free catalogue groups are built once and shared, and Delta(k)
+    # and Gamma(k) once per k; work at huge exponents fills their caches of
+    # squared conjugation actions, which must not change any later answer
     assert catalogue_pc("B1") is catalogue_pc("B1")
+    assert catalogue_pc("Delta", 5) is catalogue_pc("Delta", 5)
+    assert catalogue_pc("Gamma", -5) is catalogue_pc("Gamma", -5)
     for base in ("K", "T2"):
         for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             for k in (10**30, -(10**30)):
@@ -437,6 +439,15 @@ def test_shared_groups_carry_no_state(tmp_path, capsys, monkeypatch):
         for sign in (1, -1):
             nf_multiply(p, (huge,) * p.ngens, (sign * huge,) * p.ngens)
         assert len(p._squares[(0, 1)]) > 90 and len(p._squares[(0, -1)]) > 90
+    # the nil groups of the golden runs: verify --suite all at k = -1..1
+    # and the freeness suite's Delta(2) and Gamma(2)
+    for label in ("Delta", "Gamma"):
+        for k in (1, -1, 2):
+            p = catalogue_pc(label, k)
+            for sign in (1, -1):
+                nf_multiply(p, (huge,) * p.ngens, (sign * huge,) * p.ngens)
+            assert len(p._squares[(0, 1)]) > 90 and len(p._squares[(0, -1)]) > 90
+            assert p is catalogue_pc(label, k)
     for n, (argv, stdout_file, written) in enumerate(GOLDEN_RUNS):
         outdir = tmp_path / str(n)
         outdir.mkdir()

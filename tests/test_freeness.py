@@ -1,12 +1,13 @@
 """The walk of freeness_sample against the letter-by-letter oracle (and,
 on the non-free representations, the Fraction-matrix kernel), on the
 catalogue, on random triangular representations and on representations
-built so that whole subtrees and rows are ruled out, and on the nil
-oracle's maps, which claim no shifted coordinate; its cost in map products
-and fixed-point solves, which on the catalogue is none at all, since every
-nonidentity normal form, the all-zero row's included, is ruled out from
-one generator before a product is taken or a map solved; and rep_evaluate
-on normal forms, at huge twisting integers too."""
+built so that whole subtrees and rows are ruled out, or an unsettled level
+sits above a settled one, and on the nil oracle's maps, which claim no
+shifted coordinate; its cost, which on the catalogue is one read of each
+generator's shifts and no map product or fixed-point solve at any word
+length, since every nonidentity normal form, the all-zero row's included,
+is ruled out from one generator and counted level by level in closed
+form; and rep_evaluate on normal forms, at huge twisting integers too."""
 
 import random
 import time
@@ -180,8 +181,9 @@ def test_freeness_rejects_huge_balls_up_front():
 
 
 class CountedMap:
-    """A map that counts the products taken through it, in counter[0], and
-    its fixed-point solves, in counter[1]."""
+    """A map that counts the products taken through it, in counter[0], its
+    fixed-point solves, in counter[1], and the reads of its coordinate
+    shifts, in counter[2]."""
 
     def __init__(self, m, counter):
         self.m, self.counter = m, counter
@@ -203,6 +205,7 @@ class CountedMap:
         return CountedMap(self.m.inverse(), self.counter)
 
     def coordinate_shifts(self):
+        self.counter[2] += 1
         return self.m.coordinate_shifts()
 
     def fixed_point(self):
@@ -214,18 +217,20 @@ class CountedMap:
 def test_one_product_per_normal_form(label, k):
     # a free catalogue sample takes no product at all and solves no map:
     # x_i shifts coordinate i by a nonzero amount that no later generator
-    # touches, so every head whose first nonzero exponent is at i is ruled
-    # out from m_i alone, before any power of it is tabulated.  At i = n-1
-    # that is the all-zero row
-    max_word_len = 6
-    counter = [0, 0]
+    # touches, so every normal form whose first nonzero exponent is at i is
+    # ruled out from m_i alone, and counted in closed form, before any
+    # power of it is tabulated.  At i = n-1 that is the all-zero row.  So a
+    # sample reads each generator's shifts once and costs O(n) at any word
+    # length, the largest ball the limit accepts included
     p = catalogue_pc(label, k)
-    rep = [CountedMap(m, counter) for m in catalogue_representation(label, k)]
-    report = freeness_sample(p, rep, max_word_len)
-    assert report.is_free_sample and report.words_checked == ball_size(p.ngens, max_word_len)
-    assert counter == [0, 0]
+    for max_word_len in (90, 6):
+        counter = [0, 0, 0]
+        rep = [CountedMap(m, counter) for m in catalogue_representation(label, k)]
+        report = freeness_sample(p, rep, max_word_len)
+        assert report.is_free_sample
+        assert report.words_checked == ball_size(p.ngens, max_word_len)
+        assert counter == [0, 0, p.ngens]
     # the letter-by-letter walk takes about five products per normal form
-    counter[0] = 0
     letterwise_sample(p, rep, max_word_len)
     assert counter[0] > 2 * report.words_checked
 
@@ -286,21 +291,40 @@ def test_rows_match_letterwise_on_random_representations(data):
         assert report.fixed_points
 
 
-def _levelled(draw, ngens):
+def _levelled(draw, ngens, stacked=False):
     """Triangular maps where coordinate c is fixed pointwise by every
     generator from a drawn level t_c on; below it, the generators flip,
     translate and (in half the draws) shear the coordinates not yet fixed.
     At level ngens no generator fixes c, so the last one can move a
-    coordinate that a row's prefix shifts."""
+    coordinate that a row's prefix shifts.
+
+    With stacked, an unsettled level sits above a settled one: a drawn
+    level s >= 1 shifts coordinate 0, which every later generator fixes
+    pointwise, so every normal form whose first nonzero exponent is at s
+    is ruled out at once; a drawn level u < s flips every coordinate it
+    does not fix, so it shifts none, has fixed points, and is walked
+    exponent by exponent, with its e_u = 0 subtree, level s in it, between
+    its negative and positive exponents."""
     dim = draw(st.integers(1, 3))
     levels = [draw(st.integers(1, ngens)) for _ in range(dim)]
+    settled = unsettled = None
+    if stacked:
+        settled = draw(st.integers(1, ngens - 1))
+        unsettled = draw(st.integers(0, settled - 1))
+        levels[0] = settled + 1
     shear = draw(st.booleans())
     rep = []
     for j in range(ngens):
         free = [levels[c] > j for c in range(dim)]
         signs = [draw(st.sampled_from([1, 1, -1])) if f else 1 for f in free]
+        if j == unsettled:
+            signs = [-1 if f else 1 for f in free]
+        elif j == settled:
+            signs[0] = 1
         rows = _lower_rows(draw, dim, signs, shear)
         trans = _rationals(draw, dim)
+        if j == settled:
+            trans[0] = Fraction(draw(st.sampled_from([-2, -1, 1, 2])), draw(st.sampled_from([1, 3])))
         for c in range(dim):
             if not free[c]:
                 rows[c] = [int(c == l) for l in range(dim)]
@@ -316,18 +340,22 @@ def test_ruled_out_subtrees_match_letterwise(data):
     # are ruled out: a head's product shifts a coordinate that every later
     # generator fixes pointwise.  Some draws leave a coordinate that the
     # last generator moves, so a row whose prefix shifts only that one
-    # must still be solved.  In half the cases one generator is changed to
-    # fix a point; that keeps the coordinates it fixes pointwise, so fixed
-    # points and ruled-out subtrees meet in the same ball
+    # must still be solved.  In a third of the cases one generator is
+    # changed to fix a point; that keeps the coordinates it fixes
+    # pointwise, so fixed points and ruled-out subtrees meet in the same
+    # ball.  In another third an unsettled level with fixed points sits
+    # above a settled level, so the fixed points of its e = 0 subtree must
+    # come between those of its negative and positive exponents
     draw = data.draw
     ngens, max_word_len = draw(st.integers(3, 4)), draw(st.integers(1, 4))
-    rep = _levelled(draw, ngens)
-    fixer = draw(st.integers(0, ngens - 1)) if draw(st.booleans()) else None
-    if fixer is not None:
+    shape = draw(st.sampled_from(["plain", "fixer", "stacked"]))
+    rep = _levelled(draw, ngens, stacked=shape == "stacked")
+    if shape == "fixer":
+        fixer = draw(st.integers(0, ngens - 1))
         rep[fixer] = _fixing(rep[fixer], draw)
     p = pc_presentation(tuple(f"x{i}" for i in range(ngens)))
     report = assert_matches_oracle(p, rep, max_word_len)
-    if fixer is not None:
+    if shape != "plain":
         assert report.fixed_points
 
 
