@@ -24,11 +24,11 @@ with the tail mu^2 on the rule of g and h, and mu = n^m turns it into
 the lift-(r + 2m) extension (sigma_m: mu -> n^m is onto, with kernel
 <mu n^-m>).  reduction_maps gives the k-reduction on the family, with
 nu standing for n^m, and towers._family checks the whole chain once on
-E^.  Delta(k) and Gamma(k) are the built extension with renamed
-generators, so their maps are the identity; that the renaming is the
-catalogue group for every k is checked once per case, on the family
-whose mu is n^k, against the catalogue's Delta or Gamma family tower
-(nil_family).
+E^.  Delta(k) and Gamma(k) are the extension under the catalogue's
+generator names (nil_family), so their maps are the identity; that this
+naming is the catalogue group for every k is checked once per case, on
+the family whose mu is n^k, against the catalogue's Delta or Gamma
+family tower.
 """
 
 from __future__ import annotations
@@ -136,10 +136,6 @@ CASES = {
     7: ("torus", (-1, -1)),
 }
 
-#: the generator map of a group onto itself
-_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
 def reduction_maps(case: int):
     """Witness the isomorphism between the case-`case` extensions with lift
     integers k = r + 2m and r, for every m at once, where the torsion of
@@ -189,24 +185,29 @@ _IDENTIFICATIONS = {
 }
 
 
-def base_identification(case: int, k: int, ext: PcPresentation | None = None):
-    """Identify the case-`case` extension with lift k with its catalogue
-    group, for the values of k the catalogue realizes directly.
+@cache
+def base_identification(case: int, r: int):
+    """Identify the case-`case` extension with lift r with its flat
+    catalogue group, for the values of r the catalogue realizes directly;
+    Delta(-k) and Gamma(k) are the extension under nil_family's names.
 
     Returns (label, target_pc, fwd, bwd): fwd sends (g, h, n) to normal
     forms of the target, bwd sends the target's generators to normal forms
-    of the case-`case` extension with lift k.  Delta(-k) and Gamma(k) are
-    that extension, given as ext, under the catalogue's generator names:
-    their maps are the identity and their target shares ext's rules, with
-    nothing built.  towers.classify_tower checks that naming once per case
-    for every k, on the family towers of nil_family.
+    of the extension, the paper's witness words parsed and collected once,
+    over the shared Klein or torus base.
     """
-    if k and case in (3, 5):
-        label, names, sign, _ = nil_family(case)
-        return f"{label}({sign * k})", ext.renamed(names), _IDENTITY, _IDENTITY
-    if (case, k) not in _IDENTIFICATIONS:
-        raise ValueError(f"no direct identification for case {case}, k={k}")
-    return _flat_identification(case, k)
+    if (case, r) not in _IDENTIFICATIONS:
+        raise ValueError(f"no direct identification for case {case}, k={r}")
+    label, fwd, bwd = _IDENTIFICATIONS[case, r]
+    kind, signs = CASES[case]
+    target = _fixed_pc(label)
+    source = build_extension(_fixed_pc("K" if kind == "klein" else "T2"), signs, [r], EXT[2])
+    return (
+        label,
+        target,
+        tuple(collect(target, parse_word(t, target.names)) for t in fwd),
+        tuple(collect(source, parse_word(t, EXT)) for t in bwd),
+    )
 
 
 @cache
@@ -224,20 +225,3 @@ def nil_family(case: int):
     signs, lifts = stages[-1]
     family = build_extension(_tower(label, 0), signs + (1,), list(lifts) + [0, 0], "nu")
     return label, tuple(names.split()), lifts[0], family
-
-
-@cache
-def _flat_identification(case: int, r: int):
-    """base_identification of a flat target: the witness words parsed and
-    collected once, into the target and into the case-`case` extension with
-    lift r over the shared base."""
-    label, fwd, bwd = _IDENTIFICATIONS[case, r]
-    kind, signs = CASES[case]
-    target = _fixed_pc(label)
-    source = build_extension(_fixed_pc("K" if kind == "klein" else "T2"), signs, [r], EXT[2])
-    return (
-        label,
-        target,
-        tuple(collect(target, parse_word(t, target.names)) for t in fwd),
-        tuple(collect(source, parse_word(t, EXT)) for t in bwd),
-    )

@@ -42,7 +42,6 @@ homomorphism of the base, which twist_signs checks once per extension.
 
 from __future__ import annotations
 
-from copy import copy
 from operator import add
 
 from .exact import smith_normal_form, IntMatrix
@@ -68,14 +67,6 @@ class PcPresentation:
 
     def __repr__(self):
         return f"PcPresentation(<{' '.join(self.names)}>)"
-
-    def renamed(self, names) -> "PcPresentation":
-        """This group with its generators renamed; the copy shares the rules
-        and the cached conjugation powers, so nothing is rebuilt or
-        checked."""
-        p = copy(self)
-        p.names = tuple(names)
-        return p
 
     # -- assembly ---------------------------------------------------------
 
@@ -268,7 +259,7 @@ class PcPresentation:
     # -- printing and rules -------------------------------------------------
 
     def nf_str(self, v: NormalForm) -> str:
-        return word_str(((i, e) for i, e in enumerate(v) if e), self.names)
+        return nf_str(v, self.names)
 
     def rule(self, i, j, sign=1) -> NormalForm:
         return self._rules[(i, j, sign)]
@@ -282,6 +273,11 @@ class PcPresentation:
         for i in range(self._m):
             for j in range(i + 1, self._m):
                 yield (i, j), self._rules[(i, j, 1)]
+
+
+def nf_str(v: NormalForm, names) -> str:
+    """The normal form v as text, 'g h^-1 ...' over names; "1" if trivial."""
+    return word_str(((i, e) for i, e in enumerate(v) if e), names)
 
 
 def nf_to_word(v: NormalForm) -> Word:
@@ -339,18 +335,10 @@ def twist_signs(p: PcPresentation, signs) -> tuple[int, ...]:
     return signs
 
 
-def build_extension(base: PcPresentation, phi, lifts, fiber_name: str) -> PcPresentation:
-    """Extend base by an infinite cyclic fiber named fiber_name, appended
-    as last generator.
-
-    phi gives the conjugation sign of the fiber per base generator; lifts
-    gives one fiber exponent per base conjugation rule, in positive_rules
-    order, so that each base relator r becomes r = fiber^{k_r}.  The
-    extension is assembled and checked in one pass by
-    PcPresentation._extend; lifts that are not a cocycle raise
-    ExtensionError naming a generator whose conjugation does not respect a
-    rule above it.
-    """
+def extension_args(base: PcPresentation, phi, lifts):
+    """(signs, lifts) of an extension of base: phi checked as a twist of
+    base (twist_signs), and one integer lift per base conjugation rule.
+    ValueError otherwise."""
     signs = twist_signs(base, phi)
     need = base.ngens * (base.ngens - 1) // 2
     lifts = list(lifts)
@@ -358,7 +346,21 @@ def build_extension(base: PcPresentation, phi, lifts, fiber_name: str) -> PcPres
         require_integer_k(x)
     if len(lifts) != need:
         raise ValueError(f"need {need} lift integers, got {len(lifts)}")
-    return PcPresentation._extend(base, fiber_name, signs, lifts)
+    return signs, lifts
+
+
+def build_extension(base: PcPresentation, phi, lifts, fiber_name: str) -> PcPresentation:
+    """Extend base by an infinite cyclic fiber named fiber_name, appended
+    as last generator.
+
+    phi gives the conjugation sign of the fiber per base generator; lifts
+    gives one fiber exponent per base conjugation rule, in positive_rules
+    order, so that each base relator r becomes r = fiber^{k_r}.  Checked
+    by extension_args, they are assembled and checked in one pass by
+    PcPresentation._extend; lifts that are not a cocycle raise
+    ExtensionError naming a generator that does not respect a rule above.
+    """
+    return PcPresentation._extend(base, fiber_name, *extension_args(base, phi, lifts))
 
 
 def _level_break(p: PcPresentation, i, images):

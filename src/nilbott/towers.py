@@ -8,13 +8,15 @@ import re
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
-from .catalogue import CASES, base_identification, case_swap_maps, nil_family, reduction_maps
+from .catalogue import EXT, CASES, base_identification, case_swap_maps, nil_family, reduction_maps
 from .cohomology import class_order, restriction_nonzero
 from .polycyclic import (  # noqa: F401  (ExtensionError is re-exported)
     ExtensionError,
     PcPresentation,
     build_extension,
     cyclic_pc,
+    extension_args,
+    nf_str,
     require_integer_k,
     verify_isomorphism,
 )
@@ -248,33 +250,45 @@ def build_tower_groups(spec: TowerSpec) -> list[PcPresentation]:
     digits, or in a deep tower of more than DEEP_LIFT_BITS bits, raises
     ValueError before anything is built; a stage whose signs are not a
     twist of the stage below raises ValueError naming the stage."""
+    groups = _low_groups(spec)
+    for stage in spec.stages[2:]:
+        signs, lifts = _stage_args(stage, groups[-1])
+        groups.append(PcPresentation._extend(groups[-1], tower_names(stage.dim)[-1], signs, lifts))
+    return groups
+
+
+def _stage_args(stage: Stage, base: PcPresentation):
+    """extension_args of stage over base, the group of the stage below,
+    with its ValueError naming the stage."""
+    try:
+        return extension_args(base, stage.phi, stage.lifts)
+    except ValueError as exc:
+        raise ValueError(f"stage {stage.dim}: {exc}") from None
+
+
+def _low_groups(spec: TowerSpec) -> list[PcPresentation]:
+    """The stage-1 and stage-2 groups of spec (the circle alone at depth
+    1), after the checks that come before any stage above: the dims, the
+    bound of every twisting integer and stage 2's twist of the circle."""
     _validate_dims(spec)
     for stage in spec.stages:
         for x in stage.lifts:
             _check_lift(stage.dim, x, spec.depth >= 4)
-    stages = spec.stages[1:]
-    if stages and not stages[0].lifts:
-        groups = list(_low_stages(tuple(stages[0].phi)))
-        stages = stages[1:]
-    else:
-        groups = [cyclic_pc("g")]
-    for stage in stages:
-        try:
-            ext = build_extension(
-                groups[-1], stage.phi, stage.lifts, tower_names(stage.dim)[-1]
-            )
-        except ValueError as exc:
-            raise ValueError(f"stage {stage.dim}: {exc}") from None
-        groups.append(ext)
-    return groups
+    if spec.depth == 1:
+        return [_CIRCLE]
+    signs, _ = _stage_args(spec.stages[1], _CIRCLE)
+    return list(_low_stages(signs))
+
+
+#: the stage-1 group of every tower
+_CIRCLE = cyclic_pc("g")
 
 
 @cache
 def _low_stages(phi) -> tuple[PcPresentation, PcPresentation]:
     """The stage-1 and stage-2 groups, built once per stage-2 twist (the
     Klein bottle or the torus) and shared."""
-    circle = cyclic_pc("g")
-    return circle, build_extension(circle, phi, (), tower_names(2)[-1])
+    return _CIRCLE, build_extension(_CIRCLE, phi, (), tower_names(2)[-1])
 
 
 # -- classification ----------------------------------------------------------
@@ -287,15 +301,17 @@ _CASE_OF = {pattern: case for case, pattern in CASES.items()}
 _SWAPPED_CASE = {4: 2, 7: 6}
 #: the base of a depth-3 tower of each kind, as TowerSpec.depth3 names it
 _BASE = {"klein": "K", "torus": "T2"}
+#: the identity map of a depth-3 group, as normal forms
+_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @dataclass
 class ClassificationVerdict:
     """A tower's label and type; at depth 3 also its case, lift and witness
-    maps.  maps holds the maps as normal forms, (source, target group,
-    fwd, bwd); witness_fwd and witness_bwd are them as text, formatted on
-    first read and kept, since printing an exponent of thousands of digits
-    costs more than the rest of a verdict."""
+    maps.  maps holds the maps as normal forms, (source names, target
+    names, fwd, bwd); witness_fwd and witness_bwd are them as text,
+    formatted on first read and kept, since printing an exponent of
+    thousands of digits costs more than the rest of a verdict."""
 
     label: str
     type: str  # "finite" | "infinite"
@@ -308,15 +324,15 @@ class ClassificationVerdict:
     def witness_fwd(self) -> dict:
         if self.maps is None:
             return {}
-        ext, target, fwd, _ = self.maps
-        return {name: target.nf_str(v) for name, v in zip(ext.names, fwd)}
+        source, target, fwd, _ = self.maps
+        return {name: nf_str(v, target) for name, v in zip(source, fwd)}
 
     @cached_property
     def witness_bwd(self) -> dict:
         if self.maps is None:
             return {}
-        ext, target, _, bwd = self.maps
-        return {name: ext.nf_str(v) for name, v in zip(target.names, bwd)}
+        source, target, _, bwd = self.maps
+        return {name: nf_str(v, source) for name, v in zip(target, bwd)}
 
     def to_dict(self):
         return {
@@ -334,46 +350,42 @@ def classify_tower(spec: TowerSpec) -> ClassificationVerdict:
     """Resolve a tower to its catalogue label and finite/infinite type.
 
     Depth 3 labels are backed by generator maps in both directions, as
-    normal forms proved once per family of lifts.  A flat verdict reads
-    its maps off the family of its sign pattern and lift parity
-    (_family): the witness chain lifted to the family tower E^, whose
-    extra generator mu stands for n^m, and checked there once by
+    normal forms proved once per family of lifts; the verdict runs the
+    stage checks of build_tower_groups and assembles no group.  A flat
+    verdict reads its maps off the family of its sign pattern and lift
+    parity (_family): the witness chain lifted to the family tower E^,
+    whose extra generator mu stands for n^m, and checked there once by
     verify_isomorphism; sigma_m (mu -> n^m) and tau_m (nu -> c^m)
     specialise it to the lift k (_specialise).  Delta(-k) and Gamma(k)
-    are the built extension under the catalogue's names, with identity
-    maps, checked once per case (_nil_family_holds).  A failed family
-    check raises VerificationError on every verdict of the family.
-    Deeper towers get the type decision only (restriction criterion)
-    with label 'unclassified'.
+    are the extension under the names of nil_family, with identity maps,
+    checked once per case (_nil_family_holds).  A failed family check
+    raises VerificationError on every verdict of the family.  Deeper
+    towers get the type decision only (restriction criterion) with label
+    'unclassified'.
     """
-    groups = build_tower_groups(spec)
+    groups = _low_groups(spec) if len(spec.stages) == 3 else build_tower_groups(spec)
     depth = spec.depth
     if depth == 1:
         return ClassificationVerdict("S1", "finite")
-    base_kind_ = "klein" if spec.stages[1].phi == (-1,) else "torus"
+    kind = "klein" if spec.stages[1].phi[0] == -1 else "torus"
     if depth == 2:
-        return ClassificationVerdict("K" if base_kind_ == "klein" else "T2", "finite")
+        return ClassificationVerdict(_BASE[kind], "finite")
 
-    signs = spec.stages[2].phi
-    k = spec.stages[2].lifts[0]
-    finite = class_order(groups[1], signs, k).is_finite
     if depth > 3:
-        for g in groups[3:]:
-            if not finite:
-                break
-            finite = finite and not restriction_nonzero(g)
-        return ClassificationVerdict(
-            "unclassified", "finite" if finite else "infinite"
-        )
+        finite = class_order(groups[1], spec.stages[2].phi, spec.stages[2].lifts[0]).is_finite
+        finite = finite and not any(restriction_nonzero(g) for g in groups[3:])
+        return ClassificationVerdict("unclassified", "finite" if finite else "infinite")
 
-    ext = groups[2]
+    signs, (k,) = _stage_args(spec.stages[2], groups[1])
+    finite = class_order(groups[1], signs, k).is_finite
     if finite:
-        family = _family(base_kind_, signs, k % 2)
-        case, label, target, holds = family.case, family.label, family.target, family.holds
+        family = _family(kind, signs, k % 2)
+        case, label, names, holds = family.case, family.label, family.target.names, family.holds
         fwd, bwd = _specialise(family, k)
     else:
-        case = _CASE_OF[base_kind_, signs]
-        label, target, fwd, bwd = base_identification(case, k, ext)
+        case = _CASE_OF[kind, signs]
+        label, names, sign, _ = nil_family(case)
+        label, fwd, bwd = f"{label}({sign * k})", _IDENTITY, _IDENTITY
         holds = _nil_family_holds(case)
     if not holds:
         raise VerificationError(f"witness maps for {label} failed verification")
@@ -383,7 +395,7 @@ def classify_tower(spec: TowerSpec) -> ClassificationVerdict:
         case=case,
         k=k,
         target=label.split("(")[0],
-        maps=(ext, target, fwd, bwd),
+        maps=(EXT, names, fwd, bwd),
     )
 
 

@@ -202,7 +202,7 @@ def fresh_families():
     """The cached witness families and identifications are built, and
     checked, inside the test and forgotten after it, so that a test that
     breaks a map or the check leaves no failed family behind."""
-    caches = (towers._family, towers._nil_family_holds, catalogue._flat_identification, catalogue.nil_family)
+    caches = (towers._family, towers._nil_family_holds, catalogue.base_identification, catalogue.nil_family)
 
     def clear():
         for cached in caches:

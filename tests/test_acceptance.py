@@ -22,14 +22,11 @@ from cocycle_oracle import Cocycle
 from extension_models import extension_representation
 from flat_catalogue_oracle import holonomy
 from heis_oracle import delta_generators, gamma_generators
+from identification_oracle import base_identification
 from letterwise_freeness import evaluate as letterwise_evaluate
 from sympy import Matrix
 
-from nilbott.catalogue import (
-    base_identification,
-    case_swap_maps,
-    catalogue_pc,
-)
+from nilbott.catalogue import case_swap_maps, catalogue_pc
 from nilbott.cohomology import (
     class_order,
     h2_one_relator,

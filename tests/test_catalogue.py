@@ -12,6 +12,7 @@ import random
 import pytest
 
 from conftest import base_group, case_extension, collected, reduction_at
+from identification_oracle import base_identification as identification
 from pc_oracle import assert_same_group, from_rule_text
 
 from nilbott.catalogue import (
@@ -160,7 +161,7 @@ def test_nil_identifications_are_the_identity(case, label):
     for k in MAP_KS:
         if k == 0:
             continue
-        got_label, target, fwd, bwd = base_identification(case, k, case_extension(case, k))
+        got_label, target, fwd, bwd = identification(case, k, case_extension(case, k))
         kt = k if case == 3 else -k
         assert got_label == f"{label}({kt})"
         assert list(target.positive_rules()) == list(catalogue_pc(label, kt).positive_rules())

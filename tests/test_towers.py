@@ -1,11 +1,14 @@
+import re
 import time
 from functools import reduce
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     CASE_DATA,
+    DEPTH4,
     GOLDEN_KS,
     PATTERNS,
     as_words,
@@ -20,8 +23,9 @@ from conftest import (
 )
 import cocycle_oracle
 from cocycle_oracle import Cocycle
+from identification_oracle import assembled_verdict, base_identification
 
-from nilbott.catalogue import base_identification, case_swap_maps, catalogue_pc
+from nilbott.catalogue import case_swap_maps, catalogue_pc
 from nilbott.cohomology import (
     class_order,
     relator_pairing,
@@ -455,3 +459,85 @@ def test_warm_depth3_classification_builds_no_words(monkeypatch, fresh_families)
         "B2", "B4", f"Gamma({ks[0]})", f"Gamma({ks[1]})",
         f"Delta({-ks[0]})", f"Delta({-ks[1]})",
     }
+
+
+def test_warm_depth3_classification_assembles_no_group(monkeypatch, fresh_families):
+    # a depth-3 verdict runs the stage checks over the shared base and
+    # reads the rest off the cached families: once they are built, neither
+    # a verdict nor its witness text assembles a presentation
+    from nilbott.polycyclic import PcPresentation
+
+    ks = (0, 1, -1, 2, -2, 2**64 + 1, -(2**64 + 1), 10**(MAX_LIFT_DIGITS - 1) + 7)
+    specs = [TowerSpec.depth3(base, signs, k) for base, signs in PATTERNS for k in ks]
+    deep = [parse_tower_spec(DEPTH4), _accepted_deep_tower(DEEP_LIFT_BITS)]
+    calls = {"_extend": 0, "_blank": 0}
+
+    def counted(name):
+        original = getattr(PcPresentation, name).__func__
+
+        def count(cls, *args):
+            calls[name] += 1
+            return original(cls, *args)
+
+        monkeypatch.setattr(PcPresentation, name, classmethod(count))
+
+    counted("_extend")
+    counted("_blank")
+    for spec in specs + deep:
+        classify_tower(spec)
+    calls.update(_extend=0, _blank=0)
+    for spec in specs:
+        classify_tower(spec).to_dict()
+    assert calls == {"_extend": 0, "_blank": 0}
+    # the counters see assembly: a deep tower still builds each stage above 2
+    for spec in deep:
+        calls.update(_extend=0, _blank=0)
+        assert classify_tower(spec).label == "unclassified"
+        assert calls == {"_extend": spec.depth - 2, "_blank": spec.depth - 2}
+
+
+#: twisting integers of every length up to MAX_LIFT_DIGITS digits
+_ANY_LIFT = st.integers(1, MAX_LIFT_DIGITS).flatmap(
+    lambda d: st.integers(-(10**d - 1), 10**d - 1)
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pattern=st.sampled_from(PATTERNS), k=_ANY_LIFT)
+def test_depth3_verdicts_match_the_assembled_tower(pattern, k):
+    # the verdict, made with no presentation assembled, is the one read off
+    # the built extension, with the witnesses printed by the groups
+    spec = TowerSpec.depth3(*pattern, k)
+    assert classify_tower(spec).to_dict() == assembled_verdict(spec)
+
+
+_KLEIN_BELOW = (Stage(1), Stage(2, (-1,), (), "S1"))
+
+
+@pytest.mark.parametrize("stages,message", [
+    (_KLEIN_BELOW + (Stage(3, (2, 1), (1,), "K"),), "stage 3: need one sign per base generator"),
+    (_KLEIN_BELOW + (Stage(3, (1,), (1,), "K"),), "stage 3: need one sign per base generator"),
+    (_KLEIN_BELOW + (Stage(3, (1, 1), (1, 2), "K"),), "stage 3: need 1 lift integers, got 2"),
+    (_KLEIN_BELOW + (Stage(3, (1, 1), (), "K"),), "stage 3: need 1 lift integers, got 0"),
+    (_KLEIN_BELOW + (Stage(3, (1, 1), (True,), "K"),), "k must be an integer"),
+    (_KLEIN_BELOW + (Stage(3, (1, 1), (1.0,), "K"),), "k must be an integer"),
+    (
+        (Stage(1), Stage(2, (-1,), (1,), "S1"), Stage(3, (1, 1), (1,), "K")),
+        "stage 2: need 0 lift integers, got 1",
+    ),
+    (
+        (Stage(1), Stage(2, (3,), (), "S1"), Stage(3, (1, 1), (1,), "K")),
+        "stage 2: need one sign per base generator",
+    ),
+    (
+        (Stage(1), Stage(2, (3,), (), "S1")),
+        "stage 2: need one sign per base generator",
+    ),
+], ids=range(9))
+def test_stage_errors_name_the_stage(stages, message):
+    # depth-3 verdicts run the stage checks of build_tower_groups, with the
+    # same messages; each names its stage unless it is about one integer
+    spec = TowerSpec(stages)
+    for run in (build_tower_groups, classify_tower):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(spec)
