@@ -121,35 +121,30 @@ def relator_pairing(ext: PcPresentation, relator: Word) -> int:
 # -- type criteria -----------------------------------------------------------
 
 
-def _carries_holonomy(ext: PcPresentation, i: int) -> bool:
-    """True if base generator i twists the fiber or acts nontrivially on
-    later base generators."""
-    fiber = ext.ngens - 1
-    if ext.rule(i, fiber) != ext._unit(fiber):
-        return True
-    return any(ext.rule(i, j) != ext._unit(j) for j in range(i + 1, fiber))
-
-
 def restriction_nonzero(ext: PcPresentation) -> bool:
     """True iff the restriction of the extension class to the translation
     lattice of the base is nonzero, i.e. the commutator of some pair of
     lattice generators is a nonzero fiber power.  The lattice is generated
-    by the squares of the holonomy-carrying base generators and the others
-    unsquared.  Each commutator a b a^-1 b^-1 is a product of normal forms
-    of ext; ValueError if one does not land in the fiber.  Decides
+    by the squares of the holonomy-carrying base generators (those that are
+    not central: they twist the fiber or act on a later base generator)
+    and the others unsquared.  For i < j the commutator
+    [x_i^a, x_j^b] = (x_i^a x_j^b x_i^-a) x_j^-b is one conjugation, read
+    off the cached squares of the level-i rules, and one product collected
+    at level i + 1; ValueError if one does not land in the fiber.  Decides
     infinite type."""
     fiber = ext.ngens - 1
-    gens = [ext._unit(i, 2 if _carries_holonomy(ext, i) else 1) for i in range(fiber)]
+    powers = [1 if ext._central[i] else 2 for i in range(fiber)]
     # every pair is paired before any() reads them, so a lattice that does
     # not commute in the base is refused rather than passed over
     pairings = []
-    for s, a in enumerate(gens):
-        for b in gens[s + 1:]:
-            comm = ext._mult(ext._mult(ext._mult(a, b), ext._invert(a)), ext._invert(b))
+    for i, a in enumerate(powers):
+        for j in range(i + 1, fiber):
+            b = powers[j]
+            comm = ext._mult(ext._conj(ext._unit(j, b), i, a), ext._unit(j, -b), i + 1)
             if any(comm[:fiber]):
                 raise ValueError(
-                    f"lattice generators {ext.nf_str(a)} and {ext.nf_str(b)} "
-                    f"do not commute in the base"
+                    f"lattice generators {ext.nf_str(ext._unit(i, a))} and "
+                    f"{ext.nf_str(ext._unit(j, b))} do not commute in the base"
                 )
             pairings.append(comm[fiber])
     return any(pairings)

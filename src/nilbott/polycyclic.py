@@ -29,15 +29,21 @@ degree of the cost in the bit length still grows with the number of
 non-abelian levels; towers of depth 4 and more bound their twisting
 integers (towers.DEEP_LIFT_BITS).
 
+The rules of level i are kept once, as the first of its rows of squares:
+the images of x_{i+1}, x_{i+2}, ... under x_i and under x_i^-1, which
+conjugation reads; rule and positive_rules read the rows.
+
 Every presentation is a tower: the circle (cyclic_pc), extended one
 fiber at a time by build_extension in one pass over the levels
-(_extend).  An extension inherits its base's rules, each with one fiber
-tail, with no collection, and closes its levels from the top down.  Each
-level is checked (conjugation by x_i must respect the rules of
-<x_{i+1}, ...>) before its inverse rules are computed, so a broken level
-is reported before any arithmetic rests on it.  Only the base's rules are
-checked there: the fiber rules hold at every level once the twist is a
-homomorphism of the base, which twist_signs checks once per extension.
+(_extend).  An extension builds each level's row from its base's row,
+one fiber tail per rule, with no collection, and closes its levels from
+the top down.  Each level is checked (conjugation by x_i must respect
+the rules of <x_{i+1}, ...>) before its inverse row is computed, so a
+broken level is reported before any arithmetic rests on it.  Only the
+base's rules are checked there: the fiber rules hold at every level once
+the twist is a homomorphism of the base, which twist_signs checks once
+per extension.  A broken rule raises ExtensionError with its generator
+indices; its message is collected and formatted only when read.
 """
 
 from __future__ import annotations
@@ -45,16 +51,33 @@ from __future__ import annotations
 from operator import add
 
 from .exact import smith_normal_form, IntMatrix
-from .words import Word, _word_sign, gen, word_str
+from .words import Word, _word_sign, word_str
 
 
 NormalForm = tuple  # exponent vector, one int per generator
 
 
 class ExtensionError(Exception):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """Lift data that is not a cocycle: in the extension p, conjugation by
+    x_i, the generator map x_j -> images[j - i - 1], breaks the rule
+    x_j x_k x_j^-1 = w of <x_{i+1}, ...>.  witness is the index triple
+    (i, j, k).  The message, phi_i(x_j x_k x_j^-1) vs phi_i(w), is
+    collected and formatted only when str() reads it."""
+
+    def __init__(self, p, i, images, j, k):
+        super().__init__(p, i, images, j, k)
+        self.witness = (i, j, k)
+
+    def __str__(self):
+        p, i, images, j, k = self.args
+        lvl = i + 1
+        a = images[j - lvl]
+        lhs = p._mult(p._mult(a, images[k - lvl], lvl), p._invert(a, lvl), lvl)
+        rhs = p._act(images, p.rule(j, k), lvl)
+        return (
+            f"lift data is not a cocycle: conjugation by {p.names[i]} does not "
+            f"respect {p.rule_str(j, k)}: {p.nf_str(lhs)} vs {p.nf_str(rhs)}"
+        )
 
 
 class PcPresentation:
@@ -81,21 +104,14 @@ class PcPresentation:
         if len(set(p.names)) != m:
             raise ValueError("duplicate generator names")
         p._m = m
-        p._rules: dict[tuple[int, int, int], NormalForm] = {}
-        # (i, sign) -> images of x_{i+1..m-1} under x_i^(sign 2^b), b = 0, 1, ...
-        p._squares: dict[tuple[int, int], list] = {}
+        # (i, sign) -> rows b = 0, 1, ...: the images of x_{i+1..m-1} under
+        # x_i^(sign 2^b).  Row 0 holds the level-i rules, the only copy of
+        # them; the top level has none.
+        p._squares: dict[tuple[int, int], list] = {(m - 1, 1): [[]], (m - 1, -1): [[]]}
         p._involutions: dict[int, bool] = {}  # see _involution
         p._central = [True] * m  # x_i commutes with every later generator
         p._abelian = [True] * m  # <x_i, ..., x_{m-1}> is abelian
         return p
-
-    def _close_level(self, i):
-        """The level-i squares and flags, once the level-i rules are set."""
-        later = range(i + 1, self._m)
-        for sign in (1, -1):
-            self._squares[(i, sign)] = [[self._rules[(i, j, sign)] for j in later]]
-        self._central[i] = all(self._rules[(i, j, 1)] == self._unit(j) for j in later)
-        self._abelian[i] = self._central[i] and self._abelian[i + 1]
 
     @classmethod
     def _extend(cls, base, name, signs, lifts):
@@ -104,33 +120,42 @@ class PcPresentation:
         positive base rule w, with k from lifts in positive_rules order.
 
         Each rule is the base's plus one fiber tail (Sims 1994, ch. 9):
-        z^k w = w z^(phi(w) k), phi(w) the sign of w under signs, and the
-        base's inverse rule v gives x_i^-1 x_j x_i = v z^(-signs[i] c) from
-        one conjugation x_i v x_i^-1 = x_j z^c.  Nothing is collected or
-        solved.  The levels are closed from the top down, and each is
-        checked by _level_break before its inverse rules are computed: the
-        first broken rule raises ExtensionError.  signs must be a twist of
-        the base (twist_signs), which settles the fiber rules x_j z x_j^-1
-        = z^(signs[j]) at every level, so each level checks only the base's
-        rules, each with its fiber tail.
+        z^k w = w z^(phi(w) k), phi(w) the sign of w under signs, which is
+        signs[j] since signs is a twist of the base (twist_signs).  Every
+        forward row is the base's row with these tails, and all are set
+        before any level is checked, so a rejected extension still has its
+        rules.  x_i is central iff it is central in the base, fixes z and has
+        no nonzero lift.  The levels are then checked from the top down by
+        _level_break, and the first broken rule raises ExtensionError;
+        only once level i holds is its inverse row built from the base's:
+        x_i^-1 x_j x_i = v z^(-signs[i] c) from one conjugation
+        x_i v x_i^-1 = x_j z^c, v the base's inverse rule.  Nothing is
+        collected or solved.  The twist settles the fiber rules x_j z
+        x_j^-1 = z^(signs[j]) at every level, so each level checks only the
+        base's rules, each with its fiber tail.
         """
         p = cls._blank(base.names + (name,))
         m = base.ngens
-        for ((i, j), w), k in zip(base.positive_rules(), lifts):
-            p._rules[(i, j, 1)] = w + (_word_sign(enumerate(w), signs) * k,)
+        rows, central, abelian = p._squares, p._central, p._abelian
+        at = 0
         for i, s in enumerate(signs):
-            p._rules[(i, m, 1)] = p._rules[(i, m, -1)] = p._unit(m, s)
+            row = base._squares[(i, 1)][0]
+            ks = lifts[at:at + len(row)]
+            at += len(row)
+            tails = zip(row, signs[i + 1:], ks)
+            rows[(i, 1)] = [[w + (t * k,) for w, t, k in tails] + [p._unit(m, s)]]
+            central[i] = s == 1 and base._central[i] and not any(ks)
         for i in range(m - 1, -1, -1):
-            images = [p._rules[(i, j, 1)] for j in range(i + 1, m + 1)]
+            abelian[i] = central[i] and abelian[i + 1]
+            images = rows[(i, 1)][0]
             broken = _level_break(p, i, images)
             if broken is not None:
-                witness, detail = broken
-                raise ExtensionError(f"lift data is not a cocycle: {detail}", witness)
-            for j in range(i + 1, m):
-                v = base._rules[(i, j, -1)] + (0,)
-                c = p._act(images, v, i + 1)[m]
-                p._rules[(i, j, -1)] = v[:m] + (-signs[i] * c,)
-            p._close_level(i)
+                raise ExtensionError(p, i, images, *broken)
+            flip = -signs[i]
+            inverse = base._squares[(i, -1)][0]
+            rows[(i, -1)] = [
+                [v + (flip * p._act(images, v, i + 1)[m],) for v in inverse] + [p._unit(m, signs[i])]
+            ]
         return p
 
     # -- vector arithmetic --------------------------------------------------
@@ -262,17 +287,20 @@ class PcPresentation:
         return nf_str(v, self.names)
 
     def rule(self, i, j, sign=1) -> NormalForm:
-        return self._rules[(i, j, sign)]
+        """x_i^sign x_j x_i^-sign for i < j, read off the level-i row."""
+        if j <= i:
+            raise IndexError(f"no rule for generators ({i}, {j})")
+        return self._squares[(i, sign)][0][j - i - 1]
 
     def rule_str(self, i, j) -> str:
         """The positive rule for (i, j) as 'x_i x_j x_i^-1 = w'."""
         a, b = self.names[i], self.names[j]
-        return f"{a} {b} {a}^-1 = {self.nf_str(self._rules[(i, j, 1)])}"
+        return f"{a} {b} {a}^-1 = {self.nf_str(self.rule(i, j))}"
 
     def positive_rules(self):
-        for i in range(self._m):
-            for j in range(i + 1, self._m):
-                yield (i, j), self._rules[(i, j, 1)]
+        for i in range(self._m - 1):
+            for j, w in enumerate(self._squares[(i, 1)][0], i + 1):
+                yield (i, j), w
 
 
 def nf_str(v: NormalForm, names) -> str:
@@ -368,8 +396,9 @@ def _level_break(p: PcPresentation, i, images):
     Presented Groups*, 1994, ch. 9) on an extension p of _extend, with
     fiber z = x_m, m = p.ngens - 1: None if conjugation by x_i, the
     generator map x_j -> images[j - i - 1] of H_i = <x_{i+1}, ...>,
-    respects every rule of H_i, else (witness, detail) for the first rule
-    it breaks.  The levels above i must be closed and consistent.
+    respects every rule of H_i, else the pair (j, k) of the first rule
+    x_j x_k x_j^-1 = w_jk it breaks.  The levels above i must be closed and
+    consistent, and the flags of level i set.
 
     The group is the iterated semidirect product <x_0> x| (<x_1> x| ...),
     so the rules are consistent iff each phi_i extends to an automorphism
@@ -388,23 +417,14 @@ def _level_break(p: PcPresentation, i, images):
     with no base rule above it, as every level of a depth-3 tower, checks
     nothing.  The rules are checked in the order of the full check, so
     the first broken rule is the same.  The rule loop is the one that
-    also checks generator maps; a broken rule is reported as
-    phi_i(x_j x_k x_j^-1) vs phi_i(w_jk).
+    also checks generator maps.  Nothing is formatted here: ExtensionError
+    reports a broken rule as phi_i(x_j x_k x_j^-1) vs phi_i(w_jk) when its
+    message is read.
     """
     fiber = p.ngens - 1
-    if i + 2 >= fiber or all(a == p._unit(j) for j, a in enumerate(images, i + 1)):
+    if i + 2 >= fiber or p._central[i]:
         return None
-    broken = _broken_rule(p, p, images, i + 1, fiber)
-    if broken is None:
-        return None
-    j, k = broken
-    a = images[j - i - 1]
-    lhs = p._mult(p._mult(a, images[k - i - 1], i + 1), p._invert(a, i + 1), i + 1)
-    rhs = p._act(images, p.rule(j, k), i + 1)
-    return (gen(i), gen(j), gen(k)), (
-        f"conjugation by {p.names[i]} does not respect "
-        f"{p.rule_str(j, k)}: {p.nf_str(lhs)} vs {p.nf_str(rhs)}"
-    )
+    return _broken_rule(p, p, images, i + 1, fiber)
 
 
 def _broken_rule(src: PcPresentation, dst: PcPresentation, images, lvl, top):
@@ -417,9 +437,9 @@ def _broken_rule(src: PcPresentation, dst: PcPresentation, images, lvl, top):
     """
     for j in range(lvl, top):
         a = images[j - lvl]
-        for k in range(j + 1, top):
+        for k, w in zip(range(j + 1, top), src._squares[(j, 1)][0]):
             lhs = dst._mult(a, images[k - lvl], lvl)
-            if lhs != dst._mult(dst._act(images, src.rule(j, k), lvl), a, lvl):
+            if lhs != dst._mult(dst._act(images, w, lvl), a, lvl):
                 return j, k
     return None
 

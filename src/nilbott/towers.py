@@ -215,10 +215,12 @@ _LIFT_LIMIT = 10**MAX_LIFT_DIGITS
 #: the largest bit length of a twisting integer in a tower of depth 4 or
 #: more.  Collection there costs a power of the bit length that grows with
 #: the depth.  In a seeded search of 600 depth-4 and 600 depth-5 towers
-#: with every integer at this bound (2^128 minus a few), the slowest
-#: accepted tower classifies in 7 ms and the slowest rejected one in
-#: 0.19 s, both at depth 5, on a 2-vCPU Xeon at 2.1 GHz.  Depth 3 is
-#: bounded by MAX_LIFT_DIGITS only.
+#: with every integer at this bound (2^128 minus a few, or 0), the slowest
+#: accepted tower classifies in 2.5 ms and the slowest rejected one raises
+#: in 3 ms, on a 2-vCPU Xeon at 2.1 GHz.  Reading a rejection's message,
+#: as the classify command does, collects both sides of the broken rule at
+#: the size of the lifts: up to 0.23 s at depth 5.  Depth 3 is bounded by
+#: MAX_LIFT_DIGITS only.
 DEEP_LIFT_BITS = 128
 
 

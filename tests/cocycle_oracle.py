@@ -130,7 +130,9 @@ def lattice_generators(ext: PcPresentation) -> list[tuple]:
 def restriction_nonzero(ext: PcPresentation) -> bool:
     """The restriction criterion in product form: (ab)(ba)^-1 for every
     pair of lattice generators, by normal-form products, must land in the
-    fiber, and the class restricts to zero iff every such power is 0."""
+    fiber, and the class restricts to zero iff every such power is 0.
+    ValueError names the first pair, in pair order, whose commutator
+    leaves the fiber."""
     fiber = ext.ngens - 1
     gens = lattice_generators(ext)
     nonzero = False
@@ -142,7 +144,10 @@ def restriction_nonzero(ext: PcPresentation) -> bool:
                 nf_invert(ext, nf_multiply(ext, b, a)),
             )
             if any(comm[:fiber]):
-                raise ValueError("lattice generators do not commute in the base")
+                raise ValueError(
+                    f"lattice generators {ext.nf_str(a)} and {ext.nf_str(b)} "
+                    f"do not commute in the base"
+                )
             if comm[fiber] != 0:
                 nonzero = True
     return nonzero

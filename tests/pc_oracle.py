@@ -20,6 +20,8 @@ from nilbott.words import Word, gen, parse_word
 @dataclass
 class ConsistencyResult:
     ok: bool
+    # generator indices (i, j, k): conjugation by x_i breaks the rule of
+    # (j, k); a defect, an unsolved inverse rule (i, j), reports (i, j, i)
     witness: tuple | None = None
     detail: str = ""
 
@@ -47,18 +49,23 @@ def pc_presentation(names, conj=None) -> PcPresentation:
         given[(i, j)] = w
     p._defects = []
     for i in range(m - 2, -1, -1):
+        row = []
         for j in range(i + 1, m):
             nf = p.identity()
             for g, e in given.get((i, j), gen(j)):
                 nf = p._mult(nf, p._unit(g, e), j)
-            p._rules[(i, j, 1)] = nf
+            row.append(nf)
+        p._squares[(i, 1)] = [row]
+        inverse = []
         for j in range(i + 1, m):
             try:
-                p._rules[(i, j, -1)] = _solve_inverse(p, i, j)
+                inverse.append(_solve_inverse(p, i, j))
             except ValueError as exc:
                 p._defects.append((i, j, str(exc)))
-                p._rules[(i, j, -1)] = p._unit(j)
-        p._close_level(i)
+                inverse.append(p._unit(j))
+        p._squares[(i, -1)] = [inverse]
+        p._central[i] = row == [p._unit(j) for j in range(i + 1, m)]
+        p._abelian[i] = p._central[i] and p._abelian[i + 1]
     return p
 
 
@@ -97,7 +104,7 @@ def check(p) -> ConsistencyResult:
     defects = getattr(p, "_defects", ())
     if defects:
         i, j, msg = defects[0]
-        return ConsistencyResult(False, (gen(i), gen(j), gen(i, -1)), msg)
+        return ConsistencyResult(False, (i, j, i), msg)
     for i in range(p.ngens - 2, -1, -1):
         broken = _level_break(p, i, p._squares[(i, 1)][0])
         if broken is not None:
@@ -122,7 +129,7 @@ def _level_break(p, i, images):
             if lhs == p._mult(rhs, a, lvl):
                 continue
             lhs = p._mult(lhs, p._invert(a, lvl), lvl)
-            return (gen(i), gen(j), gen(k)), (
+            return (i, j, k), (
                 f"conjugation by {p.names[i]} does not respect "
                 f"{p.rule_str(j, k)}: {p.nf_str(lhs)} vs {p.nf_str(rhs)}"
             )
@@ -134,8 +141,7 @@ def assert_same_group(new, old):
     and first conjugation images of old, made by pc_presentation."""
     assert old._defects == []
     assert new.names == old.names
-    assert new._rules == old._rules
     assert new._central == old._central and new._abelian == old._abelian
-    for i in range(new.ngens - 1):
+    for i in range(new.ngens):
         for sign in (1, -1):
             assert new._squares[i, sign][0] == old._squares[i, sign][0]

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 from math import gcd
 
@@ -311,10 +312,11 @@ def test_restriction_examples():
 
 
 def _restriction_or_error(criterion, ext):
+    """criterion(ext), or (ValueError, message) if it refuses."""
     try:
         return criterion(ext)
-    except ValueError:
-        return ValueError
+    except ValueError as exc:
+        return ValueError, str(exc)
 
 
 def test_restriction_matches_product_form():
@@ -322,7 +324,8 @@ def test_restriction_matches_product_form():
     # multiplies (ab)(ba)^-1 out in normal forms.  Every stage of the
     # seeded deep towers that builds, and every depth-3 case, is compared;
     # above an infinite-type stage the lattice need not commute, and then
-    # both must refuse
+    # both must refuse, naming the same first pair whose commutator leaves
+    # the fiber
     exts = [case_extension(case, k) for case in sorted(CASE_DATA) for k in range(-3, 4)]
     for spec in deep_specs():
         try:
@@ -334,6 +337,11 @@ def test_restriction_matches_product_form():
     for ext in exts:
         engine = _restriction_or_error(restriction_nonzero, ext)
         assert engine == _restriction_or_error(cocycle_oracle.restriction_nonzero, ext)
+        if isinstance(engine, tuple):
+            assert re.fullmatch(
+                r"lattice generators \S+ and \S+ do not commute in the base", engine[1]
+            )
+            engine = ValueError
         verdicts.add(engine)
     assert verdicts == {True, False, ValueError}
 

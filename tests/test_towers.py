@@ -1,3 +1,4 @@
+import json
 import re
 import time
 from functools import reduce
@@ -25,6 +26,7 @@ import cocycle_oracle
 from cocycle_oracle import Cocycle
 from identification_oracle import assembled_verdict, base_identification
 
+from nilbott import polycyclic
 from nilbott.catalogue import case_swap_maps, catalogue_pc
 from nilbott.cohomology import (
     class_order,
@@ -361,6 +363,28 @@ def test_classify_deep_matches_golden_bytes():
     # depth-4/5 types and rejections of a seeded tower set; where the
     # depth-3 prefix is finite the restriction criterion alone decides
     assert classify_deep_text().encode() == GOLDEN_DEEP.read_bytes()
+
+
+def test_rejection_formats_nothing_until_read(monkeypatch):
+    # a rejected extension collects and prints nothing: classify_tower
+    # raises without one nf_str call, and str() then gives the golden
+    # message, the same on every read
+    rejected = [
+        entry for entry in json.loads(GOLDEN_DEEP.read_text())["towers"]
+        if entry.get("error") == "ExtensionError"
+    ]
+    assert len(rejected) > 100
+    calls = []
+    nf_str = polycyclic.nf_str
+    monkeypatch.setattr(polycyclic, "nf_str", lambda *args: calls.append(args) or nf_str(*args))
+    for entry in rejected:
+        with pytest.raises(ExtensionError) as err:
+            classify_tower(parse_tower_spec(entry["spec"]))
+        assert calls == [], entry["spec"]
+        assert str(err.value) == entry["message"]
+        assert calls
+        assert str(err.value) == entry["message"]
+        calls.clear()
 
 
 #: values that are not integers, and the bools that int() would accept
