@@ -136,6 +136,10 @@ CASES = {
     7: ("torus", (-1, -1)),
 }
 
+#: base kind of a case -> catalogue label of its base
+BASES = {"klein": "K", "torus": "T2"}
+
+
 def reduction_maps(case: int):
     """Witness the isomorphism between the case-`case` extensions with lift
     integers k = r + 2m and r, for every m at once, where the torsion of
@@ -201,7 +205,7 @@ def base_identification(case: int, r: int):
     label, fwd, bwd = _IDENTIFICATIONS[case, r]
     kind, signs = CASES[case]
     target = _fixed_pc(label)
-    source = build_extension(_fixed_pc("K" if kind == "klein" else "T2"), signs, [r], EXT[2])
+    source = build_extension(_fixed_pc(BASES[kind]), signs, [r], EXT[2])
     return (
         label,
         target,

@@ -7,7 +7,8 @@ takes --kmax up to KMAX_LIMIT, since the paper suite is linear in it.
 
 Exit codes: 0 all good, 1 verification failure, 2 input error.  Output is
 deterministic: identical invocations produce identical bytes.  Set
-NILBOTT_OUTPUT_DIR to also write JSON (and markdown for `tables`) files.
+NILBOTT_OUTPUT_DIR to also write JSON (and markdown for `tables`) files;
+it is made before the command runs, which exits 2 if it cannot be made.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .catalogue import catalogue_pc
+from .catalogue import BASES, catalogue_pc
 from .cohomology import (
     class_order,
     h2_one_relator,
@@ -86,7 +87,6 @@ def _output_dir():
 def _write_out(filename: str, text: str):
     outdir = _output_dir()
     if outdir:
-        os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, filename), "w") as fh:
             fh.write(text)
 
@@ -94,15 +94,11 @@ def _write_out(filename: str, text: str):
 # -- cohomology command -------------------------------------------------------
 
 
-#: base kind -> catalogue label and tower spec base tag
-_BASES = {"klein": "K", "torus": "T2"}
-
-
 def cmd_cohomology(args) -> int:
-    if args.base not in _BASES:
+    if args.base not in BASES:
         print(f"error: unknown base {args.base!r} (use klein or torus)", file=sys.stderr)
         return 2
-    base = catalogue_pc(_BASES[args.base])
+    base = catalogue_pc(BASES[args.base])
     try:
         items = [
             tuple(t.strip() for t in item.partition("=")[::2])
@@ -176,7 +172,7 @@ def tables_data():
     h2_one_relator, the labels from classify_tower at k = 0 and k = 1."""
     tables = {}
     for case, (kind, signs) in sorted(CASES.items()):
-        base = _BASES[kind]
+        base = BASES[kind]
         base_group = catalogue_pc(base)
         h2 = h2_one_relator(base_group, signs)
         nonzero = classify_tower(TowerSpec.depth3(base, signs, 1))
@@ -242,7 +238,7 @@ def _suite_paper(kmax: int) -> list[Certificate]:
     ks = range(-kmax, kmax + 1)
     certs = []
     for case, (kind, signs) in sorted(CASES.items()):
-        base = _BASES[kind]
+        base = BASES[kind]
         base_group = catalogue_pc(base)
         h2 = str(h2_one_relator(base_group, signs))
         certs.append(
@@ -440,6 +436,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not getattr(args, "func", None):
         parser.print_help()
+        return 2
+    try:
+        if _output_dir():  # made before any work
+            os.makedirs(_output_dir(), exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot make NILBOTT_OUTPUT_DIR: {exc}", file=sys.stderr)
         return 2
     try:
         return args.func(args)

@@ -1,8 +1,9 @@
 """Twisted second cohomology of the torus and Klein bottle groups, read
-off their polycyclic presentations; class orders, the relator pairing
-that reads a built extension's class back, and the restriction and
-transfer criteria that decide finite versus infinite type.  A base twist
-is a tuple of signs, checked by polycyclic.twist_signs.
+off the twisted Fox row of their pc presentation's one rule; class
+orders, the relator pairing that reads a built extension's class back,
+and the restriction and transfer criteria, products of normal forms in
+the extension, that decide finite versus infinite type.  A base twist is
+a tuple of signs, checked by polycyclic.twist_signs.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from .polycyclic import (
     PcPresentation,
     build_extension,
     collect,
-    nf_to_word,
+    relation_rows,
     require_integer_k,
     twist_signs,
 )
-from .words import Word, fox_augmented, gen
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -54,14 +55,13 @@ def h2_one_relator(base: PcPresentation, signs) -> CohomologyResult:
     """H^2 with sign-twisted integer coefficients of the torus or Klein
     bottle group, read off its pc presentation by tails (Eick & Nickel,
     J. Algebra 320, 2008).  The one rule g h g^-1 = w gives the one
-    relator r = g h g^-1 w^-1 and no rule triples, so the tail coboundary
-    is the row of twisted free derivatives of r and H^2 is its cokernel.
+    relator g h g^-1 w^-1 and no rule triples, so the tail coboundary is
+    its twisted Fox row, read off the normal form w (relation_rows), and
+    H^2 is its cokernel.
     """
     base_kind(base)
     signs = twist_signs(base, signs)
-    r = gen(0) * gen(1) * gen(0, -1) * nf_to_word(base.rule(0, 1)).inverse()
-    row = [fox_augmented(r, g, signs) for g in range(2)]
-    d, _, _ = smith_normal_form(IntMatrix([row]))
+    d, _, _ = smith_normal_form(IntMatrix(relation_rows(base, signs)))
     nonzero = [x for x in d if x != 0]
     free_rank = 1 - len(nonzero)
     torsion = tuple(x for x in nonzero if x > 1)
@@ -150,41 +150,41 @@ def restriction_nonzero(ext: PcPresentation) -> bool:
     return any(pairings)
 
 
-#: generator words of the index-2 subgroup on which each nontrivial twist
-#: is trivial, the same on either base
-_UNTWISTED_WORDS = {
-    (1, -1): (gen(0), gen(1, 2)),
-    (-1, 1): (gen(0, 2), gen(1)),
-    (-1, -1): (gen(0) * gen(1), gen(1, 2)),
+#: generators of the index-2 subgroup on which each nontrivial twist is
+#: trivial, as normal forms of either base
+_UNTWISTED = {
+    (1, -1): ((1, 0), (0, 2)),
+    (-1, 1): ((2, 0), (0, 1)),
+    (-1, -1): ((1, 1), (0, 2)),
 }
 
 
 def untwisted_subgroup(base: PcPresentation, signs):
-    """Generator words and kind of the index-2 subgroup on which the twist
-    is trivial."""
+    """Generators, as normal forms of base, and kind of the index-2
+    subgroup on which the twist is trivial."""
     kind = base_kind(base)
     signs = twist_signs(base, signs)
-    if signs not in _UNTWISTED_WORDS:
+    if signs not in _UNTWISTED:
         raise ValueError("twist map is trivial; no index-2 untwisted subgroup")
     # the Klein bottle's subgroup <g^2, h> is a torus; the others keep
     # their base's kind
     sub_kind = "torus" if signs == (-1, 1) else kind
-    return _UNTWISTED_WORDS[signs], sub_kind
-
-
-def _subgroup_relator(u: Word, v: Word, kind: str) -> Word:
-    if kind == "klein":
-        return u * v * u.inverse() * v
-    return u * v * u.inverse() * v.inverse()
+    return _UNTWISTED[signs], sub_kind
 
 
 def transfer_identity_check(base: PcPresentation, signs, k: int) -> bool:
     """Verify the transfer constraint: if the class restricts to zero on the
     index-2 untwisted subgroup, then twice the class must vanish upstairs.
+    The restriction is the fiber exponent of the subgroup's relator
+    u v u^-1 v^(-1 on a torus, +1 on a Klein bottle), multiplied out in
+    the extension on the lifts of u and v with fiber exponent 0.
     """
     (u, v), sub_kind = untwisted_subgroup(base, signs)
     ext = build_extension(base, signs, [k], "n")
-    k_restricted = relator_pairing(ext, _subgroup_relator(u, v, sub_kind))
+    u, v = u + (0,), v + (0,)
+    last = v if sub_kind == "klein" else ext._invert(v)
+    relator = ext._mult(ext._mult(ext._mult(u, v), ext._invert(u)), last)
+    k_restricted = relator[-1]
     if sub_kind == "torus":
         vanishes = k_restricted == 0
     else:

@@ -482,13 +482,23 @@ def verify_isomorphism(a: PcPresentation, b: PcPresentation, fwd, bwd) -> bool:
     return all(b._act(fwd, v, 0) == b._unit(j) for j, v in enumerate(bwd))
 
 
-def relation_rows(p: PcPresentation) -> list[list[int]]:
-    """The relators of p in the abelianization, one integer row per
-    positive rule x_i x_j x_i^-1 = w: the unit vector of x_j minus w."""
+def relation_rows(p: PcPresentation, signs=None) -> list[list[int]]:
+    """The twisted Fox rows of p, one integer row per positive rule
+    x_i x_j x_i^-1 = w: the free derivatives of x_i x_j x_i^-1 w^-1 under
+    the twist signs s (every sign +1 if None), read off the normal form w.
+    Entry t is [t = i](1 - s_j) + [t = j] s_i - sigma_t w'_t, w'_t = w_t if
+    s_t = +1 else w_t mod 2, sigma_t the sign of x_0^(w_0) ... x_(t-1)^(w_(t-1)).
+    Untwisted, a row is x_j minus w, a relator of the abelianization."""
+    signs = signs or (1,) * p.ngens
     rows = []
-    for (_, j), w in p.positive_rules():
-        row = [-e for e in w]
-        row[j] += 1
+    for (i, j), w in p.positive_rules():
+        row, sigma = [], 1
+        for s, e in zip(signs, w):
+            row.append(-sigma * (e if s == 1 else e % 2))
+            if s == -1 and e % 2:
+                sigma = -sigma
+        row[i] += 1 - signs[j]
+        row[j] += signs[i]
         rows.append(row)
     return rows
 

@@ -8,7 +8,9 @@ import re
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
-from .catalogue import EXT, CASES, base_identification, case_swap_maps, nil_family, reduction_maps
+from .catalogue import (
+    BASES, CASES, EXT, base_identification, case_swap_maps, nil_family, reduction_maps
+)
 from .cohomology import class_order, restriction_nonzero
 from .polycyclic import (  # noqa: F401  (ExtensionError is re-exported)
     ExtensionError,
@@ -301,8 +303,6 @@ def _low_stages(phi) -> tuple[PcPresentation, PcPresentation]:
 _CASE_OF = {pattern: case for case, pattern in CASES.items()}
 #: case_swap_maps carry cases 4 and 7 onto these cases
 _SWAPPED_CASE = {4: 2, 7: 6}
-#: the base of a depth-3 tower of each kind, as TowerSpec.depth3 names it
-_BASE = {"klein": "K", "torus": "T2"}
 #: the identity map of a depth-3 group, as normal forms
 _IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -371,7 +371,7 @@ def classify_tower(spec: TowerSpec) -> ClassificationVerdict:
         return ClassificationVerdict("S1", "finite")
     kind = "klein" if spec.stages[1].phi[0] == -1 else "torus"
     if depth == 2:
-        return ClassificationVerdict(_BASE[kind], "finite")
+        return ClassificationVerdict(BASES[kind], "finite")
 
     if depth > 3:
         finite = class_order(groups[1], spec.stages[2].phi, spec.stages[2].lifts[0]).is_finite
@@ -454,7 +454,7 @@ def _family(kind: str, signs, r: int) -> _Family:
         fwd, bwd, tail = [red_fwd] + fwd, bwd + [red_bwd], 2
     fwd = [_with_mu(step) for step in swap_fwd] + fwd
     bwd = bwd + [_with_mu(step) for step in swap_bwd]
-    ext = build_tower_groups(TowerSpec.depth3(_BASE[kind], signs, sign * r))[2]
+    ext = build_tower_groups(TowerSpec.depth3(BASES[kind], signs, sign * r))[2]
     source = build_extension(ext, signs + (1,), [sign * tail, 0, 0], "mu")
     fwd, bwd = tuple(_fold(target_hat, fwd)), tuple(_fold(source, bwd))
     holds = (
@@ -479,7 +479,7 @@ def _nil_family_holds(case: int) -> bool:
     """
     _, _, sign, target = nil_family(case)
     kind, signs = CASES[case]
-    ext = build_tower_groups(TowerSpec.depth3(_BASE[kind], signs, 0))[2]
+    ext = build_tower_groups(TowerSpec.depth3(BASES[kind], signs, 0))[2]
     source = build_extension(ext, signs + (1,), [1, 0, 0], "mu")
     maps = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, sign))
     return verify_isomorphism(source, target, maps, maps)

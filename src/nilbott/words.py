@@ -1,5 +1,10 @@
-"""Free-group words, their signs under a twist and their twisted Fox
-derivatives.
+"""Free-group words and their signs under a twist.
+
+Words are the text form of maps and relators: the catalogue's witness
+words are parsed here once per (case, lift) and collected into normal
+forms, and cohomology.relator_pairing collects a relator word.  Every
+other computation of the engine is on normal forms; the twisted Fox rows
+are read off the rules' normal forms by polycyclic.relation_rows.
 
 Words are stored freely reduced as tuples of (generator index, exponent).
 Generator names are display metadata; all logic is index based.  A twist
@@ -101,26 +106,3 @@ def _word_sign(w, signs) -> int:
         if signs[g] == -1 and e % 2:
             s = -s
     return s
-
-
-def fox_augmented(r: Word, target: int, signs) -> int:
-    """Free derivative of r with respect to the target generator, pushed
-    through the twist signs.
-
-    Satisfies the product rule fox(uv) = fox(u) + phi(u) * fox(v), phi(u)
-    the sign of u.
-    """
-    if not 0 <= target < len(signs):
-        raise ValueError("generator index out of range")
-    total = 0
-    prefix_sign = 1
-    for g, e in r:
-        s = signs[g]
-        if g == target:
-            # d(x^e)/dx is 1 + x + ... + x^(e-1) for e > 0 and
-            # -(x^-1 + ... + x^e) for e < 0; under x -> s that sums to e
-            # when s = 1 and to e mod 2 when s = -1
-            total += prefix_sign * (e if s == 1 else e % 2)
-        if s == -1 and e % 2:
-            prefix_sign = -prefix_sign
-    return total

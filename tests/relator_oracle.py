@@ -1,6 +1,7 @@
 """Relator presentations of the torus and Klein bottle groups, and their
-twisted H^2 by Fox calculus: an oracle for the engine, which reads both
-off the polycyclic presentation instead.
+twisted H^2 by Fox calculus on relator words: an oracle for the engine,
+which reads both off the polycyclic presentation instead, its Fox rows
+off the rules' normal forms (polycyclic.relation_rows).
 
 A Presentation is generator names plus relator words; a TwistMap is a
 sign per generator that every relator keeps, checked against the
@@ -13,7 +14,30 @@ from nilbott.cohomology import ClassOrder, CohomologyResult
 from nilbott.exact import IntMatrix, smith_normal_form
 from nilbott.polycyclic import PcPresentation
 from pc_oracle import pc_presentation
-from nilbott.words import Word, _word_sign, fox_augmented, gen, word_str
+from nilbott.words import Word, _word_sign, gen, word_str
+
+
+def fox_augmented(r: Word, target: int, signs) -> int:
+    """Free derivative of r with respect to the target generator, pushed
+    through the twist signs.
+
+    Satisfies the product rule fox(uv) = fox(u) + phi(u) * fox(v), phi(u)
+    the sign of u.
+    """
+    if not 0 <= target < len(signs):
+        raise ValueError("generator index out of range")
+    total = 0
+    prefix_sign = 1
+    for g, e in r:
+        s = signs[g]
+        if g == target:
+            # d(x^e)/dx is 1 + x + ... + x^(e-1) for e > 0 and
+            # -(x^-1 + ... + x^e) for e < 0; under x -> s that sums to e
+            # when s = 1 and to e mod 2 when s = -1
+            total += prefix_sign * (e if s == 1 else e % 2)
+        if s == -1 and e % 2:
+            prefix_sign = -prefix_sign
+    return total
 
 
 class Presentation:

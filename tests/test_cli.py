@@ -356,6 +356,30 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
     assert cert["witness"]["label"] == "Gamma(5)"
 
 
+@pytest.mark.parametrize("command", ["cohomology", "classify", "tables", "verify"])
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+def test_unwritable_output_dir(tmp_path, capsys, monkeypatch, command, under_file):
+    # an output directory that is a file, or lies under one, is an input
+    # error (exit 2, one stderr line) before the command runs; for verify,
+    # exit 1 would read as a verification failure
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setenv("NILBOTT_OUTPUT_DIR", str(blocker / "out" if under_file else blocker))
+    spec = tmp_path / "tower.txt"
+    spec.write_text(TOWER_TEXT)
+    argv = {
+        "cohomology": ["cohomology", "--base", "klein", "--phi", "g=-1,h=+1"],
+        "classify": ["classify", str(spec)],
+        "tables": ["tables"],
+        "verify": ["verify", "--suite", "all", "--kmax", "1", "--maxlen", "2"],
+    }[command]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot make NILBOTT_OUTPUT_DIR: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert blocker.read_text() == ""
+
+
 def test_tables_data_structure():
     data = tables_data()
     assert [t["base"] for t in data["tables"]] == ["K", "T2"]

@@ -13,6 +13,7 @@ from conftest import (
     case_extension,
     deep_specs,
     relator_images_if_homomorphism,
+    relators,
 )
 
 from nilbott.cohomology import (
@@ -28,11 +29,11 @@ import cocycle_oracle
 import relator_oracle as oracle
 from cocycle_oracle import Cocycle, fiber_signs
 from nilbott.catalogue import catalogue_pc
-from nilbott.polycyclic import nf_invert, nf_multiply
+from nilbott.polycyclic import nf_invert, nf_multiply, nf_to_word, relation_rows, twist_signs
 from nilbott.towers import ExtensionError, _low_stages, build_extension, build_tower_groups
-from nilbott.words import _word_sign, fox_augmented, gen, parse_word
+from nilbott.words import _word_sign, gen, parse_word
 from pc_oracle import pc_presentation
-from relator_oracle import TwistMap, klein_presentation, torus_presentation
+from relator_oracle import TwistMap, fox_augmented, klein_presentation, torus_presentation
 
 
 KLEIN_H2 = {(1, 1): "Z_2", (1, -1): "Z_2", (-1, 1): "Z", (-1, -1): "Z_2"}
@@ -346,6 +347,79 @@ def test_restriction_matches_product_form():
     assert verdicts == {True, False, ValueError}
 
 
+def _twists(p):
+    """Every twist of p: the sign vectors that every rule keeps."""
+    out = []
+    for signs in product((1, -1), repeat=p.ngens):
+        try:
+            out.append(twist_signs(p, signs))
+        except ValueError:
+            pass
+    return out
+
+
+def _fox_rows(p, signs):
+    """The twisted Fox rows of p's relator words, by the oracle."""
+    return [[fox_augmented(r, t, signs) for t in range(p.ngens)] for r in relators(p)]
+
+
+def test_relation_rows_match_fox_oracle():
+    # the engine reads each rule's twisted Fox row off its normal form;
+    # the oracle differentiates the relator word x_i x_j x_i^-1 w^-1 one
+    # syllable at a time.  Every twist of every catalogue group, and of
+    # every stage of the seeded deep towers that builds, is compared.
+    flat = ("S1", "T2", "K", "T3", "G2", "B1", "B2", "B3", "B4")
+    groups = [catalogue_pc(label) for label in flat]
+    groups += [catalogue_pc("Delta", k) for k in (0, 1, -2, 3, 10**30)]
+    groups += [catalogue_pc("Gamma", k) for k in (1, -2, 3, -(10**30))]
+    pairs = [(p, signs) for p in groups for signs in _twists(p)]
+    assert len(pairs) > 60
+    stages = set()  # the low stages are shared between towers
+    for spec in deep_specs():
+        try:
+            stages.update(build_tower_groups(spec))
+        except (ExtensionError, ValueError):
+            pass
+    assert len(stages) > 250
+    pairs += [(p, signs) for p in stages for signs in _twists(p)]
+    for p, signs in pairs:
+        assert relation_rows(p, signs) == _fox_rows(p, signs), (p, signs)
+    # with no twist each row is the rule's relator in the abelianization
+    for p in groups:
+        assert relation_rows(p) == _fox_rows(p, (1,) * p.ngens)
+
+
+def _transfer_by_words(base, signs, k):
+    """Whether the class restricts to zero on the untwisted subgroup, and
+    the transfer verdict, with the subgroup relator as a word paired by
+    the cocycle oracle through the zero section."""
+    (u, v), kind = untwisted_subgroup(base, signs)
+    u, v = nf_to_word(u), nf_to_word(v)
+    relator = u * v * u.inverse() * (v if kind == "klein" else v.inverse())
+    ext = build_extension(base, signs, [k], "n")
+    restricted = cocycle_oracle.relator_pairing(Cocycle(ext), relator)
+    vanishes = restricted % 2 == 0 if kind == "klein" else restricted == 0
+    if not vanishes:
+        return False, True
+    doubled = class_order(base, signs, 2 * k)
+    return True, doubled.is_finite and doubled.order == 1
+
+
+def test_transfer_matches_word_route():
+    # every twisted base and k in [-50, 50], plus +-(2^64 + 1) and +-10^30;
+    # the restriction both vanishes and does not among them
+    ks = list(range(-50, 51)) + [2**64 + 1, -(2**64 + 1), 10**30, -(10**30)]
+    restrictions = set()
+    for label in ("K", "T2"):
+        base = catalogue_pc(label)
+        for signs in ((1, -1), (-1, 1), (-1, -1)):
+            for k in ks:
+                vanishes, verdict = _transfer_by_words(base, signs, k)
+                assert transfer_identity_check(base, signs, k) == verdict, (label, signs, k)
+                restrictions.add(vanishes)
+    assert restrictions == {True, False}
+
+
 def test_transfer_identity():
     K, T = catalogue_pc("K"), catalogue_pc("T2")
     assert transfer_identity_check(K, (1, -1), 1)
@@ -363,5 +437,5 @@ def test_untwisted_subgroups_are_untwisted():
                              (T, [(1, -1), (-1, 1), (-1, -1)])):
         for signs in signs_list:
             (u, v), kind = untwisted_subgroup(pres, signs)
-            assert _word_sign(u, signs) == 1 and _word_sign(v, signs) == 1
+            assert _word_sign(enumerate(u), signs) == 1 and _word_sign(enumerate(v), signs) == 1
             assert kind in ("klein", "torus")

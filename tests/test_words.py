@@ -4,11 +4,12 @@ import pytest
 
 from conftest import parse_presentation
 
-from nilbott.words import Word, _word_sign, fox_augmented, parse_word, word_str
+from nilbott.words import Word, _word_sign, parse_word, word_str
 from relator_oracle import (
     Presentation,
     TwistMap,
     abelianization,
+    fox_augmented,
     klein_presentation,
     torus_presentation,
 )
