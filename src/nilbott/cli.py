@@ -8,7 +8,8 @@ takes --kmax up to KMAX_LIMIT, since the paper suite is linear in it.
 Exit codes: 0 all good, 1 verification failure, 2 input error.  Output is
 deterministic: identical invocations produce identical bytes.  Set
 NILBOTT_OUTPUT_DIR to also write JSON (and markdown for `tables`) files;
-it is made before the command runs, which exits 2 if it cannot be made.
+it is made before the command runs, which exits 2 if it cannot be made,
+or if a file in it cannot be written.
 """
 
 from __future__ import annotations
@@ -84,11 +85,19 @@ def _output_dir():
     return os.environ.get("NILBOTT_OUTPUT_DIR")
 
 
+class _OutputError(Exception):
+    """A file of NILBOTT_OUTPUT_DIR that cannot be written; main reports
+    it as an input error."""
+
+
 def _write_out(filename: str, text: str):
     outdir = _output_dir()
     if outdir:
-        with open(os.path.join(outdir, filename), "w") as fh:
-            fh.write(text)
+        try:
+            with open(os.path.join(outdir, filename), "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _OutputError(exc) from None
 
 
 # -- cohomology command -------------------------------------------------------
@@ -447,6 +456,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
+    except _OutputError as exc:
+        print(f"error: cannot write to NILBOTT_OUTPUT_DIR: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,8 @@
 """Twisted second cohomology of the torus and Klein bottle groups, read
 off the twisted Fox row of their pc presentation's one rule; class
-orders, the relator pairing that reads a built extension's class back,
-and the restriction and transfer criteria, products of normal forms in
-the extension, that decide finite versus infinite type.  A base twist is
-a tuple of signs, checked by polycyclic.twist_signs.
+orders, and the restriction and transfer criteria, products of normal
+forms in the extension, that decide finite versus infinite type.  A
+base twist is a tuple of signs, checked by polycyclic.twist_signs.
 """
 
 from __future__ import annotations
@@ -15,12 +14,10 @@ from .exact import smith_normal_form, IntMatrix
 from .polycyclic import (
     PcPresentation,
     build_extension,
-    collect,
     relation_rows,
     require_integer_k,
     twist_signs,
 )
-from .words import Word
 
 
 @dataclass(frozen=True)
@@ -96,26 +93,6 @@ def class_order(base: PcPresentation, signs, k: int) -> ClassOrder:
         return ClassOrder("finite", 1)
     d = h2.torsion[0]
     return ClassOrder("finite", d // gcd(k, d))
-
-
-# -- reading a built extension's class ----------------------------------------
-
-
-def relator_pairing(ext: PcPresentation, relator: Word) -> int:
-    """Fiber exponent of a base relator lifted into the built extension ext
-    through the zero section: the relator is collected in ext, where it
-    must land in the fiber, the last generator.  For the defining relator
-    of a depth-3 extension this recovers the lift integer k.  ValueError
-    names the word if a letter is not a base generator or the word is not
-    a relator of the base.
-    """
-    fiber = ext.ngens - 1
-    if relator.max_gen() >= fiber:
-        raise ValueError(f"{relator!r} has a letter that is not a base generator")
-    lifted = collect(ext, relator)
-    if any(lifted[:fiber]):
-        raise ValueError(f"{relator!r} is not a relator of the base")
-    return lifted[fiber]
 
 
 # -- type criteria -----------------------------------------------------------

@@ -42,8 +42,9 @@ the rules of <x_{i+1}, ...>) before its inverse row is computed, so a
 broken level is reported before any arithmetic rests on it.  Only the
 base's rules are checked there: the fiber rules hold at every level once
 the twist is a homomorphism of the base, which twist_signs checks once
-per extension.  A broken rule raises ExtensionError with its generator
-indices; its message is collected and formatted only when read.
+per base and twist, and keeps on the base.  A broken rule raises
+ExtensionError with its generator indices; its message is collected and
+formatted only when read.
 """
 
 from __future__ import annotations
@@ -109,6 +110,7 @@ class PcPresentation:
         # them; the top level has none.
         p._squares: dict[tuple[int, int], list] = {(m - 1, 1): [[]], (m - 1, -1): [[]]}
         p._involutions: dict[int, bool] = {}  # see _involution
+        p._twists: dict[tuple, tuple] = {}  # accepted twists, see twist_signs
         p._central = [True] * m  # x_i commutes with every later generator
         p._abelian = [True] * m  # <x_i, ..., x_{m-1}> is abelian
         return p
@@ -352,7 +354,16 @@ def nf_power(p: PcPresentation, a: NormalForm, e: int) -> NormalForm:
 def twist_signs(p: PcPresentation, signs) -> tuple[int, ...]:
     """signs as a twist of p, a homomorphism onto {+1, -1}: one sign +1/-1
     per generator, kept by every rule x_i x_j x_i^-1 = w (x_j and w have
-    the same sign).  ValueError otherwise."""
+    the same sign).  ValueError otherwise.
+
+    An accepted twist is kept on p, keyed by its int tuple, so a tuple
+    equal to one (True for 1 included) is one dict lookup the next time.
+    p keeps at most 2^ngens of them.  A tuple that is rejected, or that
+    cannot be hashed, is checked in full on every call and never kept."""
+    try:
+        return p._twists[signs]
+    except (KeyError, TypeError):
+        pass
     signs = tuple(signs)
     if len(signs) != p.ngens or any(s not in (1, -1) for s in signs):
         raise ValueError("need one sign per base generator")
@@ -360,21 +371,18 @@ def twist_signs(p: PcPresentation, signs) -> tuple[int, ...]:
     for (_, j), w in p.positive_rules():
         if signs[j] != _word_sign(enumerate(w), signs):
             raise ValueError("phi is not a homomorphism on the base")
+    p._twists[signs] = signs
     return signs
 
 
-def extension_args(base: PcPresentation, phi, lifts):
-    """(signs, lifts) of an extension of base: phi checked as a twist of
-    base (twist_signs), and one integer lift per base conjugation rule.
-    ValueError otherwise."""
-    signs = twist_signs(base, phi)
+def lift_count(base: PcPresentation, lifts) -> list:
+    """lifts as a list, ValueError unless it has one lift per base
+    conjugation rule.  The lifts' types are the caller's to check."""
     need = base.ngens * (base.ngens - 1) // 2
     lifts = list(lifts)
-    for x in lifts:
-        require_integer_k(x)
     if len(lifts) != need:
         raise ValueError(f"need {need} lift integers, got {len(lifts)}")
-    return signs, lifts
+    return lifts
 
 
 def build_extension(base: PcPresentation, phi, lifts, fiber_name: str) -> PcPresentation:
@@ -383,12 +391,18 @@ def build_extension(base: PcPresentation, phi, lifts, fiber_name: str) -> PcPres
 
     phi gives the conjugation sign of the fiber per base generator; lifts
     gives one fiber exponent per base conjugation rule, in positive_rules
-    order, so that each base relator r becomes r = fiber^{k_r}.  Checked
-    by extension_args, they are assembled and checked in one pass by
+    order, so that each base relator r becomes r = fiber^{k_r}.  phi is
+    checked as a twist of base (twist_signs), then each lift's type
+    (require_integer_k), then their number (lift_count), each with a
+    ValueError.  They are assembled and checked in one pass by
     PcPresentation._extend; lifts that are not a cocycle raise
     ExtensionError naming a generator that does not respect a rule above.
     """
-    return PcPresentation._extend(base, fiber_name, *extension_args(base, phi, lifts))
+    signs = twist_signs(base, phi)
+    lifts = list(lifts)
+    for x in lifts:
+        require_integer_k(x)
+    return PcPresentation._extend(base, fiber_name, signs, lift_count(base, lifts))
 
 
 def _level_break(p: PcPresentation, i, images):

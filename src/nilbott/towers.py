@@ -17,9 +17,10 @@ from .polycyclic import (  # noqa: F401  (ExtensionError is re-exported)
     PcPresentation,
     build_extension,
     cyclic_pc,
-    extension_args,
+    lift_count,
     nf_str,
     require_integer_k,
+    twist_signs,
     verify_isomorphism,
 )
 from .words import _word_sign
@@ -262,10 +263,12 @@ def build_tower_groups(spec: TowerSpec) -> list[PcPresentation]:
 
 
 def _stage_args(stage: Stage, base: PcPresentation):
-    """extension_args of stage over base, the group of the stage below,
-    with its ValueError naming the stage."""
+    """The twist signs and lifts of stage over base, the group of the stage
+    below, with a ValueError naming the stage: the twist checked by
+    twist_signs and the number of lifts by lift_count.  The type of every
+    lift was checked by _low_groups (_check_lift) before any stage."""
     try:
-        return extension_args(base, stage.phi, stage.lifts)
+        return twist_signs(base, stage.phi), lift_count(base, stage.lifts)
     except ValueError as exc:
         raise ValueError(f"stage {stage.dim}: {exc}") from None
 
@@ -457,10 +460,14 @@ def _family(kind: str, signs, r: int) -> _Family:
     ext = build_tower_groups(TowerSpec.depth3(BASES[kind], signs, sign * r))[2]
     source = build_extension(ext, signs + (1,), [sign * tail, 0, 0], "mu")
     fwd, bwd = tuple(_fold(target_hat, fwd)), tuple(_fold(source, bwd))
+    # _specialise adds m e c to an image for tau_m, which is c^(m e) only
+    # while c = fwd[2] lies in the abelian top of the target
+    top = target._abelian.index(True)
     holds = (
         verify_isomorphism(source, target_hat, fwd, bwd)
         and fwd[3] == (0, 0, 0, 1)
         and fwd[2][3] == 0
+        and not any(fwd[2][:top])
     )
     return _Family(holds, label, case, sign, target, source, target_hat, fwd, bwd)
 
@@ -496,11 +503,15 @@ def _specialise(family: _Family, k: int):
     F^ on g, h, n, and sigma_m of B^ on the target's generators, with
     m = (sign * k - r) / 2.  sigma_m adds m times the mu exponent to the
     n exponent; tau_m multiplies the target part by c^(m e), e the nu
-    exponent.  No map is composed or checked."""
+    exponent, which is adding m e c, since the family check (holds) puts c
+    in the target's abelian top.  No map is composed or checked."""
     m = (family.sign * k - k % 2) // 2
-    t, c = family.target, family.fwd[2][:3]
-    fwd = [v[:3] if not v[3] else t._mult(v[:3], t._power(c, m * v[3])) for v in family.fwd[:3]]
-    bwd = [v[:2] + (v[2] + m * v[3],) for v in family.bwd[:3]]
+    c0, c1, c2, _ = family.fwd[2]
+    fwd = []
+    for x0, x1, x2, e in family.fwd[:3]:
+        e *= m
+        fwd.append((x0 + e * c0, x1 + e * c1, x2 + e * c2) if e else (x0, x1, x2))
+    bwd = [(y0, y1, y2 + m * e) for y0, y1, y2, e in family.bwd[:3]]
     return fwd, bwd
 
 

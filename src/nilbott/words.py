@@ -2,9 +2,9 @@
 
 Words are the text form of maps and relators: the catalogue's witness
 words are parsed here once per (case, lift) and collected into normal
-forms, and cohomology.relator_pairing collects a relator word.  Every
-other computation of the engine is on normal forms; the twisted Fox rows
-are read off the rules' normal forms by polycyclic.relation_rows.
+forms.  Every other computation of the engine is on normal forms; the
+twisted Fox rows are read off the rules' normal forms by
+polycyclic.relation_rows.
 
 Words are stored freely reduced as tuples of (generator index, exponent).
 Generator names are display metadata; all logic is index based.  A twist

@@ -1,7 +1,7 @@
 """The 2-cocycle of a built extension through a section of its quotient
-map, and the type criteria in product form: an oracle for the engine,
-which reads a built extension's class by collecting lifted relators
-(cohomology.relator_pairing) instead.
+map, and the type criteria in product form: an oracle for
+relator_oracle.relator_pairing, which reads a built extension's class by
+collecting a lifted relator instead, and for the engine's criteria.
 
 A Cocycle's value f(a, b) is the fiber exponent of s(a) s(b) s(ab)^-1,
 collected in the extension.  There is no separate group law on (fiber,

@@ -6,13 +6,17 @@ off the rules' normal forms (polycyclic.relation_rows).
 A Presentation is generator names plus relator words; a TwistMap is a
 sign per generator that every relator keeps, checked against the
 relators rather than the pc rules.
+
+relator_pairing reads a built extension's class back from a relator
+word, collected letter by letter in the extension; the engine reads the
+class off the lifts it was built with.
 """
 
 from math import gcd
 
 from nilbott.cohomology import ClassOrder, CohomologyResult
 from nilbott.exact import IntMatrix, smith_normal_form
-from nilbott.polycyclic import PcPresentation
+from nilbott.polycyclic import PcPresentation, collect
 from pc_oracle import pc_presentation
 from nilbott.words import Word, _word_sign, gen, word_str
 
@@ -154,3 +158,20 @@ def base_pc(p: Presentation) -> PcPresentation:
     if base_kind(p) == "klein":
         return pc_presentation(p.names, {(0, 1): gen(1, -1)})
     return pc_presentation(p.names)
+
+
+def relator_pairing(ext: PcPresentation, relator: Word) -> int:
+    """Fiber exponent of a base relator lifted into the built extension ext
+    through the zero section: the relator is collected in ext, where it
+    must land in the fiber, the last generator.  For the defining relator
+    of a depth-3 extension this recovers the lift integer k.  ValueError
+    names the word if a letter is not a base generator or the word is not
+    a relator of the base.
+    """
+    fiber = ext.ngens - 1
+    if relator.max_gen() >= fiber:
+        raise ValueError(f"{relator!r} has a letter that is not a base generator")
+    lifted = collect(ext, relator)
+    if any(lifted[:fiber]):
+        raise ValueError(f"{relator!r} is not a relator of the base")
+    return lifted[fiber]

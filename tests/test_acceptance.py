@@ -24,13 +24,13 @@ from flat_catalogue_oracle import holonomy
 from heis_oracle import delta_generators, gamma_generators
 from identification_oracle import base_identification
 from letterwise_freeness import evaluate as letterwise_evaluate
+from relator_oracle import relator_pairing
 from sympy import Matrix
 
 from nilbott.catalogue import case_swap_maps, catalogue_pc
 from nilbott.cohomology import (
     class_order,
     h2_one_relator,
-    relator_pairing,
     restriction_nonzero,
 )
 from nilbott.exact import IntMatrix, smith_normal_form

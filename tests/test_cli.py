@@ -380,6 +380,35 @@ def test_unwritable_output_dir(tmp_path, capsys, monkeypatch, command, under_fil
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("command,blocked", [
+    ("cohomology", "cohomology_klein.json"),
+    ("classify", "classification.json"),
+    ("tables", "tables.md"),
+    ("verify", "verify_all.json"),
+])
+def test_unwritable_output_file(tmp_path, capsys, monkeypatch, command, blocked):
+    # NILBOTT_OUTPUT_DIR exists, but the command's output file in it is a
+    # directory: an input error (exit 2, one stderr line, no traceback),
+    # not a verification failure (exit 1); tables.md is written second
+    outdir = tmp_path / "out"
+    (outdir / blocked).mkdir(parents=True)
+    monkeypatch.setenv("NILBOTT_OUTPUT_DIR", str(outdir))
+    spec = tmp_path / "tower.txt"
+    spec.write_text(TOWER_TEXT)
+    argv = {
+        "cohomology": ["cohomology", "--base", "klein", "--phi", "g=-1,h=+1"],
+        "classify": ["classify", str(spec)],
+        "tables": ["tables"],
+        "verify": ["verify", "--suite", "all", "--kmax", "1", "--maxlen", "2"],
+    }[command]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: cannot write to NILBOTT_OUTPUT_DIR: ")
+    assert str(outdir / blocked) in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert (outdir / blocked).is_dir() and not any((outdir / blocked).iterdir())
+
+
 def test_tables_data_structure():
     data = tables_data()
     assert [t["base"] for t in data["tables"]] == ["K", "T2"]

@@ -20,7 +20,6 @@ from nilbott.cohomology import (
     base_kind,
     class_order,
     h2_one_relator,
-    relator_pairing,
     restriction_nonzero,
     transfer_identity_check,
     untwisted_subgroup,
@@ -33,7 +32,13 @@ from nilbott.polycyclic import nf_invert, nf_multiply, nf_to_word, relation_rows
 from nilbott.towers import ExtensionError, _low_stages, build_extension, build_tower_groups
 from nilbott.words import _word_sign, gen, parse_word
 from pc_oracle import pc_presentation
-from relator_oracle import TwistMap, fox_augmented, klein_presentation, torus_presentation
+from relator_oracle import (
+    TwistMap,
+    fox_augmented,
+    klein_presentation,
+    relator_pairing,
+    torus_presentation,
+)
 
 
 KLEIN_H2 = {(1, 1): "Z_2", (1, -1): "Z_2", (-1, 1): "Z", (-1, -1): "Z_2"}

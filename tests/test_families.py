@@ -12,11 +12,13 @@ a warm verdict must run no per-k check."""
 import hashlib
 import json
 import random
+from copy import copy
 from pathlib import Path
 
 import pytest
 
 from conftest import PATTERNS, reduction_at
+from identification_oracle import specialise
 
 from nilbott import polycyclic, towers
 from nilbott.catalogue import base_identification, catalogue_pc, nil_family
@@ -102,6 +104,23 @@ def test_specialisations_are_homomorphisms(base, signs, r):
         assert verify_homomorphism(family.target_hat, t, tau), m
 
 
+@pytest.mark.parametrize("base,signs,r", FAMILIES)
+def test_one_step_specialisation_matches_collection(base, signs, r):
+    # _specialise reads tau_m(F^(x)) as F^(x)[:3] + m e c, e the nu
+    # exponent; the oracle collects c^(m e) and the product in the target,
+    # on a seeded box of m, on |k| about 10^30 and on 4000-digit k
+    family = _family(_kind(base), signs, r)
+    rng = random.Random(f"one-step-{base}-{signs}-{r}")
+    ms = list(range(-25, 26)) + [rng.randrange(-10**6, 10**6) for _ in range(50)]
+    big = [10**30 + rng.randrange(10**6) for _ in range(20)]
+    huge = [rng.randrange(10**3999, 10**4000 - 1) for _ in range(6)]
+    ks = [family.sign * (r + 2 * m) for m in ms]
+    ks += [sign * (x + (x - r) % 2) for x in big + huge for sign in (1, -1)]
+    for k in ks:
+        assert k % 2 == r
+        assert towers._specialise(family, k) == specialise(family, k), k
+
+
 @pytest.mark.parametrize("case", [3, 5])
 def test_nil_family_specialises_to_the_catalogue_group(case):
     # nu -> c^k sends the catalogue's family tower onto label(k)
@@ -144,6 +163,21 @@ def _swap_g_h(monkeypatch):
     return [("K", (-1, -1), 0), ("T2", (-1, -1), 1)]
 
 
+def _c_below_abelian_top(monkeypatch):
+    # the target collects level by level, so c = F^(n) = (0, 2, 1) or
+    # (0, 1, 0) lies below its abelian top and adding m e c is not tau_m
+    original = towers.base_identification
+
+    def lowered(case, r):
+        label, target, fwd, bwd = original(case, r)
+        target = copy(target)
+        target._abelian = [False] * (target.ngens - 1) + [True]
+        return label, target, fwd, bwd
+
+    monkeypatch.setattr(towers, "base_identification", lowered)
+    return [("K", (1, 1), 1), ("T2", (1, -1), 0), ("T2", (-1, 1), 0)]
+
+
 def _mu_tail_one(monkeypatch):
     # E^ gets the tail mu in place of mu^2 on the rule of g and h
     original = towers.build_extension
@@ -157,7 +191,9 @@ def _mu_tail_one(monkeypatch):
     return [("K", (1, 1), 0), ("K", (-1, -1), 1), ("T2", (-1, 1), 0)]
 
 
-@pytest.mark.parametrize("mutate", [_shear_nu, _wrong_identification, _swap_g_h, _mu_tail_one])
+@pytest.mark.parametrize(
+    "mutate", [_shear_nu, _wrong_identification, _swap_g_h, _c_below_abelian_top, _mu_tail_one]
+)
 def test_broken_families_are_refused(mutate, monkeypatch, fresh_families):
     for base, signs, r in mutate(monkeypatch):
         assert not _family(_kind(base), signs, r).holds, (base, signs, r)

@@ -23,6 +23,8 @@ from pc_oracle import check, pc_presentation
 from nilbott.catalogue import catalogue_pc
 from nilbott.geometry import rep_evaluate
 from nilbott.polycyclic import (
+    PcPresentation,
+    build_extension,
     center,
     collect,
     cyclic_pc,
@@ -30,10 +32,18 @@ from nilbott.polycyclic import (
     nf_multiply,
     nf_power,
     pc_abelianization,
+    twist_signs,
     verify_homomorphism,
     verify_isomorphism,
 )
-from nilbott.towers import ExtensionError, build_tower_groups, parse_tower_spec
+from nilbott.towers import (
+    ExtensionError,
+    Stage,
+    TowerSpec,
+    build_tower_groups,
+    classify_tower,
+    parse_tower_spec,
+)
 from nilbott.words import Word, gen, parse_word
 
 
@@ -292,3 +302,148 @@ def test_center_on_deep_stages():
                     assert in_span(p, rows, v), (p, v)
                     boxed += 1
     assert boxed > 1000
+
+
+def _fresh_groups():
+    """A new circle, Klein bottle group, torus group and depth-3 group of
+    odd lift, on which (1, 1, -1) is not a twist, with no twist kept."""
+    circle = cyclic_pc("g")
+    klein = build_extension(circle, (-1,), (), "h")
+    torus = build_extension(circle, (1,), (), "h")
+    return [circle, klein, torus, build_extension(klein, (1, 1), [3], "n")]
+
+
+def test_twist_signs_keeps_the_int_tuple():
+    # a tuple equal to a kept twist, True and 1.0 included, gives the int
+    # tuple, cold and warm; the twist is kept once, under its int tuple
+    torus = _fresh_groups()[2]
+    for given in [(True, -1), (1.0, -1), (1, -1), (True, -1), (1.0, -1)]:
+        out = twist_signs(torus, given)
+        assert out == (1, -1) and all(type(s) is int for s in out), given
+    assert torus._twists == {(1, -1): (1, -1)}
+
+
+@pytest.mark.parametrize(
+    "signs, message",
+    [
+        ((1, [1]), "need one sign per base generator"),  # cannot be hashed
+        ([1, 2], "need one sign per base generator"),
+        ((1, 2), "need one sign per base generator"),
+        ((1, -1), "need one sign per base generator"),
+        ((1, 1, -1), "phi is not a homomorphism on the base"),
+    ],
+)
+def test_twist_signs_rejects_the_same_way_every_time(signs, message):
+    depth3 = _fresh_groups()[3]
+    for _ in range(3):
+        with pytest.raises(ValueError) as exc:
+            twist_signs(depth3, signs)
+        assert str(exc.value) == message
+    assert depth3._twists == {}
+
+
+def test_twist_signs_checks_each_twist_once(monkeypatch):
+    # the rule loop runs once per (presentation, accepted tuple); a
+    # rejected tuple, or one that cannot be hashed, is checked every time,
+    # and a presentation keeps at most 2^ngens twists
+    checks = {}
+    original = PcPresentation.positive_rules
+
+    def counted(p):
+        checks[p] = checks.get(p, 0) + 1
+        return original(p)
+
+    monkeypatch.setattr(PcPresentation, "positive_rules", counted)
+    groups = _fresh_groups()
+    rounds = 4
+    for _ in range(rounds):
+        for p in groups:
+            for signs in product((1, -1), repeat=p.ngens):
+                for given in (signs, list(signs)):
+                    try:
+                        twist_signs(p, given)
+                    except ValueError:
+                        pass
+    for p in groups:
+        accepted = len(p._twists)
+        assert accepted <= 2**p.ngens
+        rejected = 2**p.ngens - accepted
+        # a tuple's full check runs once if accepted, every round if not;
+        # a list's runs every round
+        assert checks[p] == accepted + rounds * rejected + rounds * 2**p.ngens, p
+    assert [len(p._twists) for p in groups] == [2, 4, 4, 4]
+
+
+def test_build_extension_checks_every_lift_type():
+    # the lift types are checked after the twist, warm or cold, with the
+    # same message as ever
+    klein = _fresh_groups()[1]
+    for lift in (True, 1.0, False, 2.5):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^k must be an integer$"):
+                build_extension(klein, (1, 1), [lift], "n")
+    assert klein._twists == {(1, 1): (1, 1)}
+
+
+def _depth4(stage3, stage4):
+    return TowerSpec((Stage(1), Stage(2, (-1,)), Stage(3, *stage3), Stage(4, *stage4)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # twist, then lift types, then the lift count
+        (lambda g: build_extension(g[1], (1, 2), [True, 1], "n"), "need one sign per base generator"),
+        (lambda g: build_extension(g[1], (1, 1), [1.0, 2], "n"), "k must be an integer"),
+        (lambda g: build_extension(g[1], [1, 1], (1, 2), "n"), "need 1 lift integers, got 2"),
+        (lambda g: build_extension(g[3], (1, 1, -1), [True], "m"), "phi is not a homomorphism on the base"),
+        (lambda g: build_extension(g[0], (-1,), [0.0], "h"), "k must be an integer"),
+        # a tower: every lift's type and bound, then stage by stage the
+        # twist and the lift count
+        (
+            lambda g: classify_tower(
+                TowerSpec((Stage(1), Stage(2, (2,)), Stage(3, (1, 7), (True,))))
+            ),
+            "k must be an integer",
+        ),
+        (
+            lambda g: classify_tower(
+                TowerSpec((Stage(1), Stage(2, (-1,)), Stage(3, (1, 7), (1.0, 2))))
+            ),
+            "k must be an integer",
+        ),
+        (
+            lambda g: classify_tower(
+                TowerSpec((Stage(1), Stage(2, (-1,)), Stage(3, (1, 7), (1, 2))))
+            ),
+            "stage 3: need one sign per base generator",
+        ),
+        (
+            lambda g: classify_tower(
+                TowerSpec((Stage(1), Stage(2, (1,), (5,)), Stage(3, (1, 1), (1, 2))))
+            ),
+            "stage 2: need 0 lift integers, got 1",
+        ),
+        (
+            lambda g: classify_tower(_depth4(((1, -1), (1,)), ((1, 1, 2), (1, 1, 2**129)))),
+            "stage 4: a twisting integer of 130 bits is above the bound of 128 bits "
+            "for towers of depth 4 or more",
+        ),
+        (
+            lambda g: classify_tower(_depth4(((1, 1), (3,)), ((1, 1, -1), (1, 1)))),
+            "stage 4: phi is not a homomorphism on the base",
+        ),
+        (
+            lambda g: build_tower_groups(_depth4(((1, 1), (3,)), ((1, 1, 1), (1, 1)))),
+            "stage 4: need 3 lift integers, got 2",
+        ),
+    ],
+)
+def test_several_faults_raise_the_first(call, message):
+    # each input breaks more than one check; the first in the order above
+    # is reported, cold and with the twists kept
+    groups = _fresh_groups()
+    for _ in range(3):
+        with pytest.raises(ValueError) as exc:
+            call(groups)
+        assert str(exc.value) == message

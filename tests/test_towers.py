@@ -25,12 +25,12 @@ from conftest import (
 import cocycle_oracle
 from cocycle_oracle import Cocycle
 from identification_oracle import assembled_verdict, base_identification
+from relator_oracle import relator_pairing
 
 from nilbott import polycyclic
 from nilbott.catalogue import case_swap_maps, catalogue_pc
 from nilbott.cohomology import (
     class_order,
-    relator_pairing,
     restriction_nonzero,
     transfer_identity_check,
 )
