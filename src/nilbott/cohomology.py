@@ -78,6 +78,11 @@ class ClassOrder:
         return f"finite({self.order})" if self.is_finite else "infinite"
 
 
+#: one shared value per order: ClassOrder is frozen and compares by value,
+#: and a finite order divides the first torsion coefficient of a base's H^2
+_INFINITE = ClassOrder("infinite")
+_FINITE = {1: ClassOrder("finite", 1)}
+
 #: h2_one_relator by (the base's one rule, signs), all it reads
 _H2: dict[tuple, CohomologyResult] = {}
 
@@ -85,14 +90,13 @@ _H2: dict[tuple, CohomologyResult] = {}
 def class_order(base: PcPresentation, signs, k: int) -> ClassOrder:
     """Order of k times the distinguished class in the twisted H^2."""
     require_integer_k(k)
-    key = (base.rule(0, 1) if base.ngens == 2 else None, tuple(signs))
+    key = (base.rule(0, 1) if base.ngens == 2 else None,
+           signs if type(signs) is tuple else tuple(signs))
     h2 = _H2.get(key) or _H2.setdefault(key, h2_one_relator(base, signs))
     if h2.free_rank > 0:
-        return ClassOrder("finite", 1) if k == 0 else ClassOrder("infinite")
-    if not h2.torsion:
-        return ClassOrder("finite", 1)
-    d = h2.torsion[0]
-    return ClassOrder("finite", d // gcd(k, d))
+        return _FINITE[1] if k == 0 else _INFINITE
+    order = h2.torsion[0] // gcd(k, h2.torsion[0]) if h2.torsion else 1
+    return _FINITE.get(order) or _FINITE.setdefault(order, ClassOrder("finite", order))
 
 
 # -- type criteria -----------------------------------------------------------

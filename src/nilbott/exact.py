@@ -65,9 +65,6 @@ class IntMatrix:
             for i in range(self.rows)
         )
 
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and self == IntMatrix.identity(self.rows)
-
 
 def _swap_rows(d, u, i, j):
     d[i], d[j] = d[j], d[i]

@@ -12,17 +12,19 @@ for the fixed points that are returned.  A flat model has diagonal linear
 parts; the models of infinite-type towers (Delta(k), Gamma(k), ...) shear
 each fiber coordinate along the lower ones.
 
-A freeness certificate walks the l1 ball of normal forms by heads
-(e_0, ..., e_{i-1}).  A head whose product shifts a coordinate that every
-later generator fixes pointwise (`coordinate_shifts`) has no fixed point
-anywhere in its subtree, which is counted and skipped at once; a row
-(e_0, ..., e_{n-2}) is ruled out by the same test against the last
-generator.  A level i is settled when x_i itself shifts such a
-coordinate: then every normal form whose first nonzero exponent is at i
-is ruled out, and they are counted in one closed form, with no head of
-them visited.  On the catalogue models every level is settled, as in the
-Seifert construction, so a sample reads each generator's shifts once,
-takes no map product, solves no map and costs O(n) at any word length.
+A freeness certificate reads the representation's shape first.  A level
+i is settled when x_i shifts a coordinate that every later generator
+fixes pointwise (`coordinate_shifts`): then every normal form whose first
+nonzero exponent is at i is ruled out.  When every level is settled, as
+in every model of the Seifert construction, the whole l1 ball of normal
+forms is certified in closed form: a sample reads each generator's shifts
+once, rescales no map, takes no map product, solves no map and costs O(n)
+at any word length.  Otherwise the settled levels before the first
+unsettled one are counted in one step, and the ball is walked from there
+by heads (e_0, ..., e_{i-1}).  A head whose product shifts a coordinate
+that every later generator fixes pointwise has no fixed point anywhere in
+its subtree, which is counted and skipped at once; a row (e_0, ...,
+e_{n-2}) is ruled out by the same test against the last generator.
 """
 
 from __future__ import annotations
@@ -178,9 +180,6 @@ class FlatAffineMap:
             s * point[i] + b + (sum(x * p for x, p in zip(low[i], point)) if low else 0)
             for i, (s, b) in enumerate(zip(self.signs, self.trans))
         )
-
-    def is_identity(self) -> bool:
-        return self.low is None and all(s == 1 for s in self.signs) and not any(self.num)
 
     @classmethod
     def over_one_den(cls, maps) -> list:
@@ -477,21 +476,23 @@ def _power_table(m, bound: int) -> dict:
 
 def _l1_ball(maps: list, power, kept: list, settled: list, budget: int,
              prefix=None, head=()):
-    """Yield (head, product, count) for the heads (e_0, ..., e_{i-1}) with
-    l1 norm at most budget: every ruled-out head with product None and
-    count the normal forms it covers, and every nonidentity normal form
-    (i = len(maps)) that is not ruled out, with its map and count 1.  The
-    normal forms with a map come in lexicographic order.
+    """Yield (head, product, count) for the heads (e_0, ..., e_{i-1}) below
+    the given head with l1 norm at most budget: every ruled-out head with
+    product None and count the normal forms it covers, and every
+    nonidentity normal form (i = len(maps)) that is not ruled out, with its
+    map and count 1.  The normal forms with a map come in lexicographic
+    order.  freeness_sample starts it at the all-zero head of the first
+    unsettled level, with prefix None.
 
     A head is ruled out when its product shifts one of the coordinates
     kept[i] by a nonzero amount; it covers itself and its
     l1_ball_size(n - i, b) nonzero completions, b the budget it leaves.
-    On the all-zero spine, a settled level i (m_i shifts one of
-    kept[i + 1], so m_i^e_i shifts it e_i times as far) is one record with
-    no product taken: the l1_ball_size(n - i, b) - l1_ball_size(n - i - 1,
-    b) normal forms whose first nonzero exponent is at i.  The spine then
-    goes on at i + 1.  power(i, e) is m_i^e; the product is None for an
-    all-zero head."""
+    On the all-zero spine, a settled level i past the start (m_i shifts
+    one of kept[i + 1], so m_i^e_i shifts it e_i times as far) is one
+    record with no product taken: the l1_ball_size(n - i, b) -
+    l1_ball_size(n - i - 1, b) normal forms whose first nonzero exponent
+    is at i.  The spine then goes on at i + 1.  power(i, e) is m_i^e; the
+    product is None for an all-zero head."""
     i, n = len(head), len(maps)
     if prefix is not None and _shifts_one_of(prefix, kept[i]):
         yield head, None, 1 + l1_ball_size(n - i, budget)
@@ -541,39 +542,43 @@ def freeness_sample(p: PcPresentation, rep: list, max_word_len: int) -> Freeness
     """Exact fixed-point status of every nonidentity normal form
     x_0^e_0 ... x_{n-1}^e_{n-1} with sum |e_i| <= max_word_len.
 
-    The vectors are visited in lexicographic order of (e_0, ..., e_{n-1}),
-    each e_i ascending from its most negative value; fixed points are
-    reported in that order.  The walk goes by heads (e_0, ..., e_{i-1})
-    with their prefix product P and the budget b left; a generator's
-    powers are tabulated, over one denominator, the first time the walk
-    needs one of them.
+    The shape of rep is read first, from each generator's shifts
+    (`coordinate_shifts`), once.  Level i is settled when m_i shifts a
+    coordinate c that each of m_{i+1}, ..., m_{n-1} fixes pointwise: m_i^e
+    then shifts c e times as far, and every later factor keeps that shift,
+    so no normal form whose first nonzero exponent is at i has a fixed
+    point.  Those are the l1_ball_size(n - i, L) - l1_ball_size(n - i - 1,
+    L) normal forms of that first exponent, L = max_word_len; at i = n-1
+    that is the all-zero row.  Over the settled levels 0, ..., s-1 before
+    the first unsettled level s the sum telescopes to forms -
+    l1_ball_size(n - s, L), counted in one step.  When every level is
+    settled, as in every model of the Seifert construction (the catalogue
+    and every accepted tower), that is the whole ball: the report is
+    returned at once, with no map rescaled, no product taken and no map
+    solved, at O(n) cost for any max_word_len.
 
-    A head is ruled out with its whole subtree when P shifts a coordinate
-    c by a nonzero amount (`coordinate_shifts`) and each of m_i, ...,
-    m_{n-1} fixes c pointwise: then every completion P Q moves coordinate
-    c of every point by that amount, so none has a fixed point.  It counts
-    itself and its l1_ball_size(n - i, b) nonzero completions as checked.
-    The test is exact for any representation.
+    Otherwise the maps are put over one denominator, which scales each
+    shift by a positive integer and so keeps the shape, and the ball is
+    walked from the head (0, ..., 0) of length s, in lexicographic order
+    of (e_0, ..., e_{n-1}), each e_i ascending from its most negative
+    value; fixed points are reported in that order.  The walk goes by
+    heads (e_0, ..., e_{i-1}) with their prefix product P and the budget b
+    left; a generator's powers are tabulated the first time the walk needs
+    one of them.  A head is ruled out with its whole subtree when P shifts
+    a coordinate c by a nonzero amount and each of m_i, ..., m_{n-1} fixes
+    c pointwise: then every completion P Q moves coordinate c of every
+    point by that amount, so none has a fixed point.  It counts itself and
+    its l1_ball_size(n - i, b) nonzero completions as checked.  The test
+    is exact for any representation.  A settled level after s on the
+    all-zero spine is counted in one step as above and the spine goes on;
+    an unsettled level is walked exponent by exponent, its e_i = 0 subtree
+    between the negative and positive exponents, so fixed points stay in
+    order.  Every other normal form has its map solved by `fixed_point`.
 
-    Each generator's shifts are read once.  Level i is settled when m_i
-    shifts a coordinate that each of m_{i+1}, ..., m_{n-1} fixes
-    pointwise: m_i^e then shifts it e times as far, so every normal form
-    whose first nonzero exponent is at i is ruled out, with no power
-    taken.  On the all-zero spine a settled level is counted in one step,
-    l1_ball_size(n - i, b) - l1_ball_size(n - i - 1, b) normal forms, and
-    the spine goes on at i + 1; at i = n-1 that is the all-zero row, when
-    m_{n-1} shifts any coordinate.  An unsettled level is walked exponent
-    by exponent, its e_i = 0 subtree between the negative and positive
-    exponents, so fixed points stay in order.  On the catalogue models
-    every level is settled, as in the Seifert construction, so a sample
-    reads n shifts, takes no product, solves no map and costs O(n) at any
-    max_word_len.
-
-    Every other normal form has its map solved by `fixed_point`.
-
-    A ball of more than FREENESS_LIMIT normal forms is rejected before any
-    map product is taken, and a representation whose maps differ in
-    dimension is rejected with ValueError.
+    The arguments are checked before any shift is read, in this order:
+    max_word_len at least 1, one map per generator, a ball of at most
+    FREENESS_LIMIT normal forms and maps of one dimension; each failure
+    raises ValueError.
     """
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
@@ -587,6 +592,20 @@ def freeness_sample(p: PcPresentation, rep: list, max_word_len: int) -> Freeness
         )
     _require_one_dimension(rep)
     n = p.ngens
+    # kept[i]: the coordinates that each of m_i, ..., m_{n-1} fixes
+    # pointwise, kept[n] every coordinate; settled[i]: m_i shifts one of
+    # kept[i + 1].  A common denominator scales every shift by a positive
+    # integer, so the maps as given have the same shape
+    shifts = [m.coordinate_shifts() for m in rep]
+    kept = [None] * n + [range(rep[0].dim)]
+    for i in reversed(range(n)):
+        kept[i] = [c for c in kept[i + 1] if shifts[i][c] == 0]
+    settled = [any(shifts[i][c] for c in kept[i + 1]) for i in range(n)]
+    # the settled levels before the first unsettled one, start, cover the
+    # normal forms whose first nonzero exponent is before it
+    start = settled.index(False) if False in settled else n
+    if start == n:
+        return FreenessReport(max_word_len, forms, [])
     maps = type(rep[0]).over_one_den(rep)
     tables = [None] * n
 
@@ -595,17 +614,10 @@ def freeness_sample(p: PcPresentation, rep: list, max_word_len: int) -> Freeness
             tables[i] = _power_table(maps[i], max_word_len)
         return tables[i][e]
 
-    # kept[i]: the coordinates that each of m_i, ..., m_{n-1} fixes
-    # pointwise, kept[n] every coordinate; settled[i]: m_i shifts one of
-    # kept[i + 1]
-    shifts = [m.coordinate_shifts() for m in maps]
-    kept = [None] * n + [range(maps[0].dim)]
-    for i in reversed(range(n)):
-        kept[i] = [c for c in kept[i + 1] if shifts[i][c] == 0]
-    settled = [any(shifts[i][c] for c in kept[i + 1]) for i in range(n)]
-    checked = 0
+    checked = forms - l1_ball_size(n - start, max_word_len)
     fixed = []
-    for head, m, count in _l1_ball(maps, power, kept, settled, max_word_len):
+    for head, m, count in _l1_ball(maps, power, kept, settled, max_word_len,
+                                   head=(0,) * start):
         checked += count
         if m is not None:
             pt = m.fixed_point()

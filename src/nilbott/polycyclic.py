@@ -310,10 +310,6 @@ def nf_str(v: NormalForm, names) -> str:
     return word_str(((i, e) for i, e in enumerate(v) if e), names)
 
 
-def nf_to_word(v: NormalForm) -> Word:
-    return Word(tuple((i, e) for i, e in enumerate(v) if e))
-
-
 def collect(p: PcPresentation, w: Word) -> NormalForm:
     """The normal form in p of the word w, one syllable at a time."""
     out = p.identity()

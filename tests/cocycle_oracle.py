@@ -13,11 +13,10 @@ from nilbott.polycyclic import (
     PcPresentation,
     nf_invert,
     nf_multiply,
-    nf_to_word,
 )
 from nilbott.words import Word, _word_sign
 from conftest import evaluate
-from pc_oracle import pc_presentation
+from pc_oracle import nf_to_word, pc_presentation
 
 
 def fiber_signs(ext: PcPresentation) -> tuple[int, ...]:

@@ -15,7 +15,6 @@ from nilbott.polycyclic import (
     collect,
     nf_multiply,
     nf_power,
-    nf_to_word,
 )
 from nilbott.towers import (
     ExtensionError,
@@ -27,6 +26,7 @@ from nilbott.towers import (
     parse_tower_spec,
 )
 from nilbott.words import Word, gen, parse_word
+from pc_oracle import nf_to_word
 from relator_oracle import Presentation, base_pc, klein_presentation, torus_presentation
 
 CASE_DATA = {

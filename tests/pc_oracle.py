@@ -69,6 +69,11 @@ def pc_presentation(names, conj=None) -> PcPresentation:
     return p
 
 
+def nf_to_word(v) -> Word:
+    """The normal form v as the word x_0^v_0 ... x_{n-1}^v_{n-1}."""
+    return Word(tuple((i, e) for i, e in enumerate(v) if e))
+
+
 def from_rule_text(names, rules) -> PcPresentation:
     """pc_presentation with each rule given as text, e.g.
     from_rule_text(("g", "h"), {(0, 1): "h^-1"})."""

@@ -6,9 +6,8 @@ each derived inverse rule undoes its positive rule.  The engine decides
 the same question with O(m^3) per-level rule checks.
 """
 
-from nilbott.polycyclic import nf_to_word
 from nilbott.words import gen
-from pc_oracle import ConsistencyResult
+from pc_oracle import ConsistencyResult, nf_to_word
 
 
 def check(p) -> ConsistencyResult:

@@ -28,10 +28,10 @@ import cocycle_oracle
 import relator_oracle as oracle
 from cocycle_oracle import Cocycle, fiber_signs
 from nilbott.catalogue import catalogue_pc
-from nilbott.polycyclic import nf_invert, nf_multiply, nf_to_word, relation_rows, twist_signs
+from nilbott.polycyclic import nf_invert, nf_multiply, relation_rows, twist_signs
 from nilbott.towers import ExtensionError, _low_stages, build_extension, build_tower_groups
 from nilbott.words import _word_sign, gen, parse_word
-from pc_oracle import pc_presentation
+from pc_oracle import nf_to_word, pc_presentation
 from relator_oracle import (
     TwistMap,
     fox_augmented,

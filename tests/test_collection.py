@@ -9,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import linear_collector as oracle
 from conftest import CENTRAL4, DEPTH4, PATTERNS, collected, deep_specs
-from pc_oracle import check, pc_presentation
+from pc_oracle import check, nf_to_word, pc_presentation
 from nilbott.catalogue import catalogue_pc
 from nilbott.polycyclic import (
     nf_invert,
     nf_multiply,
     nf_power,
-    nf_to_word,
     verify_isomorphism,
 )
 from nilbott.towers import (

@@ -14,7 +14,7 @@ import pc_oracle
 import signed_triples as oracle
 from conftest import PATTERNS, deep_specs
 from nilbott import polycyclic, towers
-from nilbott.polycyclic import PcPresentation, nf_to_word
+from nilbott.polycyclic import PcPresentation
 from nilbott.towers import (
     ExtensionError,
     Stage,
@@ -23,6 +23,7 @@ from nilbott.towers import (
     build_tower_groups,
 )
 from nilbott.words import Word, gen
+from pc_oracle import nf_to_word
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import make_pass  # noqa: E402

@@ -3,11 +3,13 @@ on the non-free representations, the Fraction-matrix kernel), on the
 catalogue, on random triangular representations and on representations
 built so that whole subtrees and rows are ruled out, or an unsettled level
 sits above a settled one, and on the nil oracle's maps, which claim no
-shifted coordinate; its cost, which on the catalogue is one read of each
-generator's shifts and no map product or fixed-point solve at any word
-length, since every nonidentity normal form, the all-zero row's included,
-is ruled out from one generator and counted level by level in closed
-form; and rep_evaluate on normal forms, at huge twisting integers too."""
+shifted coordinate; the walk's start at the first unsettled level, after
+the settled levels before it are counted in one step; its cost, which on
+the catalogue and on every Seifert model is one read of each generator's
+shifts and no map product, rescaling, power table or fixed-point solve at
+any word length, since every level is settled and the whole ball is
+counted in closed form; the order of its argument checks; and
+rep_evaluate on normal forms, at huge twisting integers too."""
 
 import random
 import time
@@ -18,13 +20,14 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import diagonal
+from conftest import deep_specs, diagonal
 from fraction_fixed_points import MatrixMap
 from heis_oracle import TAU, GaussRat, HeisAffineMap, HeisAut, HeisPoint
 from letterwise_freeness import evaluate as letterwise_evaluate
 from letterwise_freeness import freeness_sample as letterwise_sample
 from pc_oracle import from_rule_text, pc_presentation
 
+from nilbott import geometry
 from nilbott.catalogue import catalogue_pc
 from nilbott.exact import IntMatrix
 from nilbott.geometry import (
@@ -33,9 +36,11 @@ from nilbott.geometry import (
     freeness_sample,
     l1_ball_size,
     rep_evaluate,
+    seifert_model,
     verify_relations_in_rep,
 )
-from nilbott.polycyclic import collect, cyclic_pc
+from nilbott.polycyclic import ExtensionError, collect, cyclic_pc
+from nilbott.towers import build_tower_groups
 from nilbott.words import Word
 
 CATALOGUE = [
@@ -182,8 +187,9 @@ def test_freeness_rejects_huge_balls_up_front():
 
 class CountedMap:
     """A map that counts the products taken through it, in counter[0], its
-    fixed-point solves, in counter[1], and the reads of its coordinate
-    shifts, in counter[2]."""
+    fixed-point solves, in counter[1], the reads of its coordinate shifts,
+    in counter[2], and the rescalings of its representation to one
+    denominator, in counter[3]."""
 
     def __init__(self, m, counter):
         self.m, self.counter = m, counter
@@ -194,6 +200,7 @@ class CountedMap:
 
     @staticmethod
     def over_one_den(maps):
+        maps[0].counter[3] += 1
         inner = type(maps[0].m).over_one_den([c.m for c in maps])
         return [CountedMap(m, c.counter) for m, c in zip(inner, maps)]
 
@@ -213,26 +220,144 @@ class CountedMap:
         return self.m.fixed_point()
 
 
+@pytest.fixture
+def power_tables(monkeypatch):
+    """The number of power tables freeness_sample builds, in a one-item
+    list."""
+    built = [0]
+    table = geometry._power_table
+
+    def counted(m, bound):
+        built[0] += 1
+        return table(m, bound)
+
+    monkeypatch.setattr(geometry, "_power_table", counted)
+    return built
+
+
+def assert_closed_form(p, maps, max_word_len, power_tables):
+    """An all-settled sample is free and covers the whole ball, from one
+    read of each generator's shifts: no product, no solve, no common
+    denominator and no power table."""
+    counter = [0, 0, 0, 0]
+    report = freeness_sample(p, [CountedMap(m, counter) for m in maps], max_word_len)
+    assert report.is_free_sample
+    assert report.words_checked == ball_size(p.ngens, max_word_len)
+    assert counter == [0, 0, p.ngens, 0]
+    assert power_tables == [0]
+    return report
+
+
 @pytest.mark.parametrize("label, k", CATALOGUE)
-def test_one_product_per_normal_form(label, k):
+def test_one_product_per_normal_form(label, k, power_tables):
     # a free catalogue sample takes no product at all and solves no map:
     # x_i shifts coordinate i by a nonzero amount that no later generator
-    # touches, so every normal form whose first nonzero exponent is at i is
-    # ruled out from m_i alone, and counted in closed form, before any
-    # power of it is tabulated.  At i = n-1 that is the all-zero row.  So a
-    # sample reads each generator's shifts once and costs O(n) at any word
-    # length, the largest ball the limit accepts included
+    # touches, so every level is settled and every normal form whose first
+    # nonzero exponent is at i is ruled out from m_i alone.  At i = n-1
+    # that is the all-zero row.  The shape alone certifies the ball: a
+    # sample reads each generator's shifts once, rescales no map, builds no
+    # power table and costs O(n) at any word length, the largest ball the
+    # limit accepts included
     p = catalogue_pc(label, k)
     for max_word_len in (90, 6):
-        counter = [0, 0, 0]
-        rep = [CountedMap(m, counter) for m in catalogue_representation(label, k)]
-        report = freeness_sample(p, rep, max_word_len)
-        assert report.is_free_sample
-        assert report.words_checked == ball_size(p.ngens, max_word_len)
-        assert counter == [0, 0, p.ngens]
+        report = assert_closed_form(p, catalogue_representation(label, k), max_word_len,
+                                    power_tables)
+    counter = [0, 0, 0, 0]
+    rep = [CountedMap(m, counter) for m in catalogue_representation(label, k)]
     # the letter-by-letter walk takes about five products per normal form
     letterwise_sample(p, rep, max_word_len)
     assert counter[0] > 2 * report.words_checked
+
+
+def test_deep_seifert_models_are_certified_in_closed_form(power_tables):
+    # the model of every accepted deep tower is settled at every level, by
+    # the Seifert construction, so its sample is the closed form too
+    depths = []
+    for spec in deep_specs():
+        try:
+            p = build_tower_groups(spec)[-1]
+        except (ExtensionError, ValueError):
+            continue
+        model = seifert_model(p)
+        for max_word_len in (1, 5):
+            assert_closed_form(p, model, max_word_len, power_tables)
+        depths.append(p.ngens)
+    assert len(depths) >= 20 and set(depths) == {4, 5}, depths
+
+
+def _settled_prefix():
+    """Two settled levels, x0 and x1 translating coordinates 0 and 1 that
+    every later generator fixes pointwise, then two unsettled ones: x2 and
+    x3 reflect coordinate 2 about 0 and about 1/2, so their odd products
+    fix a point."""
+    return [
+        FlatAffineMap.translation((1, 0, 0)),
+        FlatAffineMap.translation((0, Fraction(1, 2), 0)),
+        FlatAffineMap(diagonal([1, 1, -1]), (0, 0, 0)),
+        FlatAffineMap(diagonal([1, 1, -1]), (0, 0, 1)),
+    ]
+
+
+def _unsettled_first():
+    """An unsettled level 0, a half turn of the plane, above two settled
+    levels, the unit translations along coordinates 0 and 1; the half turn
+    has a fixed point at every odd power."""
+    return [
+        FlatAffineMap(diagonal([-1, -1]), (Fraction(1, 3), 0)),
+        FlatAffineMap.translation((1, 0)),
+        FlatAffineMap.translation((0, 1)),
+    ]
+
+
+def _settled_between():
+    """A settled level 0, then an unsettled level 1 whose every power fixes
+    a point (a reflection, of order 2), then a settled level 2: the walk
+    starts at head (0,), and level 2 is ruled out inside its e_1 subtrees."""
+    return [
+        FlatAffineMap.translation((1, 0, 0)),
+        FlatAffineMap(diagonal([1, -1, 1]), (0, Fraction(1, 3), 0)),
+        FlatAffineMap.translation((0, 0, 2)),
+    ]
+
+
+@pytest.mark.parametrize("make, start", [(_settled_prefix, 2), (_unsettled_first, 0),
+                                         (_settled_between, 1)])
+@pytest.mark.parametrize("max_word_len", [1, 2, 5])
+def test_walk_starts_at_the_first_unsettled_level(make, start, max_word_len, power_tables):
+    # the settled levels below the first unsettled one are counted in one
+    # step; the walk starts there, rescales the maps once and matches the
+    # letterwise oracle in words_checked and in the ordered fixed points
+    maps = make()
+    p = pc_presentation(tuple(f"x{i}" for i in range(len(maps))))
+    counter = [0, 0, 0, 0]
+    counted = freeness_sample(p, [CountedMap(m, counter) for m in maps], max_word_len)
+    assert counter[3] == 1
+    # only the generators from the start on are ever raised to a power
+    assert 0 < power_tables[0] <= len(maps) - start
+    report = assert_matches_oracle(p, maps, max_word_len)
+    assert report.fixed_points
+    assert counted.words_checked == report.words_checked
+    assert [v for v, _ in counted.fixed_points] == [v for v, _ in report.fixed_points]
+    assert all(not any(v[:start]) for v, _ in report.fixed_points)
+
+
+def test_freeness_errors_come_before_any_shift_is_read():
+    # the argument checks run in a fixed order, and all of them before the
+    # shape of the representation is read
+    p = catalogue_pc("B1")
+    flat = catalogue_representation("B1")
+    wide = flat[:2] + [FlatAffineMap.translation((0, 0, 0, 1))]
+    cases = [
+        (flat[:2], 0, "max_word_len must be at least 1"),
+        (flat[:2], 10**12, "need one map per generator"),
+        (wide, 10**12, "above the limit of 1000000"),
+        (wide, 2, "a representation must be maps of one dimension"),
+    ]
+    for maps, max_word_len, match in cases:
+        counter = [0, 0, 0, 0]
+        with pytest.raises(ValueError, match=match):
+            freeness_sample(p, [CountedMap(m, counter) for m in maps], max_word_len)
+        assert counter == [0, 0, 0, 0]
 
 
 # -- the row walk against the letterwise oracle on random representations ------

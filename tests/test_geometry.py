@@ -183,7 +183,7 @@ def test_catalogue_representations_satisfy_relations():
 def test_delta_zero_is_translations():
     rep = catalogue_representation("Delta", 0)
     assert all(isinstance(m, FlatAffineMap) for m in rep)
-    assert all(m.lin.is_identity() for m in rep)
+    assert all(m.lin == IntMatrix.identity(m.dim) for m in rep)
     for m in rep:
         for m2 in rep:
             assert m * m2 == m2 * m

@@ -23,9 +23,10 @@ from conftest import (
     relator_verify_isomorphism,
 )
 from nilbott.catalogue import FLAT_LABELS, catalogue_pc
-from nilbott.polycyclic import collect, nf_to_word, verify_homomorphism, verify_isomorphism
+from nilbott.polycyclic import collect, verify_homomorphism, verify_isomorphism
 from nilbott.towers import TowerSpec, build_tower_groups, classify_tower, parse_tower_spec
 from nilbott.words import gen, parse_word
+from pc_oracle import nf_to_word
 
 
 def _witnesses(ks):
