@@ -1,20 +1,22 @@
-"""Twisted second cohomology of the torus and Klein bottle groups, read
-off the twisted Fox row of their pc presentation's one rule; class
-orders, and the restriction and transfer criteria, products of normal
-forms in the extension, that decide finite versus infinite type.  A
-base twist is a tuple of signs, checked by polycyclic.twist_signs.
+"""Twisted second cohomology of the torus and Klein bottle groups, and
+the order of the extension class of any stage of a tower, both read off
+the Smith form of the base's twisted Fox rows, the tail coboundary; the
+restriction and transfer criteria, products of normal forms in the
+extension, that the paper suite checks against the class order.  A base
+twist is a tuple of signs, checked by polycyclic.twist_signs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
-from .exact import smith_normal_form, IntMatrix
 from .polycyclic import (
     PcPresentation,
+    _coboundary,
     build_extension,
-    relation_rows,
+    lift_count,
     require_integer_k,
     twist_signs,
 )
@@ -29,12 +31,9 @@ class CohomologyResult:
     torsion: tuple[int, ...]
     generator_image: int = 1
 
-    def describe(self) -> str:
+    def __str__(self):
         parts = ["Z"] * self.free_rank + [f"Z_{t}" for t in self.torsion]
         return " + ".join(parts) if parts else "0"
-
-    def __str__(self):
-        return self.describe()
 
 
 def base_kind(base: PcPresentation) -> str:
@@ -50,19 +49,12 @@ def base_kind(base: PcPresentation) -> str:
 
 def h2_one_relator(base: PcPresentation, signs) -> CohomologyResult:
     """H^2 with sign-twisted integer coefficients of the torus or Klein
-    bottle group, read off its pc presentation by tails (Eick & Nickel,
-    J. Algebra 320, 2008).  The one rule g h g^-1 = w gives the one
-    relator g h g^-1 w^-1 and no rule triples, so the tail coboundary is
-    its twisted Fox row, read off the normal form w (relation_rows), and
-    H^2 is its cokernel.
-    """
+    bottle group by tails (Eick & Nickel, J. Algebra 320, 2008): its one
+    rule has no rule triples, so every tail is a cocycle and H^2 is the
+    cokernel of the tail coboundary, read off _coboundary."""
     base_kind(base)
-    signs = twist_signs(base, signs)
-    d, _, _ = smith_normal_form(IntMatrix(relation_rows(base, signs)))
-    nonzero = [x for x in d if x != 0]
-    free_rank = 1 - len(nonzero)
-    torsion = tuple(x for x in nonzero if x > 1)
-    return CohomologyResult(free_rank, torsion)
+    smith = _coboundary(base, signs)
+    return CohomologyResult(sum(1 for _, d in smith if not d), tuple(d for _, d in smith if d))
 
 
 @dataclass(frozen=True)
@@ -79,23 +71,37 @@ class ClassOrder:
 
 
 #: one shared value per order: ClassOrder is frozen and compares by value,
-#: and a finite order divides the first torsion coefficient of a base's H^2
+#: and a finite order divides the last nonzero diagonal entry of the
+#: Smith form of a base's tail coboundary
 _INFINITE = ClassOrder("infinite")
 _FINITE = {1: ClassOrder("finite", 1)}
 
-#: h2_one_relator by (the base's one rule, signs), all it reads
-_H2: dict[tuple, CohomologyResult] = {}
 
-
-def class_order(base: PcPresentation, signs, k: int) -> ClassOrder:
-    """Order of k times the distinguished class in the twisted H^2."""
-    require_integer_k(k)
-    key = (base.rule(0, 1) if base.ngens == 2 else None,
-           signs if type(signs) is tuple else tuple(signs))
-    h2 = _H2.get(key) or _H2.setdefault(key, h2_one_relator(base, signs))
-    if h2.free_rank > 0:
-        return _FINITE[1] if k == 0 else _INFINITE
-    order = h2.torsion[0] // gcd(k, h2.torsion[0]) if h2.torsion else 1
+def class_order(base: PcPresentation, signs, lifts) -> ClassOrder:
+    """Order of the extension class of the stage over base with the twist
+    signs and lifts, one per rule in positive_rules order as
+    build_extension takes them: any stage of any depth, its lifts taken
+    to be a cocycle.  By tails (Nickel, DIMACS Ser. 25, 1996; Eick &
+    Nickel 2008): _extend writes each rule as x_i x_j x_i^-1 = z^k w, so
+    the lifts t are the tails of the relators x_i x_j x_i^-1 w^-1, and a
+    change of section x_s -> x_s z^(c_s) moves them by R c.  So the order
+    is that of t in Z^rules / im R: with y = U t, infinite if y_i != 0
+    for some d_i = 0, else lcm(d_i / gcd(d_i, y_i)).
+    """
+    try:
+        smith = base._coboundaries[signs]
+    except (KeyError, TypeError):
+        smith = _coboundary(base, signs)
+    lifts = lift_count(base, lifts)
+    for x in lifts:
+        require_integer_k(x)
+    order = 1
+    for row, d in smith:
+        y = sum(map(mul, row, lifts))
+        if d:
+            order = lcm(order, d // gcd(d, y))
+        elif y:
+            return _INFINITE
     return _FINITE.get(order) or _FINITE.setdefault(order, ClassOrder("finite", order))
 
 
@@ -104,20 +110,16 @@ def class_order(base: PcPresentation, signs, k: int) -> ClassOrder:
 
 def restriction_nonzero(ext: PcPresentation) -> bool:
     """True iff the restriction of the extension class to the translation
-    lattice of the base is nonzero, i.e. the commutator of some pair of
-    lattice generators is a nonzero fiber power.  The lattice is generated
-    by the squares of the holonomy-carrying base generators (those that are
-    not central: they twist the fiber or act on a later base generator)
+    lattice of the base is nonzero: the paper suite's independent check of
+    class_order, which classification does not call.  The lattice is
+    generated by the squares of the base generators that are not central
     and the others unsquared.  For i < j the commutator
-    [x_i^a, x_j^b] = (x_i^a x_j^b x_i^-a) x_j^-b is one conjugation, read
-    off the cached squares of the level-i rules, and one product collected
-    at level i + 1; ValueError if one does not land in the fiber.  Decides
-    infinite type."""
+    [x_i^a, x_j^b] = (x_i^a x_j^b x_i^-a) x_j^-b is one conjugation, off
+    the cached squares of the level-i rules, and one product at level
+    i + 1; ValueError if one leaves the fiber, as above an infinite stage."""
     fiber = ext.ngens - 1
     powers = [1 if ext._central[i] else 2 for i in range(fiber)]
-    # every pair is paired before any() reads them, so a lattice that does
-    # not commute in the base is refused rather than passed over
-    pairings = []
+    nonzero = False
     for i, a in enumerate(powers):
         for j in range(i + 1, fiber):
             b = powers[j]
@@ -127,8 +129,8 @@ def restriction_nonzero(ext: PcPresentation) -> bool:
                     f"lattice generators {ext.nf_str(ext._unit(i, a))} and "
                     f"{ext.nf_str(ext._unit(j, b))} do not commute in the base"
                 )
-            pairings.append(comm[fiber])
-    return any(pairings)
+            nonzero = nonzero or comm[fiber] != 0
+    return nonzero
 
 
 #: generators of the index-2 subgroup on which each nontrivial twist is
@@ -165,12 +167,8 @@ def transfer_identity_check(base: PcPresentation, signs, k: int) -> bool:
     u, v = u + (0,), v + (0,)
     last = v if sub_kind == "klein" else ext._invert(v)
     relator = ext._mult(ext._mult(ext._mult(u, v), ext._invert(u)), last)
-    k_restricted = relator[-1]
-    if sub_kind == "torus":
-        vanishes = k_restricted == 0
-    else:
-        vanishes = k_restricted % 2 == 0
-    if not vanishes:
+    # the restriction lies in Z on a torus and in Z/2 on a Klein bottle
+    restricted = relator[-1] % 2 if sub_kind == "klein" else relator[-1]
+    if restricted:
         return True  # restriction nonzero: the identity imposes nothing
-    doubled = class_order(base, signs, 2 * k)
-    return doubled.is_finite and doubled.order == 1
+    return class_order(base, signs, (2 * k,)).order == 1

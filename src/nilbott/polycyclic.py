@@ -49,6 +49,7 @@ formatted only when read.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import add
 
 from .exact import smith_normal_form, IntMatrix
@@ -111,6 +112,7 @@ class PcPresentation:
         p._squares: dict[tuple[int, int], list] = {(m - 1, 1): [[]], (m - 1, -1): [[]]}
         p._involutions: dict[int, bool] = {}  # see _involution
         p._twists: dict[tuple, tuple] = {}  # accepted twists, see twist_signs
+        p._coboundaries: dict[tuple, tuple] = {}  # see _coboundary
         p._central = [True] * m  # x_i commutes with every later generator
         p._abelian = [True] * m  # <x_i, ..., x_{m-1}> is abelian
         return p
@@ -329,7 +331,7 @@ def _normal_form(p: PcPresentation, v) -> NormalForm:
 
 def require_integer_k(k) -> None:
     """Raise ValueError unless k is an int (and not a bool)."""
-    if isinstance(k, bool) or not isinstance(k, int):
+    if type(k) is not int and (isinstance(k, bool) or not isinstance(k, int)):
         raise ValueError("k must be an integer")
 
 
@@ -374,7 +376,7 @@ def twist_signs(p: PcPresentation, signs) -> tuple[int, ...]:
 def lift_count(base: PcPresentation, lifts) -> list:
     """lifts as a list, ValueError unless it has one lift per base
     conjugation rule.  The lifts' types are the caller's to check."""
-    need = base.ngens * (base.ngens - 1) // 2
+    need = base._m * (base._m - 1) // 2
     lifts = list(lifts)
     if len(lifts) != need:
         raise ValueError(f"need {need} lift integers, got {len(lifts)}")
@@ -466,7 +468,9 @@ def _pc_map(src, dst: PcPresentation, images) -> list[NormalForm]:
 
 def verify_homomorphism(src: PcPresentation, dst: PcPresentation, images) -> bool:
     """True iff the generator map src -> dst respects every defining rule
-    of src; images are normal forms of dst, one per src generator."""
+    of src; images are normal forms of dst, one per src generator.  No
+    engine path calls it (verify_isomorphism runs the same rule check):
+    it is library API, documented in the README."""
     return _broken_rule(src, dst, _pc_map(src, dst, images), 0, src.ngens) is None
 
 
@@ -513,14 +517,30 @@ def relation_rows(p: PcPresentation, signs=None) -> list[list[int]]:
     return rows
 
 
+def _coboundary(p: PcPresentation, signs) -> tuple:
+    """The tail coboundary R = relation_rows(p, signs) as (row i of U, d_i)
+    for each d_i != 1, U R V = D its Smith form, d_i = 0 past D's
+    diagonal; kept on p by twist, and found by the rows (_smith_rows) for
+    a group built anew, as a tower's stage groups are for each tower."""
+    signs = twist_signs(p, signs)
+    rows = tuple(map(tuple, relation_rows(p, signs)))
+    p._coboundaries[signs] = smith = _smith_rows(rows) if rows else ()
+    return smith
+
+
+@lru_cache(maxsize=1024)
+def _smith_rows(rows: tuple) -> tuple:
+    d, u, _ = smith_normal_form(IntMatrix(rows))
+    return tuple((row, x) for row, x in zip(u.entries, d + [0] * len(rows)) if x != 1)
+
+
 def pc_abelianization(p: PcPresentation) -> tuple[int, list[int]]:
-    """(free rank, invariant factors > 1) of p's abelianization."""
-    rows = relation_rows(p)
-    if not rows:
-        return p.ngens, []
-    d, _, _ = smith_normal_form(IntMatrix(rows))
-    nonzero = [x for x in d if x != 0]
-    return p.ngens - len(nonzero), [x for x in nonzero if x > 1]
+    """(free rank, invariant factors > 1) of p's abelianization, the
+    cokernel of its untwisted Fox rows R; the rank of R is the number of
+    rules less the zeros of its Smith form."""
+    m = p.ngens
+    d = [x for _, x in _coboundary(p, (1,) * m)]
+    return m - m * (m - 1) // 2 + d.count(0), [x for x in d if x]
 
 
 def center(p: PcPresentation) -> list[NormalForm]:

@@ -11,7 +11,7 @@ from functools import cache, cached_property
 from .catalogue import (
     BASES, CASES, EXT, base_identification, case_swap_maps, nil_family, reduction_maps
 )
-from .cohomology import class_order, restriction_nonzero
+from .cohomology import class_order
 from .polycyclic import (  # noqa: F401  (ExtensionError is re-exported)
     ExtensionError,
     PcPresentation,
@@ -191,10 +191,10 @@ def format_tower_spec(spec: TowerSpec) -> str:
 
 
 def _validate_dims(spec: TowerSpec):
-    dims = [s.dim for s in spec.stages]
-    if dims != list(range(1, len(dims) + 1)):
-        raise ValueError("stages must have dimensions 1, 2, ... in order")
-    if not dims:
+    for dim, stage in enumerate(spec.stages, 1):
+        if stage.dim != dim:
+            raise ValueError("stages must have dimensions 1, 2, ... in order")
+    if not spec.stages:
         raise ValueError("empty tower")
 
 
@@ -278,10 +278,11 @@ def _low_groups(spec: TowerSpec) -> list[PcPresentation]:
     1), after the checks that come before any stage above: the dims, the
     bound of every twisting integer and stage 2's twist of the circle."""
     _validate_dims(spec)
+    depth = len(spec.stages)
     for stage in spec.stages:
         for x in stage.lifts:
-            _check_lift(stage.dim, x, spec.depth >= 4)
-    if spec.depth == 1:
+            _check_lift(stage.dim, x, depth >= 4)
+    if depth == 1:
         return [_CIRCLE]
     signs, _ = _stage_args(spec.stages[1], _CIRCLE)
     return list(_low_stages(signs))
@@ -365,24 +366,25 @@ def classify_tower(spec: TowerSpec) -> ClassificationVerdict:
     are the extension under the names of nil_family, with identity maps,
     checked once per case (_nil_family_holds).  A failed family check
     raises VerificationError on every verdict of the family.  Deeper
-    towers get the type decision only (restriction criterion) with label
-    'unclassified'.
+    towers get the type decision only, with label 'unclassified'.  At
+    every depth the type is read off class_order of each stage from 3
+    up: infinite iff some stage's class has infinite order.
     """
-    groups = _low_groups(spec) if len(spec.stages) == 3 else build_tower_groups(spec)
-    depth = spec.depth
+    depth = len(spec.stages)  # spec.depth, once either call has checked the dims
+    groups = _low_groups(spec) if depth == 3 else build_tower_groups(spec)
     if depth == 1:
         return ClassificationVerdict("S1", "finite")
     kind = "klein" if spec.stages[1].phi[0] == -1 else "torus"
     if depth == 2:
         return ClassificationVerdict(BASES[kind], "finite")
 
+    if depth == 3:
+        signs, (k,) = _stage_args(spec.stages[2], groups[1])
+    finite = True
+    for g, st in zip(groups[1:], spec.stages[2:]):
+        finite = finite and class_order(g, st.phi, st.lifts).is_finite
     if depth > 3:
-        finite = class_order(groups[1], spec.stages[2].phi, spec.stages[2].lifts[0]).is_finite
-        finite = finite and not any(restriction_nonzero(g) for g in groups[3:])
         return ClassificationVerdict("unclassified", "finite" if finite else "infinite")
-
-    signs, (k,) = _stage_args(spec.stages[2], groups[1])
-    finite = class_order(groups[1], signs, k).is_finite
     if finite:
         family = _family(kind, signs, k % 2)
         case, label, names, holds = family.case, family.label, family.target.names, family.holds

@@ -138,8 +138,8 @@ def deep_specs(count=400, seed="classify-deep"):
     """Seeded depth-4 and depth-5 towers (one in four of depth 5): a random
     sign pattern with k in [-3, 3] below, then random stage signs and lifts
     that are 0 with probability 0.7, else +-1.  Many are rejected; most
-    accepted ones have a finite depth-3 prefix, where the restriction
-    criterion alone decides the type."""
+    accepted ones have a finite depth-3 prefix, so that the deeper stages'
+    class orders decide the type."""
     rng = random.Random(seed)
     specs = []
     for n in range(count):
@@ -153,6 +153,30 @@ def deep_specs(count=400, seed="classify-deep"):
             )
             stages.append(Stage(dim, phi, lifts))
         specs.append(TowerSpec(tuple(stages)))
+    return specs
+
+
+def wide_lift_specs(count=400, seed=5):
+    """Seeded depth-4 and depth-5 towers that build, with every lift in
+    [-3, 3] and the depth-3 k in [-4, 4]: count of them, drawn until
+    that many are accepted.  Unlike deep_specs, whose lifts are 0 and
+    +-1, they tell a lift from the lift times the fiber sign of its
+    rule."""
+    rng = random.Random(seed)
+    specs = []
+    while len(specs) < count:
+        base, signs = rng.choice(PATTERNS)
+        stages = list(TowerSpec.depth3(base, signs, rng.randint(-4, 4)).stages)
+        for dim in range(4, rng.choice((4, 5)) + 1):
+            phi = tuple(rng.choice((1, -1)) for _ in range(dim - 1))
+            lifts = tuple(rng.randint(-3, 3) for _ in range((dim - 1) * (dim - 2) // 2))
+            stages.append(Stage(dim, phi, lifts))
+        spec = TowerSpec(tuple(stages))
+        try:
+            towers.build_tower_groups(spec)
+        except (ExtensionError, ValueError):
+            continue
+        specs.append(spec)
     return specs
 
 

@@ -57,7 +57,7 @@ def assembled_verdict(spec):
     _, base, ext = build_tower_groups(spec)
     kind = "klein" if spec.stages[1].phi == (-1,) else "torus"
     signs, (k,) = spec.stages[2].phi, spec.stages[2].lifts
-    finite = class_order(base, signs, k).is_finite
+    finite = class_order(base, signs, (k,)).is_finite
     if finite:
         family = towers._family(kind, signs, k % 2)
         case, label, target = family.case, family.label, family.target

@@ -146,7 +146,7 @@ def test_criterion_4_type_dichotomy():
     for case in sorted(CASE_DATA):
         base, signs = base_group(case), CASE_DATA[case][1]
         for k in range(-5, 6):
-            infinite_by_order = not class_order(base, signs, k).is_finite
+            infinite_by_order = not class_order(base, signs, (k,)).is_finite
             infinite_by_restriction = restriction_nonzero(case_extension(case, k))
             assert infinite_by_order == infinite_by_restriction, (case, k)
             assert infinite_by_order == (case in (3, 5) and k != 0), (case, k)

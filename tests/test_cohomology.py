@@ -89,15 +89,17 @@ def test_pc_h2_matches_relator_oracle():
                 phi = TwistMap(pres, signs)
                 assert h2_one_relator(base, signs) == oracle.h2_one_relator(pres, phi)
                 for k in ORACLE_KS:
-                    assert class_order(base, signs, k) == oracle.class_order(pres, phi, k)
+                    assert class_order(base, signs, (k,)) == oracle.class_order(pres, phi, k)
 
 
-BAD_BASE_INPUTS = [
+BAD_SIGNS = [
     pytest.param(catalogue_pc("K"), (1,), id="K-one-sign"),
     pytest.param(catalogue_pc("K"), (1, 1, 1), id="K-three-signs"),
     pytest.param(catalogue_pc("K"), (1, 2), id="K-sign-2"),
     pytest.param(catalogue_pc("K"), (0, -1), id="K-sign-0"),
     pytest.param(catalogue_pc("T2"), (-2, 1), id="T2-sign-minus-2"),
+]
+BAD_BASE_INPUTS = BAD_SIGNS + [
     pytest.param(catalogue_pc("S1"), (1,), id="S1"),
     pytest.param(catalogue_pc("T3"), (1, 1, 1), id="T3"),
     pytest.param(catalogue_pc("B1"), (1, -1, 1), id="B1"),
@@ -112,20 +114,36 @@ def test_base_inputs_checked(base, signs):
     with pytest.raises(ValueError):
         h2_one_relator(base, signs)
     with pytest.raises(ValueError):
-        class_order(base, signs, 1)
-    with pytest.raises(ValueError):
         transfer_identity_check(base, signs, 1)
+
+
+@pytest.mark.parametrize("base, signs", BAD_SIGNS)
+def test_class_order_checks_its_twist(base, signs):
+    with pytest.raises(ValueError):
+        class_order(base, signs, [1] * (base.ngens * (base.ngens - 1) // 2))
+
+
+def test_class_order_takes_any_base():
+    # one lift per rule of any base, in positive_rules order; a wrong
+    # count is an error, never read as a shorter or padded vector
+    T3 = catalogue_pc("T3")
+    assert class_order(T3, (1, 1, 1), (1, 0, 0)).kind == "infinite"
+    assert class_order(T3, (1, 1, 1), (0, 0, 0)).order == 1
+    assert class_order(catalogue_pc("S1"), (1,), ()).order == 1
+    for lifts in ((), (1, 0)):
+        with pytest.raises(ValueError, match="^need 1 lift integers"):
+            class_order(catalogue_pc("K"), (1, 1), lifts)
 
 
 def test_class_order_examples():
     K, T = catalogue_pc("K"), catalogue_pc("T2")
-    co = class_order(K, (1, -1), 2)
+    co = class_order(K, (1, -1), (2,))
     assert co.is_finite and co.order == 1  # the doubled class vanishes
-    co = class_order(K, (1, 1), 0)
+    co = class_order(K, (1, 1), (0,))
     assert co.is_finite and co.order == 1
-    assert class_order(T, (1, 1), 4).kind == "infinite"
-    assert class_order(K, (-1, 1), 3).kind == "infinite"
-    co = class_order(K, (-1, -1), 3)
+    assert class_order(T, (1, 1), (4,)).kind == "infinite"
+    assert class_order(K, (-1, 1), (3,)).kind == "infinite"
+    co = class_order(K, (-1, -1), (3,))
     assert co.is_finite and co.order == 2
 
 
@@ -143,7 +161,7 @@ def test_class_order_matches_complement_search():
                 if relator_images_if_homomorphism(pres, ext, images) is not None:
                     found = True
                     break
-            co = class_order(base_group(case), signs, k)
+            co = class_order(base_group(case), signs, (k,))
             assert found == (co.is_finite and co.order == 1), (case, k)
 
 
@@ -406,7 +424,7 @@ def _transfer_by_words(base, signs, k):
     vanishes = restricted % 2 == 0 if kind == "klein" else restricted == 0
     if not vanishes:
         return False, True
-    doubled = class_order(base, signs, 2 * k)
+    doubled = class_order(base, signs, (2 * k,))
     return True, doubled.is_finite and doubled.order == 1
 
 

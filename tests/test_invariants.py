@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from conftest import (
     case_extension,
     central_words,
     commutator_fiber_index,
+    deep_specs,
     diagonal,
     echelon,
     in_span,
@@ -14,6 +17,7 @@ from conftest import (
 from flat_catalogue_oracle import holonomy
 
 from nilbott.catalogue import catalogue_pc
+from nilbott.exact import IntMatrix, rank, smith_normal_form
 from nilbott.geometry import catalogue_representation
 from nilbott.invariants import (
     betti_numbers,
@@ -21,8 +25,8 @@ from nilbott.invariants import (
     halperin_carlsson_check,
     homological_injectivity_check,
 )
-from nilbott.polycyclic import center, collect, nf_multiply, pc_abelianization
-from nilbott.towers import TowerSpec, classify_tower
+from nilbott.polycyclic import center, collect, nf_multiply, pc_abelianization, relation_rows
+from nilbott.towers import ExtensionError, TowerSpec, build_tower_groups, classify_tower
 
 
 FINITE_LABELS = ("B1", "B2", "B3", "B4", "G2", "T3")
@@ -113,6 +117,39 @@ def test_homological_injectivity():
     # Delta(2)'s centre <c> maps to torsion in H_1
     delta = catalogue_pc("Delta", 2)
     assert not homological_injectivity_check(delta, center(delta))
+
+
+def _free_images_have_full_rank(p, vectors):
+    """The check by projection: each vector mapped onto the free
+    coordinates of H_1 through the Smith form of the transposed Fox rows,
+    then the images' rank."""
+    d, u, _ = smith_normal_form(IntMatrix(relation_rows(p)).transpose())
+    free = [i for i in range(p.ngens) if i >= len(d) or d[i] == 0]
+    images = [[u.apply(tuple(v))[i] for i in free] for v in vectors]
+    return len(free) >= len(vectors) and rank(IntMatrix(images)) == len(vectors)
+
+
+def test_homological_injectivity_matches_projection():
+    # the rank test against projecting onto the free part of H_1, on the
+    # catalogue and the deep towers' groups, with random families of up
+    # to ngens vectors, dependent and zero ones among them
+    rng = random.Random(3)
+    groups = [catalogue_pc(label) for label in FINITE_LABELS + ("K", "T2")]
+    groups += [catalogue_pc("Delta", k) for k in (0, 1, 2)] + [catalogue_pc("Gamma", 3)]
+    for spec in deep_specs()[:100]:
+        try:
+            groups += build_tower_groups(spec)[2:]
+        except (ExtensionError, ValueError):
+            pass
+    verdicts = set()
+    for p in groups:
+        for _ in range(5):
+            vectors = [tuple(rng.randint(-2, 2) for _ in range(p.ngens))
+                       for _ in range(rng.randint(1, p.ngens))]
+            verdict = homological_injectivity_check(p, vectors)
+            assert verdict == _free_images_have_full_rank(p, vectors), (p, vectors)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_halperin_carlsson():

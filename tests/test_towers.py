@@ -20,7 +20,9 @@ from conftest import (
     classify_witnesses_text,
     collected,
     compose_maps,
+    deep_specs,
     reduction_at,
+    wide_lift_specs,
 )
 import cocycle_oracle
 from cocycle_oracle import Cocycle
@@ -34,6 +36,7 @@ from nilbott.cohomology import (
     restriction_nonzero,
     transfer_identity_check,
 )
+from nilbott.geometry import seifert_model
 from nilbott.polycyclic import (
     collect,
     cyclic_pc,
@@ -264,14 +267,17 @@ def _accepted_deep_tower(bits):
 
 
 def test_accepted_deep_tower_at_the_bound():
-    # every stage is a cocycle at 128 bits, so both deep restrictions are
-    # decided on commutators with 128-bit exponents
+    # every stage is a cocycle at 128 bits, and each stage's class order
+    # is read off its 128-bit lifts
     spec = _accepted_deep_tower(DEEP_LIFT_BITS)
     assert {x.bit_length() for s in spec.stages for x in s.lifts} == {DEEP_LIFT_BITS}
     start = time.perf_counter()
     v = classify_tower(spec)
     assert time.perf_counter() - start < 1
     assert (v.label, v.type) == ("unclassified", "finite")
+    groups = build_tower_groups(spec)
+    orders = [class_order(g, s.phi, s.lifts).order for g, s in zip(groups[1:], spec.stages[2:])]
+    assert orders == [1, 2, 4]
     # one lift off by one breaks the stage-5 cocycle
     *low, top = spec.stages
     lifts = (top.lifts[0] + 1,) + top.lifts[1:]
@@ -299,14 +305,55 @@ def test_twisting_integers_have_a_digit_bound():
         parse_tower_spec(text.replace("k=", "k=-1"))
 
 
+def _signed(base, signs, lifts):
+    """lifts, each times the sign signs[j] of the fiber tail of its rule
+    (i, j): the convention that class_order must not take."""
+    return [x * signs[j] for ((_, j), _), x in zip(base.positive_rules(), lifts)]
+
+
 def test_type_decisions_agree():
+    # depth 3: the class order and the engine's lattice restriction, on
+    # every case; infinite type is exactly cases 3 and 5 with k != 0
     for case in sorted(CASE_DATA):
         kind, signs = CASE_DATA[case]
         for k in range(-5, 6):
-            by_order = not class_order(base_group(case), signs, k).is_finite
+            by_order = not class_order(base_group(case), signs, (k,)).is_finite
             by_restriction = restriction_nonzero(case_extension(case, k))
             assert by_order == by_restriction
             assert by_order == (case in (3, 5) and k != 0)
+    # every stage of the accepted deep_specs towers and of a sample with
+    # lifts in [-3, 3]: the class order is finite iff seifert_model keeps
+    # the stage's coordinate flat, and agrees with the restriction oracle
+    # wherever it decides; it refuses the stages whose lattice does not
+    # commute, 28 of deep_specs', and those get a type too.  The tower is
+    # infinite iff some stage is.  The sample's wide lifts tell the lifts
+    # as given from the lifts times the fiber sign of their rule.
+    refused = {"deep": 0, "wide": 0}
+    apart = 0  # stages where the signed convention gives another type
+    samples = [("deep", spec) for spec in deep_specs()] + [("wide", spec) for spec in wide_lift_specs()]
+    for sample, spec in samples:
+        try:
+            groups = build_tower_groups(spec)
+        except (ExtensionError, ValueError):
+            continue
+        model = seifert_model(groups[-1])
+        types = []
+        for j, (base, stage) in enumerate(zip(groups[1:], spec.stages[2:]), start=2):
+            finite = class_order(base, stage.phi, stage.lifts).is_finite
+            flat = all(m.low is None or not any(m.low[j]) for m in model)
+            assert finite == flat, (spec, j)
+            try:
+                infinite = cocycle_oracle.restriction_nonzero(groups[j])
+            except ValueError:
+                refused[sample] += 1
+            else:
+                assert finite != infinite, (spec, j)
+            signed = class_order(base, stage.phi, _signed(base, stage.phi, stage.lifts))
+            apart += signed.is_finite != finite
+            types.append(finite)
+        assert classify_tower(spec).type == ("finite" if all(types) else "infinite"), spec
+    assert refused["deep"] == 28 and refused["wide"] > 50, refused
+    assert apart > 10, apart
 
 
 def test_round_trip_lift_through_pairing():
@@ -360,8 +407,8 @@ GOLDEN_DEEP = Path(__file__).parent / "golden" / "classify_deep.json"
 
 
 def test_classify_deep_matches_golden_bytes():
-    # depth-4/5 types and rejections of a seeded tower set; where the
-    # depth-3 prefix is finite the restriction criterion alone decides
+    # depth-4/5 types and rejections of a seeded tower set; each type is
+    # read off the class orders of stages 3 and up
     assert classify_deep_text().encode() == GOLDEN_DEEP.read_bytes()
 
 
@@ -393,8 +440,8 @@ NOT_INTEGERS = [2.5, 2.0, "7", True, False, None]
 K_ENTRY_POINTS = {
     "build_extension": lambda k: build_extension(catalogue_pc("T2"), (1, 1), [k], "n"),
     "depth3": lambda k: TowerSpec.depth3("T2", (1, 1), k),
-    "class_order-free": lambda k: class_order(catalogue_pc("T2"), (1, 1), k),
-    "class_order-torsion": lambda k: class_order(catalogue_pc("K"), (1, -1), k),
+    "class_order-free": lambda k: class_order(catalogue_pc("T2"), (1, 1), (k,)),
+    "class_order-torsion": lambda k: class_order(catalogue_pc("K"), (1, -1), (k,)),
     "transfer": lambda k: transfer_identity_check(catalogue_pc("K"), (-1, 1), k),
 }
 
