@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
 from .catalogue import BASES, catalogue_pc
@@ -54,13 +53,14 @@ ENGINE = f"nilbott {__version__}"
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class Certificate:
-    claim: str
-    inputs: dict
-    verdict: str  # "pass" | "fail"
-    witness: dict = field(default_factory=dict)
-    engine: str = ENGINE
+    def __init__(self, claim: str, inputs: dict, verdict: str, witness: dict | None = None,
+                 engine: str = ENGINE):
+        self.claim = claim
+        self.inputs = inputs
+        self.verdict = verdict  # "pass" | "fail"
+        self.witness = {} if witness is None else witness
+        self.engine = engine
 
     @property
     def ok(self) -> bool:

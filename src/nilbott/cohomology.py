@@ -8,7 +8,6 @@ twist is a tuple of signs, checked by polycyclic.twist_signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
 
@@ -20,16 +19,20 @@ from .polycyclic import (
     require_integer_k,
     twist_signs,
 )
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
+class CohomologyResult(FrozenRecord):
     """Cokernel description of the twisted H^2 plus where the distinguished
     relator-lift class lands (always the element '1' of the presentation)."""
 
-    free_rank: int
-    torsion: tuple[int, ...]
-    generator_image: int = 1
+    __slots__ = ("free_rank", "torsion", "generator_image")
+
+    def __init__(self, free_rank: int, torsion: tuple[int, ...], generator_image: int = 1):
+        set_field = object.__setattr__
+        set_field(self, "free_rank", free_rank)
+        set_field(self, "torsion", torsion)
+        set_field(self, "generator_image", generator_image)
 
     def __str__(self):
         parts = ["Z"] * self.free_rank + [f"Z_{t}" for t in self.torsion]
@@ -57,10 +60,13 @@ def h2_one_relator(base: PcPresentation, signs) -> CohomologyResult:
     return CohomologyResult(sum(1 for _, d in smith if not d), tuple(d for _, d in smith if d))
 
 
-@dataclass(frozen=True)
-class ClassOrder:
-    kind: str  # "finite" | "infinite"
-    order: int | None = None
+class ClassOrder(FrozenRecord):
+    __slots__ = ("kind", "order")
+
+    def __init__(self, kind: str, order: int | None = None):
+        set_field = object.__setattr__
+        set_field(self, "kind", kind)  # "finite" | "infinite"
+        set_field(self, "order", order)
 
     @property
     def is_finite(self) -> bool:

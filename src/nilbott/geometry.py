@@ -29,7 +29,6 @@ e_{n-2}) is ruled out by the same test against the last generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -37,6 +36,7 @@ from math import comb, gcd, lcm
 from .catalogue import catalogue_pc
 from .exact import IntMatrix, smith_normal_form
 from .polycyclic import NormalForm, PcPresentation, require_integer_k
+from .records import Record
 
 
 # -- triangular affine maps ----------------------------------------------------
@@ -448,15 +448,17 @@ def verify_relations_in_rep(p: PcPresentation, rep: list):
     return True, None
 
 
-@dataclass
-class FreenessReport:
+class FreenessReport(Record):
     """Bounded certificate: exact fixed-point status of every nonidentity
     normal form up to the stated letter length.  Not a proof of freeness
     beyond the bound."""
 
-    max_word_len: int
-    words_checked: int
-    fixed_points: list  # (normal form, point)
+    __slots__ = ("max_word_len", "words_checked", "fixed_points")
+
+    def __init__(self, max_word_len: int, words_checked: int, fixed_points: list):
+        self.max_word_len = max_word_len
+        self.words_checked = words_checked
+        self.fixed_points = fixed_points  # (normal form, point)
 
     @property
     def is_free_sample(self) -> bool:

@@ -13,7 +13,6 @@ diagonal signs of their models, 1 and 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb, prod
 
 from .catalogue import catalogue_pc, FLAT_LABELS
@@ -78,20 +77,34 @@ def halperin_carlsson_check(betti, s: int):
     return all(x >= 0 for x in margins) and sum_margin >= 0, margins, sum_margin
 
 
-@dataclass
 class InvariantReport:
-    label: str
-    k: int | None
-    type: str
-    h1: tuple[int, tuple[int, ...]]
-    holonomy_order: int
-    holonomy_is_elementary_2: bool
-    orientable: bool
-    betti: tuple[int, int, int, int]
-    center_rank: int
-    hom_inj_pass: bool | None
-    hc_pass: bool | None
-    hc_margins: list = field(default_factory=list)
+    def __init__(
+        self,
+        label: str,
+        k: int | None,
+        type: str,
+        h1: tuple[int, tuple[int, ...]],
+        holonomy_order: int,
+        holonomy_is_elementary_2: bool,
+        orientable: bool,
+        betti: tuple[int, int, int, int],
+        center_rank: int,
+        hom_inj_pass: bool | None,
+        hc_pass: bool | None,
+        hc_margins: list | None = None,
+    ):
+        self.label = label
+        self.k = k
+        self.type = type
+        self.h1 = h1
+        self.holonomy_order = holonomy_order
+        self.holonomy_is_elementary_2 = holonomy_is_elementary_2
+        self.orientable = orientable
+        self.betti = betti
+        self.center_rank = center_rank
+        self.hom_inj_pass = hom_inj_pass
+        self.hc_pass = hc_pass
+        self.hc_margins = [] if hc_margins is None else hc_margins
 
     def to_dict(self):
         return {

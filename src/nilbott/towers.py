@@ -5,7 +5,6 @@ specifications and their classification against the catalogue.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 from .catalogue import (
@@ -23,6 +22,7 @@ from .polycyclic import (  # noqa: F401  (ExtensionError is re-exported)
     twist_signs,
     verify_isomorphism,
 )
+from .records import FrozenRecord
 from .words import _word_sign
 
 
@@ -33,17 +33,23 @@ class VerificationError(Exception):
 # -- tower specifications ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stage:
-    dim: int
-    phi: tuple[int, ...] = ()
-    lifts: tuple[int, ...] = ()
-    base_tag: str | None = None
+class Stage(FrozenRecord):
+    __slots__ = ("dim", "phi", "lifts", "base_tag")
+
+    def __init__(self, dim: int, phi: tuple[int, ...] = (), lifts: tuple[int, ...] = (),
+                 base_tag: str | None = None):
+        set_field = object.__setattr__
+        set_field(self, "dim", dim)
+        set_field(self, "phi", phi)
+        set_field(self, "lifts", lifts)
+        set_field(self, "base_tag", base_tag)
 
 
-@dataclass(frozen=True)
-class TowerSpec:
-    stages: tuple[Stage, ...]
+class TowerSpec(FrozenRecord):
+    __slots__ = ("stages",)
+
+    def __init__(self, stages: tuple[Stage, ...]):
+        object.__setattr__(self, "stages", stages)
 
     @property
     def depth(self) -> int:
@@ -311,20 +317,30 @@ _SWAPPED_CASE = {4: 2, 7: 6}
 _IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-@dataclass
 class ClassificationVerdict:
-    """A tower's label and type; at depth 3 also its case, lift and witness
-    maps.  maps holds the maps as normal forms, (source names, target
-    names, fwd, bwd); witness_fwd and witness_bwd are them as text,
+    """A tower's label and type; at depth 3 also its case, lift, target and
+    witness maps.  maps holds the maps as normal forms, (source names,
+    target names, fwd, bwd); witness_fwd and witness_bwd are them as text,
     formatted on first read and kept, since printing an exponent of
-    thousands of digits costs more than the rest of a verdict."""
+    thousands of digits costs more than the rest of a verdict.  A nil
+    verdict is made with label None and nil_lift, sign * k, and its label
+    target(nil_lift) is formatted on first read in the same way."""
 
-    label: str
-    type: str  # "finite" | "infinite"
-    case: int | None = None
-    k: int | None = None
-    target: str = ""
-    maps: tuple | None = field(default=None, repr=False, compare=False)
+    def __init__(self, label: str | None, type: str, case: int | None = None,
+                 k: int | None = None, target: str = "", maps: tuple | None = None,
+                 nil_lift: int | None = None):
+        if label is not None:
+            self.label = label
+        self.type = type  # "finite" | "infinite"
+        self.case = case
+        self.k = k
+        self.target = target
+        self.maps = maps
+        self._nil_lift = nil_lift
+
+    @cached_property
+    def label(self) -> str:
+        return f"{self.target}({self._nil_lift})"
 
     @cached_property
     def witness_fwd(self) -> dict:
@@ -387,22 +403,18 @@ def classify_tower(spec: TowerSpec) -> ClassificationVerdict:
         return ClassificationVerdict("unclassified", "finite" if finite else "infinite")
     if finite:
         family = _family(kind, signs, k % 2)
-        case, label, names, holds = family.case, family.label, family.target.names, family.holds
         fwd, bwd = _specialise(family, k)
-    else:
-        case = _CASE_OF[kind, signs]
-        label, names, sign, _ = nil_family(case)
-        label, fwd, bwd = f"{label}({sign * k})", _IDENTITY, _IDENTITY
-        holds = _nil_family_holds(case)
-    if not holds:
-        raise VerificationError(f"witness maps for {label} failed verification")
+        if not family.holds:
+            raise VerificationError(f"witness maps for {family.label} failed verification")
+        return ClassificationVerdict(
+            family.label, "finite", family.case, k, family.label, (EXT, family.target.names, fwd, bwd)
+        )
+    case = _CASE_OF[kind, signs]
+    target, names, sign, _ = nil_family(case)
+    if not _nil_family_holds(case):
+        raise VerificationError(f"witness maps for {target}({sign * k}) failed verification")
     return ClassificationVerdict(
-        label=label,
-        type="finite" if finite else "infinite",
-        case=case,
-        k=k,
-        target=label.split("(")[0],
-        maps=(EXT, names, fwd, bwd),
+        None, "infinite", case, k, target, (EXT, names, _IDENTITY, _IDENTITY), nil_lift=sign * k
     )
 
 
@@ -415,7 +427,8 @@ class _Family:
     generators and nu to normal forms of E^.  holds is the outcome of
     the family check, and the normalized extension has the lift sign * k.
     A plain class: a NamedTuple would cost a quarter of a millisecond at
-    import."""
+    import, and typing with it, which a command start does not otherwise
+    load."""
 
     __slots__ = ("holds", "label", "case", "sign", "target", "source", "target_hat", "fwd", "bwd")
 

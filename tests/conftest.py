@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import sys
 from pathlib import Path
@@ -422,3 +423,27 @@ def in_span(p, rows, v):
             return False
         v = nf_multiply(p, v, nf_power(p, r, -(v[lvl] // r[lvl])))
     return True
+
+
+def assert_value_record(make, other, text, frozen=True):
+    """Pin a record's value behaviour: make() builds it by keyword or
+    returns a shared value, two builds are equal and unequal to other, it
+    reads back as text and survives a pickle; a frozen record hashes
+    equal builds alike and refuses assignment to its first field, any
+    other record is unhashable and takes the assignment."""
+    a, b = make(), make()
+    assert a == b and not a != b
+    assert a != other and not a == other and a != text
+    assert repr(a) == text
+    assert pickle.loads(pickle.dumps(a)) == a
+    field = text[text.index("(") + 1:text.index("=")]
+    if frozen:
+        assert hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        assert a == b
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(a, field, None)
+        assert getattr(a, field) is None and a != b

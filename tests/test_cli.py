@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,6 +67,32 @@ def test_classify_command(tmp_path, capsys):
     bad.write_text("not a tower\n")
     code, _, err = run(capsys, ["classify", str(bad)])
     assert code == 2 and "bad tower spec" in err
+
+
+def _fresh_modules(code: str) -> set:
+    """The modules loaded after running code in a new interpreter that
+    finds the package by PYTHONPATH, as a command start does."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    return set(out.split())
+
+
+def test_command_start_imports_no_dataclasses():
+    # a command start, as perfbench/setup_probe.py times it, loads neither
+    # dataclasses nor inspect (with ast, dis and tokenize they cost more
+    # than the engine); measured against a bare start, since site may
+    # preload modules
+    added = _fresh_modules(
+        "import nilbott.cli\n"
+        "from nilbott.geometry import catalogue_representation\n"
+        "catalogue_representation('B1')"
+    ) - _fresh_modules("pass")
+    assert {"nilbott.cli", "nilbott.geometry", "argparse", "json"} <= added
+    assert not {"dataclasses", "inspect"} & added
 
 
 SPEC_HEAD = "nilbott-tower v1\nstage 1: S1\nstage 2: base=S1 phi={g:-1}\n"

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     CASE_DATA,
     PATTERNS,
+    assert_value_record,
     base_group,
     base_presentation,
     case_extension,
@@ -17,6 +18,8 @@ from conftest import (
 )
 
 from nilbott.cohomology import (
+    ClassOrder,
+    CohomologyResult,
     base_kind,
     class_order,
     h2_one_relator,
@@ -28,6 +31,7 @@ import cocycle_oracle
 import relator_oracle as oracle
 from cocycle_oracle import Cocycle, fiber_signs
 from nilbott.catalogue import catalogue_pc
+from nilbott.geometry import FreenessReport
 from nilbott.polycyclic import nf_invert, nf_multiply, relation_rows, twist_signs
 from nilbott.towers import ExtensionError, _low_stages, build_extension, build_tower_groups
 from nilbott.words import _word_sign, gen, parse_word
@@ -56,6 +60,44 @@ def test_h2_tables():
 
 def test_generator_image_pinned():
     assert h2_one_relator(catalogue_pc("K"), (1, 1)).generator_image == 1
+
+
+@pytest.mark.parametrize("make,other,text,frozen", [
+    (
+        lambda: h2_one_relator(catalogue_pc("K"), (-1, -1)),
+        CohomologyResult(0, (2,), 0),
+        "CohomologyResult(free_rank=0, torsion=(2,), generator_image=1)",
+        True,
+    ),
+    (
+        lambda: CohomologyResult(free_rank=1, torsion=()),
+        CohomologyResult(1, (2,)),
+        "CohomologyResult(free_rank=1, torsion=(), generator_image=1)",
+        True,
+    ),
+    (
+        lambda: class_order(catalogue_pc("K"), (-1, -1), (3,)),
+        ClassOrder("finite", 1),
+        "ClassOrder(kind='finite', order=2)",
+        True,
+    ),
+    (
+        lambda: ClassOrder(kind="infinite"),
+        ClassOrder("finite"),
+        "ClassOrder(kind='infinite', order=None)",
+        True,
+    ),
+    (
+        lambda: FreenessReport(max_word_len=4, words_checked=80, fixed_points=[]),
+        FreenessReport(4, 80, [((1,), (0,))]),
+        "FreenessReport(max_word_len=4, words_checked=80, fixed_points=[])",
+        False,
+    ),
+], ids=["h2", "h2-defaults", "class-order", "class-order-defaults", "freeness"])
+def test_results_are_values(make, other, text, frozen):
+    # class orders are shared values (_INFINITE, _FINITE), so they are
+    # frozen; a freeness report compares by value but is not hashed
+    assert_value_record(make, other, text, frozen)
 
 
 def test_h2_torus_coinvariants_formula():

@@ -13,6 +13,7 @@ from conftest import (
     GOLDEN_KS,
     PATTERNS,
     as_words,
+    assert_value_record,
     base_group,
     base_presentation,
     case_extension,
@@ -394,6 +395,33 @@ def test_tower_spec_errors():
         TowerSpec.depth3("RP2", (1, 1), 0)
 
 
+_K_STAGES = "Stage(dim=1, phi=(), lifts=(), base_tag=None), Stage(dim=2, phi=(-1,), lifts=(), base_tag='S1')"
+
+
+@pytest.mark.parametrize("make,other,text", [
+    (
+        lambda: Stage(dim=3, phi=(1, -1), lifts=(5,), base_tag="K"),
+        Stage(3, (1, -1), (-5,), "K"),
+        "Stage(dim=3, phi=(1, -1), lifts=(5,), base_tag='K')",
+    ),
+    (lambda: Stage(dim=1), Stage(1, (), (), "S1"), "Stage(dim=1, phi=(), lifts=(), base_tag=None)"),
+    (
+        lambda: TowerSpec(stages=(Stage(1), Stage(2, (-1,), (), "S1"))),
+        TowerSpec((Stage(1), Stage(2, (1,), (), "S1"))),
+        f"TowerSpec(stages=({_K_STAGES}))",
+    ),
+    (
+        lambda: TowerSpec.depth3("K", (-1, 1), 5),
+        TowerSpec.depth3("K", (-1, 1), 6),
+        f"TowerSpec(stages=({_K_STAGES}, Stage(dim=3, phi=(-1, 1), lifts=(5,), base_tag='K')))",
+    ),
+], ids=["stage", "stage-defaults", "spec", "depth3"])
+def test_specs_are_frozen_values(make, other, text):
+    # specs are hashed and compared by value, and a stage's fields are
+    # read, never reassigned
+    assert_value_record(make, other, text)
+
+
 GOLDEN_WITNESSES = Path(__file__).parent / "golden" / "classify_witnesses.json"
 
 
@@ -410,6 +438,20 @@ def test_classify_deep_matches_golden_bytes():
     # depth-4/5 types and rejections of a seeded tower set; each type is
     # read off the class orders of stages 3 and up
     assert classify_deep_text().encode() == GOLDEN_DEEP.read_bytes()
+
+
+def test_nil_label_is_formatted_on_first_read():
+    # printing a 4000-digit k costs more than the rest of a nil verdict, so
+    # the verdict holds no text of k until its label is read, and keeps it
+    k = 10**3999 + 1
+    verdict = classify_tower(TowerSpec.depth3("K", (-1, 1), k))
+    assert verdict.type == "infinite" and verdict.target == "Gamma" and verdict.k == k
+    assert "label" not in vars(verdict)
+    assert not any(isinstance(x, str) and len(x) > 10 for x in vars(verdict).values())
+    assert verdict.label == f"Gamma({k})"
+    assert vars(verdict)["label"] is verdict.label
+    delta = classify_tower(TowerSpec.depth3("T2", (1, 1), k))
+    assert (delta.label, delta.target) == (f"Delta({-k})", "Delta")
 
 
 def test_rejection_formats_nothing_until_read(monkeypatch):
